@@ -1,11 +1,12 @@
 """Fabric verification and resource accounting.
 
-Verification builds the fabric, then compares its physically traced
-permutation against the independent digit-rotation oracle, channel by
-channel, alongside bijectivity and per-fiber wavelength-distinctness
-checks. Each check reports the first counterexample in ascending
-address order and stops there, which keeps reports deterministic and
-compact.
+Verification builds the fabric, then compares its routed permutation
+against the independent digit-rotation oracle, channel by channel,
+alongside bijectivity and per-fiber wavelength-distinctness checks.
+The checks are passes over the fabric's integer tuples; addresses are
+built only to word a counterexample. Each check reports the first
+counterexample in ascending address order and stops there, which keeps
+reports deterministic and compact.
 
 The resource side tabulates the wavelength-versus-cabling tradeoff
 across every factorization l = m*n of a fixed fanout: growing n grows
@@ -17,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Mapping
+from operator import eq
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .addressing import ChannelAddress, mixed_radix_decode
 from .errors import DomainError
-from .shuffle import left_cyclic_shift
+from .shuffle import left_cyclic_shift, left_cyclic_shift_decimal
 from .topology import (
     DEFAULT_CHANNEL_CAP,
     NetworkParams,
@@ -92,20 +94,58 @@ class VerificationReport:
     passed: bool
     checks: tuple[CheckResult, ...]
     permutation_size: int
+    matched: int  # channels whose output equals the oracle's
 
 
 def check_oracle_equivalence(topology: Topology) -> CheckResult:
-    """Compare the traced permutation against the digit-rotation oracle."""
-    for tr in topology.channels:
-        expected = left_cyclic_shift(tr.input_addr)
-        if tr.output_addr != expected:
+    """Compare the routed permutation against the digit-rotation oracle."""
+    expected = left_cyclic_shift_decimal(topology.params.input_radices)
+    if topology.outputs == tuple(expected):
+        return CheckResult(CHECK_ORACLE, True)
+    index = next(i for i, want in enumerate(expected) if topology.outputs[i] != want)
+    tr = topology.channel(index)
+    return CheckResult(
+        CHECK_ORACLE,
+        False,
+        f"input {tr.input_addr} reaches {tr.output_addr}, "
+        f"oracle expects {left_cyclic_shift(tr.input_addr)}",
+    )
+
+
+def _oracle_matches(topology: Topology) -> int:
+    """How many channels reach the output the digit-rotation oracle expects."""
+    expected = left_cyclic_shift_decimal(topology.params.input_radices)
+    return sum(map(eq, topology.outputs, expected))
+
+
+def _check_images(
+    images: Sequence[int],
+    space: int,
+    input_at: Callable[[int], ChannelAddress],
+    output_at: Callable[[int], ChannelAddress],
+) -> CheckResult:
+    """Bijectivity of ``images`` (decimal outputs, in input order) onto range(space).
+
+    An occupancy pass over indices already known to lie in range(space);
+    ``input_at(position)`` and ``output_at(index)`` name addresses for
+    the counterexample only on failure.
+    """
+    occupied = bytearray(space)
+    for image in images:
+        if occupied[image]:
+            first = images.index(image)
+            second = images.index(image, first + 1)
             return CheckResult(
-                CHECK_ORACLE,
+                CHECK_BIJECTIVITY,
                 False,
-                f"input {tr.input_addr} reaches {tr.output_addr}, "
-                f"oracle expects {expected}",
+                f"inputs {input_at(first)} and {input_at(second)} both map to "
+                f"{output_at(image)}",
             )
-    return CheckResult(CHECK_ORACLE, True)
+        occupied[image] = 1
+    if len(images) != space:
+        missing = output_at(occupied.index(0))
+        return CheckResult(CHECK_BIJECTIVITY, False, f"output {missing} is never produced")
+    return CheckResult(CHECK_BIJECTIVITY, True)
 
 
 def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckResult:
@@ -125,26 +165,62 @@ def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckRes
             raise DomainError(
                 f"mixed output radices in permutation: {radices} vs {out.radices}"
             )
-    seen: dict[ChannelAddress, ChannelAddress] = {}
-    for inp, out in items:
-        if out in seen:
-            return CheckResult(
-                CHECK_BIJECTIVITY,
-                False,
-                f"inputs {seen[out]} and {inp} both map to {out}",
+    return _check_images(
+        [out.decimal for _, out in items],
+        prod(radices),
+        lambda pos: items[pos][0],
+        lambda index: ChannelAddress(mixed_radix_decode(index, radices), radices),
+    )
+
+
+def _check_topology_bijectivity(topology: Topology) -> CheckResult:
+    p = topology.params
+    return _check_images(
+        topology.outputs,
+        p.channel_count,
+        lambda pos: topology.channel(pos).input_addr,
+        lambda index: ChannelAddress(
+            mixed_radix_decode(index, p.output_radices), p.output_radices
+        ),
+    )
+
+
+def _conflicts(topology: Topology) -> Iterator[WavelengthConflict]:
+    """Every wavelength carried twice on one fiber, in channel address order.
+
+    Occupancy is keyed sparsely by fiber * lambda_count + wavelength, so
+    memory follows the channel count, not fibers x wavelengths. Input
+    fiber (group, port) of channel i is i // n; router output fiber
+    (router, output) of output channel o is o // g. A fabric whose keys
+    are all distinct has no conflict and is not scanned in order.
+    """
+    p = topology.params
+    lambdas, n, g = p.lambda_count, p.n, p.g
+    on_group = [i // n * lambdas + w for i, w in enumerate(topology.wavelengths)]
+    on_output = [o // g * lambdas + w for o, w in zip(topology.outputs, topology.wavelengths)]
+    if len(set(on_group)) == len(set(on_output)) == p.channel_count:
+        return
+    first_on_group: dict[int, int] = {}
+    first_on_output: dict[int, int] = {}
+    for i, (group_key, output_key) in enumerate(zip(on_group, on_output)):
+        first = first_on_group.setdefault(group_key, i)
+        if first != i:
+            fiber, w = divmod(group_key, lambdas)
+            yield WavelengthConflict(
+                fiber="group%d/port%d" % divmod(fiber, p.m),
+                wavelength=w,
+                first=topology.channel(first).input_addr,
+                second=topology.channel(i).input_addr,
             )
-        seen[out] = inp
-    space = prod(radices)
-    if len(seen) != space:
-        for index in range(space):
-            missing = ChannelAddress(mixed_radix_decode(index, radices), radices)
-            if missing not in seen:
-                return CheckResult(
-                    CHECK_BIJECTIVITY,
-                    False,
-                    f"output {missing} is never produced",
-                )
-    return CheckResult(CHECK_BIJECTIVITY, True)
+        first = first_on_output.setdefault(output_key, i)
+        if first != i:
+            fiber, w = divmod(output_key, lambdas)
+            yield WavelengthConflict(
+                fiber="awg-out%d/port%d" % divmod(fiber, n),
+                wavelength=w,
+                first=topology.channel(first).output_addr,
+                second=topology.channel(i).output_addr,
+            )
 
 
 def check_wavelength_conflicts(topology: Topology) -> list[WavelengthConflict]:
@@ -154,28 +230,7 @@ def check_wavelength_conflicts(topology: Topology) -> list[WavelengthConflict]:
     router output fibers (router, output). Conflicts appear in channel
     address order.
     """
-    conflicts: list[WavelengthConflict] = []
-    occupancy: dict[tuple[str, int, int], dict[int, ChannelAddress]] = {}
-    for tr in topology.channels:
-        stops = (
-            ("group", tr.input_locus.device, tr.input_locus.port, tr.input_addr),
-            ("awg-out", tr.output_locus.device, tr.output_locus.port, tr.output_addr),
-        )
-        for kind, device, port, addr in stops:
-            fiber = occupancy.setdefault((kind, device, port), {})
-            wavelength = tr.input_locus.wavelength
-            if wavelength in fiber:
-                conflicts.append(
-                    WavelengthConflict(
-                        fiber=f"{kind}{device}/port{port}",
-                        wavelength=wavelength,
-                        first=fiber[wavelength],
-                        second=addr,
-                    )
-                )
-            else:
-                fiber[wavelength] = addr
-    return conflicts
+    return list(_conflicts(topology))
 
 
 def run_named_check(name: str, topology: Topology) -> CheckResult:
@@ -183,11 +238,10 @@ def run_named_check(name: str, topology: Topology) -> CheckResult:
     if name == CHECK_ORACLE:
         return check_oracle_equivalence(topology)
     if name == CHECK_BIJECTIVITY:
-        return check_bijectivity(topology.channel_perm)
+        return _check_topology_bijectivity(topology)
     if name == CHECK_WAVELENGTH_CONFLICTS:
-        conflicts = check_wavelength_conflicts(topology)
-        if conflicts:
-            first = conflicts[0]
+        first = next(_conflicts(topology), None)
+        if first is not None:
             return CheckResult(
                 CHECK_WAVELENGTH_CONFLICTS,
                 False,
@@ -209,11 +263,14 @@ def verify_shuffle_equivalence(
     """
     topology = build_network(g, m, n, max_channels=max_channels)
     checks = tuple(run_named_check(name, topology) for name in CHECK_NAMES)
+    size = topology.params.channel_count
+    oracle_passed = next(c.passed for c in checks if c.name == CHECK_ORACLE)
     return VerificationReport(
         params=topology.params,
         passed=all(check.passed for check in checks),
         checks=checks,
-        permutation_size=topology.params.channel_count,
+        permutation_size=size,
+        matched=size if oracle_passed else _oracle_matches(topology),
     )
 
 

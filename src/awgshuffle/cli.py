@@ -10,11 +10,7 @@ import argparse
 import sys
 
 from ._version import __version__
-from .analysis import (
-    CHECK_ORACLE,
-    tradeoff_table,
-    verify_shuffle_equivalence,
-)
+from .analysis import tradeoff_table, verify_shuffle_equivalence
 from .errors import ShuffleNetError
 from .serialize import (
     serialize_report,
@@ -22,8 +18,8 @@ from .serialize import (
     tradeoff_csv,
     write_bytes,
 )
-from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
-from .topology import build_network, trace
+from .shuffle import ShuffleSpec, shuffle_perm_decimal
+from .topology import NetworkParams, build_network, trace_channel
 
 __all__ = ["cli_main", "main"]
 
@@ -102,18 +98,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_shuffle_equivalence(args.g, args.m, args.n)
-    size = report.permutation_size
-    oracle_check = next(c for c in report.checks if c.name == CHECK_ORACLE)
-    if oracle_check.passed:
-        matched = size
-    else:
-        topology = build_network(args.g, args.m, args.n)
-        matched = sum(
-            1
-            for tr in topology.channels
-            if tr.output_addr == left_cyclic_shift(tr.input_addr)
-        )
-    print(f"{matched}/{size} channels match S({args.g},{args.m * args.n})")
+    print(
+        f"{report.matched}/{report.permutation_size} channels match "
+        f"S({args.g},{args.m * args.n})"
+    )
     for check in report.checks:
         line = f"{check.name}: {'PASS' if check.passed else 'FAIL'}"
         if check.counterexample is not None:
@@ -126,8 +114,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    topology = build_network(args.g, args.m, args.n)
-    tr = trace(topology, args.group, args.port, args.wavelength)
+    params = NetworkParams(args.g, args.m, args.n)
+    tr = trace_channel(params, args.group, args.port, args.wavelength)
     w = tr.input_locus.wavelength
     print(
         f"input : group {tr.input_locus.device}, port {tr.input_locus.port}, "

@@ -12,6 +12,7 @@ convincing if the two sides share no code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .addressing import ChannelAddress
 from .errors import DomainError
@@ -19,6 +20,7 @@ from .errors import DomainError
 __all__ = [
     "ShuffleSpec",
     "left_cyclic_shift",
+    "left_cyclic_shift_decimal",
     "shuffle_map",
     "shuffle_perm_decimal",
 ]
@@ -83,3 +85,23 @@ def left_cyclic_shift(addr: ChannelAddress) -> ChannelAddress:
     d = addr.digits
     r = addr.radices
     return ChannelAddress((d[1], d[2], d[0]), (r[1], r[2], r[0]))
+
+
+def left_cyclic_shift_decimal(radices: Sequence[int]) -> list[int]:
+    """The left cyclic shift as a permutation array over decimal indices.
+
+    Entry ``i`` is the decimal index, under the rotated radices
+    (r1, r2, r0), of the shifted digits of ``i`` under ``radices``
+    (r0, r1, r2): input (a, b, c) at (a*r1 + b)*r2 + c goes to output
+    (b, c, a) at (b*r2 + c)*r0 + a. Pointwise it equals
+    :func:`left_cyclic_shift`, without building an address per index.
+    """
+    if len(radices) != 3:
+        raise DomainError(
+            f"left cyclic shift is defined on 3-digit addresses, got {len(radices)} radices"
+        )
+    for pos, radix in enumerate(radices):
+        if radix < 1:
+            raise DomainError(f"radix at position {pos} must be >= 1, got {radix}")
+    r0, r1, r2 = radices
+    return [(b * r2 + c) * r0 + a for a in range(r0) for b in range(r1) for c in range(r2)]

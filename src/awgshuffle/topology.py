@@ -3,11 +3,15 @@
 A fabric W(g, m, n) has g input groups of m fibers, each fiber carrying
 n wavelengths, cross-wired into a bank of m identical g x n wavelength
 routers. The wiring law is fixed: port b of group a plugs into input a
-of router b. Tracing every (fiber, wavelength) through its cable and
+of router b. Routing every (fiber, wavelength) through its cable and
 router yields the fabric's permutation over the N = g*m*n wavelength
-channels; the permutation is materialized eagerly at build time, since
-desk-scale N is small and verification and export both consume all of
-it anyway.
+channels. A built fabric holds that permutation as two flat integer
+tuples indexed by decimal input channel: the decimal output channel and
+the wavelength. The per-channel objects (addresses, loci, traces) are a
+view derived from those tuples on first use, for export and for
+counterexamples; the checks read the tuples directly. A single channel
+can also be traced from the shape alone with :func:`trace_channel`,
+without building the fabric.
 
 Three-digit addresses use a different radix order at each stage:
 (g, m, n) on input fibers, (m, g, n) between the stages, (m, n, g) on
@@ -20,7 +24,9 @@ physical output, so fibers carry input-dependent wavelength sets.
 Traces and exports surface those sets instead of refusing the shape.
 
 Topology values are immutable after construction; traces and
-permutation lookups are pure reads and safe to share across threads.
+permutation lookups are pure reads and safe to share across threads
+(two threads that race on the first use of the channel view may both
+build it, to equal values).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from itertools import product
 from typing import Iterator
 
 from .addressing import ChannelAddress
-from .awg import AwgSpec, awg_route, valid_input_wavelengths
+from .awg import AwgSpec, awg_route, awg_wavelength, valid_input_wavelengths
 from .errors import CapacityError, DomainError, InvalidChannelError
 
 __all__ = [
@@ -54,6 +60,7 @@ __all__ = [
     "stage1_map",
     "stage2_map",
     "trace",
+    "trace_channel",
 ]
 
 DEFAULT_CHANNEL_CAP = 1_000_000
@@ -150,17 +157,53 @@ class RouteTrace:
 
 @dataclass(frozen=True)
 class Topology:
-    """A fully materialized two-stage fabric.
+    """A two-stage fabric held as flat integer tuples.
 
-    ``channels`` holds one trace per wavelength channel, ordered by
-    ascending input address; ``channel_perm`` is the derived
-    input-to-output mapping over all of them.
+    ``outputs[i]`` is the decimal output channel (radices (m, n, g)) and
+    ``wavelengths[i]`` the wavelength of decimal input channel ``i``
+    (radices (g, m, n)). ``channels`` holds one trace per wavelength
+    channel, ordered by ascending input address, and ``channel_perm`` is
+    the input-to-output mapping over all of them; both are built from
+    the tuples on first use and then kept.
     """
 
     params: NetworkParams
     awg_spec: AwgSpec
     cables: tuple[Cable, ...]
-    channels: tuple[RouteTrace, ...]
+    outputs: tuple[int, ...]
+    wavelengths: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+        object.__setattr__(self, "wavelengths", tuple(self.wavelengths))
+        size = self.params.channel_count
+        for name, bound in (("outputs", size), ("wavelengths", self.params.lambda_count)):
+            values = getattr(self, name)
+            if len(values) != size:
+                raise DomainError(f"{name} has {len(values)} entries for {size} channels")
+            if min(values) < 0 or max(values) >= bound:
+                raise DomainError(f"{name} entries must lie in [0, {bound})")
+
+    def channel(self, index: int) -> RouteTrace:
+        """Trace of decimal input channel ``index``, built from the tuples."""
+        p = self.params
+        group_port, c = divmod(index, p.n)
+        a, b = divmod(group_port, p.m)
+        router_output, origin = divmod(self.outputs[index], p.g)
+        router, q = divmod(router_output, p.n)
+        w = self.wavelengths[index]
+        return RouteTrace(
+            input_locus=Locus(a, b, w),
+            middle_locus=Locus(b, a, w),
+            output_locus=Locus(router, q, w),
+            input_addr=ChannelAddress((a, b, c), p.input_radices),
+            middle_addr=ChannelAddress((b, a, c), p.middle_radices),
+            output_addr=ChannelAddress((router, q, origin), p.output_radices),
+        )
+
+    @cached_property
+    def channels(self) -> tuple[RouteTrace, ...]:
+        return tuple(map(self.channel, range(self.params.channel_count)))
 
     @cached_property
     def channel_perm(self) -> dict[ChannelAddress, ChannelAddress]:
@@ -318,19 +361,27 @@ def stage2_map(params: NetworkParams, addr: ChannelAddress) -> ChannelAddress:
     return ChannelAddress((d[0], d[2], d[1]), params.output_radices)
 
 
-def _trace_via(
-    params: NetworkParams, awg_spec: AwgSpec, cable: Cable, wavelength: int
+def trace_channel(
+    params: NetworkParams, group: int, port: int, wavelength: int
 ) -> RouteTrace:
-    """Follow one wavelength from its fiber through cable and router."""
-    group, port = cable.from_group, cable.from_port
+    """Trace one (group, port, wavelength) channel of the fabric ``params``.
+
+    The channel is followed physically, in constant time and without
+    building the fabric: its fiber's cable leads to router ``port`` at
+    input ``group``, the router law picks the output, and each stage is
+    labeled by its own labeling law. Raises DomainError for an
+    out-of-range locus and InvalidChannelError (naming the fiber's
+    carried set) for a wavelength the fiber cannot accept.
+    """
     input_addr = label_net_input_channel(params, group, port, wavelength)
-    middle_addr = label_middle_channel(params, cable.to_awg, cable.to_input, wavelength)
-    q = awg_route(awg_spec, cable.to_input, wavelength)
-    output_addr = label_net_output_channel(params, cable.to_awg, q, wavelength)
+    awg, awg_input = port, group  # the wiring law
+    middle_addr = label_middle_channel(params, awg, awg_input, wavelength)
+    q = awg_route(params.awg_spec, awg_input, wavelength)
+    output_addr = label_net_output_channel(params, awg, q, wavelength)
     return RouteTrace(
         input_locus=Locus(group, port, wavelength),
-        middle_locus=Locus(cable.to_awg, cable.to_input, wavelength),
-        output_locus=Locus(cable.to_awg, q, wavelength),
+        middle_locus=Locus(awg, awg_input, wavelength),
+        output_locus=Locus(awg, q, wavelength),
         input_addr=input_addr,
         middle_addr=middle_addr,
         output_addr=output_addr,
@@ -348,8 +399,12 @@ def build_network(
 ) -> Topology:
     """Construct the fabric W(g, m, n) with its full channel permutation.
 
-    Raises DomainError for non-positive dimensions and CapacityError
-    when g*m*n exceeds ``max_channels`` (default one million channels).
+    Channel (a, b, c) is the wavelength that router input a connects to
+    output c (:func:`awg_wavelength`) on port b of group a; the wiring law
+    takes that fiber to input a of router b, and :func:`awg_route` then
+    routes every channel. Raises DomainError for non-positive dimensions and
+    CapacityError when g*m*n exceeds ``max_channels`` (default one
+    million channels).
     """
     params = NetworkParams(g, m, n)
     if params.channel_count > max_channels:
@@ -358,25 +413,35 @@ def build_network(
             f"over the cap of {max_channels}"
         )
     awg_spec = params.awg_spec
+    lambdas = params.lambda_count
     cables = tuple(Cable(a, b, b, a) for a in range(g) for b in range(m))
-    channels = []
-    for addr in input_addresses(params):
-        wavelength = input_channel_wavelength(params, addr)
-        cable = cables[addr.digits[0] * m + addr.digits[1]]
-        channels.append(_trace_via(params, awg_spec, cable, wavelength))
-    return Topology(params, awg_spec, cables, tuple(channels))
+    outputs: list[int] = []
+    wavelengths: list[int] = []
+    for a in range(g):
+        carried = [awg_wavelength(awg_spec, a, c) for c in range(n)]
+        for b in range(m):
+            awg, awg_input = b, a  # the wiring law
+            for w in carried:
+                q = awg_route(awg_spec, awg_input, w)
+                origin = (w - q) % lambdas
+                if q >= n or origin >= g:
+                    # dark wavelength or no origin: the labeling laws raise
+                    label_middle_channel(params, awg, awg_input, w)
+                    label_net_output_channel(params, awg, q, w)
+                outputs.append((awg * n + q) * g + origin)
+            wavelengths.extend(carried)
+    return Topology(params, awg_spec, cables, tuple(outputs), tuple(wavelengths))
 
 
 def trace(topology: Topology, group: int, port: int, wavelength: int) -> RouteTrace:
     """Trace one (group, port, wavelength) channel through the fabric.
 
-    Raises DomainError for an out-of-range locus and InvalidChannelError
+    Same as :func:`trace_channel` on the fabric's shape. Raises
+    DomainError for an out-of-range locus and InvalidChannelError
     (naming the fiber's carried set) for a wavelength the fiber cannot
     accept.
     """
-    cable = topology.cable_for(group, port)
-    _check_wavelength_index(topology.params, wavelength)
-    return _trace_via(topology.params, topology.awg_spec, cable, wavelength)
+    return trace_channel(topology.params, group, port, wavelength)
 
 
 def network_permutation(topology: Topology) -> dict[ChannelAddress, ChannelAddress]:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from awgshuffle import (
@@ -8,6 +10,7 @@ from awgshuffle import (
     NetworkParams,
     build_network,
     check_bijectivity,
+    check_oracle_equivalence,
     check_wavelength_conflicts,
     resource_metrics,
     run_named_check,
@@ -188,3 +191,71 @@ class TestTradeoffTable:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(DomainError):
             tradeoff_table(1, 0)
+
+
+def _run_checks(topology):
+    return {name: run_named_check(name, topology) for name in CHECK_NAMES}
+
+
+class TestFaultInjection:
+    """Each check rejects a mis-wired fabric with its first counterexample."""
+
+    def test_swapped_outputs_fail_the_oracle_only_as_a_permutation(self, w323):
+        outputs = list(w323.outputs)
+        outputs[4], outputs[13] = outputs[13], outputs[4]
+        results = _run_checks(replace(w323, outputs=outputs))
+        assert results["oracle-equivalence"].counterexample == (
+            "input 011 reaches 012, oracle expects 110"
+        )
+        assert results["bijectivity"].passed
+
+    def test_duplicated_output_names_the_second_input(self, w323):
+        outputs = list(w323.outputs)
+        outputs[5] = outputs[2]
+        results = _run_checks(replace(w323, outputs=outputs))
+        assert not results["bijectivity"].passed
+        assert results["bijectivity"].counterexample == "inputs 002 and 012 both map to 020"
+
+    def test_shared_wavelength_on_one_fiber(self, w323):
+        wavelengths = list(w323.wavelengths)
+        wavelengths[7] = wavelengths[6]
+        mutant = replace(w323, wavelengths=wavelengths)
+        results = _run_checks(mutant)
+        assert results["oracle-equivalence"].passed
+        assert results["bijectivity"].passed
+        assert results["wavelength-conflicts"].counterexample == (
+            "group1/port0 carries wavelength 1 twice: 100 and 101"
+        )
+        first = check_wavelength_conflicts(mutant)[0]
+        assert (first.fiber, first.wavelength) == ("group1/port0", 1)
+        assert first.first == addr((1, 0, 0), (3, 2, 3))
+        assert first.second == addr((1, 0, 1), (3, 2, 3))
+
+    def test_router_modulus_n_instead_of_max_g_n(self):
+        # g > n: the router law must wrap at max(g, n) = 5; wrapping at n
+        # first goes wrong at input (3, 0, 2), wavelength (3 + 2) mod 5 = 0
+        g, m, n = 5, 2, 3
+        topology = build_network(g, m, n)
+        lambdas = topology.params.lambda_count
+        outputs = []
+        for i, w in enumerate(topology.wavelengths):
+            group, port = divmod(i // n, m)
+            q = (w - group) % n
+            outputs.append((port * n + q) * g + (w - q) % lambdas)
+        mutant = replace(topology, outputs=outputs)
+        assert check_oracle_equivalence(mutant).counterexample == (
+            "input 302 reaches 000, oracle expects 023"
+        )
+        results = _run_checks(mutant)
+        assert results["bijectivity"].counterexample == "inputs 000 and 302 both map to 000"
+        assert results["wavelength-conflicts"].counterexample == (
+            "awg-out0/port0 carries wavelength 0 twice: 000 and 000"
+        )
+
+    def test_mutants_keep_shape_and_ranges(self, w323):
+        with pytest.raises(DomainError):
+            replace(w323, outputs=w323.outputs[:-1])
+        with pytest.raises(DomainError):
+            replace(w323, outputs=(18,) + w323.outputs[1:])
+        with pytest.raises(DomainError):
+            replace(w323, wavelengths=(-1,) + w323.wavelengths[1:])

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from awgshuffle import cli_main, parse_topology
+import awgshuffle.analysis as analysis
+from awgshuffle import build_network, cli_main, parse_topology
 
 
 def run(capsys, *argv):
@@ -32,6 +34,27 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--g", "100", "--m", "101", "--n", "100")
         assert code == 2
         assert "over the cap" in err
+
+    def test_failure_counts_matches_from_the_one_build(self, capsys, monkeypatch):
+        fabric = build_network(3, 2, 3)
+        outputs = list(fabric.outputs)
+        outputs[4], outputs[13] = outputs[13], outputs[4]
+        builds = []
+
+        def build_miswired(*args, **kwargs):
+            builds.append(args)
+            return replace(fabric, outputs=outputs)
+
+        monkeypatch.setattr(analysis, "build_network", build_miswired)
+        code, out, _ = run(capsys, "verify", "--g", "3", "--m", "2", "--n", "3")
+        assert code == 1
+        assert builds == [(3, 2, 3)]
+        lines = out.splitlines()
+        assert lines[0] == "16/18 channels match S(3,6)"
+        assert lines[1] == (
+            "oracle-equivalence: FAIL (input 011 reaches 012, oracle expects 110)"
+        )
+        assert lines[-1] == "result: FAIL"
 
     def test_report_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -78,6 +101,37 @@ class TestTraceCommand:
         assert "input : group 1, port 0, l0" in out
         assert "middle: awg 0, input 1, l0" in out
         assert "output: awg 0, output 2, l0" in out
+
+    def test_above_the_build_cap_answers_from_the_shape(self, capsys):
+        # W(100,100,101) has 1,010,000 channels, over the build cap
+        code, out, _ = run(
+            capsys, "trace", "--g", "100", "--m", "100", "--n", "101",
+            "--group", "99", "--port", "99", "--lambda", "0",
+        )
+        assert code == 0
+        assert out == (
+            "input : group 99, port 99, l0  addr 99.99.2\n"
+            "middle: awg 99, input 99, l0  addr 99.99.2\n"
+            "output: awg 99, output 2, l0  addr 99.2.99\n"
+            "path: 99.99.2 -> 99.99.2 -> 99.2.99\n"
+        )
+
+    @pytest.mark.parametrize(
+        "locus, message",
+        [
+            (("100", "0", "0"), "group 100 out of range for 100 groups"),
+            (("0", "100", "0"), "port 100 out of range for 100 ports per group"),
+            (("0", "0", "101"), "wavelength index 101 out of range for 101 wavelengths"),
+        ],
+    )
+    def test_out_of_range_locus_exits_two(self, capsys, locus, message):
+        group, port, wavelength = locus
+        code, _, err = run(
+            capsys, "trace", "--g", "100", "--m", "100", "--n", "101",
+            "--group", group, "--port", port, "--lambda", wavelength,
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
 
     def test_uncarried_wavelength_exits_two(self, capsys):
         code, _, err = run(

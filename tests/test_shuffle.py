@@ -7,6 +7,8 @@ from awgshuffle import (
     DomainError,
     ShuffleSpec,
     left_cyclic_shift,
+    left_cyclic_shift_decimal,
+    mixed_radix_decode,
     mixed_radix_encode,
     shuffle_map,
     shuffle_perm_decimal,
@@ -120,3 +122,31 @@ class TestLeftCyclicShift:
     )
     def test_triple_shift_is_identity(self, addr):
         assert left_cyclic_shift(left_cyclic_shift(left_cyclic_shift(addr))) == addr
+
+
+class TestLeftCyclicShiftDecimal:
+    def test_worked_entry(self):
+        # input 102 (decimal 8) lands on output 021 (decimal (0*3 + 2)*3 + 1 = 7)
+        assert left_cyclic_shift_decimal((3, 2, 3))[8] == 7
+
+    def test_agrees_with_digit_view(self):
+        for radices in [(1, 1, 1), (3, 2, 3), (4, 3, 2), (2, 5, 1), (1, 4, 3)]:
+            perm = left_cyclic_shift_decimal(radices)
+            for index, image in enumerate(perm):
+                addr = ChannelAddress(mixed_radix_decode(index, radices), radices)
+                assert image == left_cyclic_shift(addr).decimal
+
+    def test_is_the_shuffle_over_the_group_digit(self):
+        # (a, b, c) -> (b, c, a) is S(g, m*n) on decimal indices
+        for g in range(1, 5):
+            for m in range(1, 5):
+                for n in range(1, 5):
+                    assert left_cyclic_shift_decimal((g, m, n)) == shuffle_perm_decimal(
+                        ShuffleSpec(g, m * n)
+                    )
+
+    def test_rejects_bad_radices(self):
+        with pytest.raises(DomainError):
+            left_cyclic_shift_decimal((3, 6))
+        with pytest.raises(DomainError):
+            left_cyclic_shift_decimal((3, 0, 2))

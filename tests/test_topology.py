@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import awgshuffle.topology as topology
 from awgshuffle import (
     AwgSpec,
     Cable,
@@ -18,12 +21,15 @@ from awgshuffle import (
     label_middle_channel,
     label_net_input_channel,
     label_net_output_channel,
+    left_cyclic_shift_decimal,
     middle_channel_wavelength,
+    mixed_radix_decode,
     network_permutation,
     output_channel_wavelength,
     stage1_map,
     stage2_map,
     trace,
+    trace_channel,
 )
 
 P323 = NetworkParams(3, 2, 3)
@@ -72,6 +78,11 @@ class TestBuild:
     def test_cable_type_rejects_wiring_violation(self):
         with pytest.raises(DomainError, match="wiring law"):
             Cable(from_group=1, from_port=0, to_awg=1, to_input=1)
+
+    def test_rejects_a_router_that_routes_past_its_outputs(self, monkeypatch):
+        monkeypatch.setattr(topology, "awg_route", lambda spec, p, i: spec.outputs)
+        with pytest.raises(DomainError, match="router output 3 out of range for 3 outputs"):
+            build_network(3, 2, 3)
 
 
 class TestChannelLabels:
@@ -233,6 +244,38 @@ class TestTrace:
         with pytest.raises(InvalidChannelError) as err:
             trace(t, 0, 0, 2)
         assert "{0, 1}" in str(err.value)
+
+
+class TestChannelView:
+    """The channel objects derived from the integer tuples agree with
+    physical per-channel tracing and with the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7))
+    def test_agrees_with_trace_labels_and_oracle(self, g, m, n):
+        t = build_network(g, m, n)
+        p = t.params
+        assert list(t.outputs) == left_cyclic_shift_decimal(p.input_radices)
+        assert len(t.channels) == p.channel_count
+        for i, tr in enumerate(t.channels):
+            a, b, _ = mixed_radix_decode(i, p.input_radices)
+            w = t.wavelengths[i]
+            assert tr == trace(t, a, b, w)
+            assert tr.input_addr == label_net_input_channel(p, a, b, w)
+            assert tr.middle_addr == label_middle_channel(p, b, a, w)
+            q = awg_route(p.awg_spec, a, w)
+            assert tr.output_addr == label_net_output_channel(p, b, q, w)
+
+    def test_trace_needs_no_fabric(self, w323):
+        assert trace_channel(P323, 1, 0, 0) == trace(w323, 1, 0, 0) == w323.channels[8]
+
+    def test_channels_are_built_once(self, w323):
+        assert w323.channels is w323.channels
+
+    def test_equal_and_hashable(self, w323):
+        again = build_network(3, 2, 3)
+        assert again == w323 and hash(again) == hash(w323)
+        assert again != build_network(3, 3, 2)
 
 
 class TestNetworkPermutation:
