@@ -23,6 +23,7 @@ from .errors import DomainError
 
 __all__ = [
     "ChannelAddress",
+    "digit_separator",
     "mixed_radix_decode",
     "mixed_radix_encode",
     "render_digits",
@@ -71,6 +72,11 @@ def mixed_radix_decode(index: int, radices: Sequence[int]) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def digit_separator(radices: Sequence[int]) -> str:
+    """Text between two digits under ``radices``: "" when every radix is <= 10, else "."."""
+    return "" if all(radix <= 10 for radix in radices) else "."
+
+
 def render_digits(digits: Sequence[int], radices: Sequence[int]) -> str:
     """Compact text form of a digit vector.
 
@@ -78,9 +84,7 @@ def render_digits(digits: Sequence[int], radices: Sequence[int]) -> str:
     (radix <= 10); larger radices switch to dot-separated decimal so the
     rendering stays unambiguous.
     """
-    if all(radix <= 10 for radix in radices):
-        return "".join(str(digit) for digit in digits)
-    return ".".join(str(digit) for digit in digits)
+    return digit_separator(radices).join(str(digit) for digit in digits)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from operator import eq
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .addressing import ChannelAddress, mixed_radix_decode
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .shuffle import left_cyclic_shift, left_cyclic_shift_decimal
 from .topology import (
     DEFAULT_CHANNEL_CAP,
@@ -296,12 +296,15 @@ def tradeoff_table(g: int, l: int) -> list[ResourceMetrics]:
 
     Along the table the wavelength pool never shrinks and the cable
     count never grows; the n = l row needs l wavelengths and no stage-1
-    cables at all.
+    cables at all. Raises CapacityError when l exceeds the default
+    channel cap.
     """
     if g < 1:
         raise DomainError(f"g must be >= 1, got {g}")
     if l < 1:
         raise DomainError(f"l must be >= 1, got {l}")
+    if l > DEFAULT_CHANNEL_CAP:
+        raise CapacityError(f"fanout l = {l} is over the cap of {DEFAULT_CHANNEL_CAP}")
     return [
         resource_metrics(g, l // n, n)
         for n in range(1, l + 1)

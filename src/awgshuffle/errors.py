@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size cap they enforce."""
+
+DEFAULT_CHANNEL_CAP = 1_000_000
 
 
 class ShuffleNetError(Exception):
@@ -14,7 +16,7 @@ class InvalidChannelError(ShuffleNetError, ValueError):
 
 
 class CapacityError(ShuffleNetError):
-    """A requested network exceeds the configured channel-count cap."""
+    """A requested network or input exceeds the configured channel-count cap."""
 
 
 class ParseError(ShuffleNetError, ValueError):

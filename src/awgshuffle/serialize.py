@@ -2,10 +2,20 @@
 
 JSON output is canonical (sorted keys, two-space indent, plain decimal
 integers, trailing newline) so serialized artifacts are diff-stable and
-belong in version control. Parsing validates the document structurally,
-rebuilds the fabric from its parameters, and then requires the file's
-cables and channels to match the rebuilt ones exactly; any divergence
-is an integrity failure, not a parse failure.
+belong in version control. A topology document is rendered straight
+from the fabric's integer tuples: json.dumps lays out one skeleton
+cable and one skeleton channel per fabric, with a ``%d`` slot for every
+per-entry integer, and each entry fills that template with plain ints.
+
+Parsing validates the document's header and rebuilds the fabric from
+its parameters. It renders the rebuilt arrays through the same
+templates in compact layout and compares that text with the compact
+json.dumps of the parsed sections, so the comparison is type-strict
+(``true`` or ``1.0`` never stand in for ``1``) while key order,
+whitespace and metadata may differ. A document that differs is
+validated in full first, so a structural problem anywhere is a
+ParseError; only then is the first disagreeing section or entry an
+IntegrityError.
 """
 
 from __future__ import annotations
@@ -13,13 +23,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any
+from functools import lru_cache
+from typing import Any, Iterable, Iterator
 
 from ._version import __version__
+from .addressing import digit_separator
 from .analysis import VerificationReport, ResourceMetrics
-from .errors import DomainError, IntegrityError, ParseError
+from .awg import AwgSpec
+from .errors import CapacityError, DomainError, IntegrityError, ParseError
 from .topology import (
     DEFAULT_CHANNEL_CAP,
+    NetworkParams,
     Topology,
     build_network,
     fiber_wavelengths,
@@ -51,59 +65,113 @@ _CABLE_COUNT_NOTE = (
 )
 _PORT_ORDER_NOTE = "decimal channel indices are group-major (row-major) over the digits"
 
+_PRETTY = {"sort_keys": True, "indent": 2}
+_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
-def _address_json(addr) -> dict[str, Any]:
+# A "%d" string in a skeleton becomes a bare %d slot of its template.
+_SLOT = "%d"
+_CABLE_SKELETON = {"from_group": _SLOT, "from_port": _SLOT, "to_awg": _SLOT, "to_input": _SLOT}
+_LOCUS_SKELETON = {"device": _SLOT, "port": _SLOT, "wavelength": _SLOT}
+
+
+def _address_skeleton(radices: tuple[int, ...]) -> dict[str, Any]:
     return {
-        "decimal": addr.decimal,
-        "digits": list(addr.digits),
-        "radices": list(addr.radices),
-        "text": str(addr),
+        "decimal": _SLOT,
+        "digits": [_SLOT] * 3,
+        "radices": list(radices),
+        "text": digit_separator(radices).join([_SLOT] * 3),
     }
 
 
-def _locus_json(locus) -> dict[str, Any]:
-    return {"device": locus.device, "port": locus.port, "wavelength": locus.wavelength}
-
-
-def topology_document(topology: Topology) -> dict[str, Any]:
-    """JSON-ready dict for one topology (schema version 1)."""
-    p = topology.params
+def _channel_skeleton(p: NetworkParams) -> dict[str, Any]:
+    # sorted keys fix the slot order that _channel_rows fills
     return {
+        "input": _address_skeleton(p.input_radices),
+        "input_locus": _LOCUS_SKELETON,
+        "middle": _address_skeleton(p.middle_radices),
+        "middle_locus": _LOCUS_SKELETON,
+        "output": _address_skeleton(p.output_radices),
+        "output_locus": _LOCUS_SKELETON,
+        "wavelength": _SLOT,
+    }
+
+
+def _template(skeleton: dict[str, Any], layout: dict[str, Any]) -> str:
+    """%-template of one list entry: json.dumps's own text for ``skeleton``."""
+    text = json.dumps(skeleton, **layout)
+    if layout is _PRETTY:  # entries sit at the second indent level
+        text = "    " + text.replace("\n", "\n    ")
+    return text.replace(f'"{_SLOT}"', _SLOT)
+
+
+def _cable_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
+    for c in topology.cables:
+        yield c.from_group, c.from_port, c.to_awg, c.to_input
+
+
+def _channel_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
+    """Slot values of every channel entry, derived from the integer tuples."""
+    p = topology.params
+    g, m, n = p.g, p.m, p.n
+    outputs, wavelengths = topology.outputs, topology.wavelengths
+    i = 0
+    for a in range(g):
+        for b in range(m):
+            middle = (b * g + a) * n
+            for c in range(n):
+                out, w = outputs[i], wavelengths[i]
+                router_output, origin = divmod(out, g)
+                router, q = divmod(router_output, n)
+                yield (
+                    i, a, b, c, a, b, c,  # input: decimal, digits, text
+                    a, b, w,  # input_locus
+                    middle + c, b, a, c, b, a, c,  # middle
+                    b, a, w,  # middle_locus
+                    out, router, q, origin, router, q, origin,  # output
+                    router, q, w,  # output_locus
+                    w,
+                )
+                i += 1
+
+
+def _listed(
+    skeleton: dict[str, Any], rows: Iterable[tuple[int, ...]], layout: dict[str, Any]
+) -> str:
+    """A list section: one ``skeleton`` entry per row, laid out like json.dumps."""
+    template = _template(skeleton, layout)
+    entries = [template % row for row in rows]
+    if layout is _PRETTY:
+        return "[\n" + ",\n".join(entries) + "\n  ]"
+    return "[" + ",".join(entries) + "]"
+
+
+def _params_json(p: NetworkParams) -> dict[str, int]:
+    return {
+        "g": p.g,
+        "m": p.m,
+        "n": p.n,
+        "channel_count": p.channel_count,
+        "lambda_count": p.lambda_count,
+    }
+
+
+def _awg_bank_json(count: int, spec: AwgSpec) -> dict[str, int]:
+    return {
+        "count": count,
+        "inputs": spec.inputs,
+        "outputs": spec.outputs,
+        "lambda_count": spec.lambda_count,
+    }
+
+
+def _document_json(params: NetworkParams, awg_spec: AwgSpec, cables: str, channels: str) -> str:
+    """Canonical text of a document, given its pretty ``cables`` and ``channels`` lists."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
-        "params": {
-            "g": p.g,
-            "m": p.m,
-            "n": p.n,
-            "channel_count": p.channel_count,
-            "lambda_count": p.lambda_count,
-        },
-        "awg_bank": {
-            "count": p.m,
-            "inputs": topology.awg_spec.inputs,
-            "outputs": topology.awg_spec.outputs,
-            "lambda_count": topology.awg_spec.lambda_count,
-        },
-        "cables": [
-            {
-                "from_group": c.from_group,
-                "from_port": c.from_port,
-                "to_awg": c.to_awg,
-                "to_input": c.to_input,
-            }
-            for c in topology.cables
-        ],
-        "channels": [
-            {
-                "input": _address_json(tr.input_addr),
-                "middle": _address_json(tr.middle_addr),
-                "output": _address_json(tr.output_addr),
-                "wavelength": tr.input_locus.wavelength,
-                "input_locus": _locus_json(tr.input_locus),
-                "middle_locus": _locus_json(tr.middle_locus),
-                "output_locus": _locus_json(tr.output_locus),
-            }
-            for tr in topology.channels
-        ],
+        "params": _params_json(params),
+        "awg_bank": _awg_bank_json(params.m, awg_spec),
+        "cables": "<cables>",
+        "channels": "<channels>",
         "metadata": {
             "generator": f"awgshuffle {__version__}",
             "digit_rendering": _DIGIT_RENDERING_NOTE,
@@ -111,16 +179,29 @@ def topology_document(topology: Topology) -> dict[str, Any]:
             "decimal_port_order": _PORT_ORDER_NOTE,
         },
     }
+    text = json.dumps(doc, **_PRETTY) + "\n"
+    return text.replace('"<cables>"', cables).replace('"<channels>"', channels)
+
+
+def topology_document(topology: Topology) -> dict[str, Any]:
+    """JSON-ready dict for one topology (schema version 1): its canonical JSON, parsed."""
+    return json.loads(serialize_topology(topology, "json"))
 
 
 def _canonical_json(doc: dict[str, Any]) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(doc, **_PRETTY) + "\n").encode("utf-8")
 
 
 def serialize_topology(topology: Topology, fmt: str = "json") -> bytes:
     """Render a topology as canonical JSON or DOT bytes."""
     if fmt == "json":
-        return _canonical_json(topology_document(topology))
+        text = _document_json(
+            topology.params,
+            topology.awg_spec,
+            _listed(_CABLE_SKELETON, _cable_rows(topology), _PRETTY),
+            _listed(_channel_skeleton(topology.params), _channel_rows(topology), _PRETTY),
+        )
+        return text.encode("utf-8")
     if fmt == "dot":
         return topology_dot(topology).encode("utf-8")
     raise DomainError(f"unsupported format {fmt!r} (expected 'json' or 'dot')")
@@ -251,7 +332,7 @@ def _validate_locus(obj: Any, path: str) -> None:
         _require(obj, key, int, path)
 
 
-def _validate_document(doc: Any) -> None:
+def _validate_header(doc: Any) -> None:
     if not isinstance(doc, dict):
         raise ParseError("$ must be an object")
     version = _require(doc, "schema_version", str, "$")
@@ -265,6 +346,10 @@ def _validate_document(doc: Any) -> None:
     bank = _require(doc, "awg_bank", dict, "$")
     for key in ("count", "inputs", "outputs", "lambda_count"):
         _require(bank, key, int, "$.awg_bank")
+
+
+def _validate_document(doc: Any) -> None:
+    _validate_header(doc)
     cables = _require(doc, "cables", list, "$")
     for pos, cable in enumerate(cables):
         for key in ("from_group", "from_port", "to_awg", "to_input"):
@@ -280,27 +365,104 @@ def _validate_document(doc: Any) -> None:
     _require(doc, "metadata", dict, "$")
 
 
+@lru_cache
+def _document_budget(max_channels: int) -> int:
+    """Bytes that no canonical document of a fabric within the cap exceeds.
+
+    No integer in such a document exceeds max_channels and a fabric has
+    at most one cable per channel, so a header, cable and channel entry
+    with every integer (radices included) at that many digits bound it.
+    """
+    widest = int("9" * len(str(max_channels)))
+    params = NetworkParams(widest, widest, widest)
+    cable, channel = _CABLE_SKELETON, _channel_skeleton(params)
+    empty = _document_json(
+        params, params.awg_spec, _listed(cable, [], _PRETTY), _listed(channel, [], _PRETTY)
+    )
+    one = _document_json(
+        params,
+        params.awg_spec,
+        _listed(cable, [(widest,) * 4], _PRETTY),
+        _listed(channel, [(widest,) * 31], _PRETTY),
+    )
+    return len(empty) + max_channels * (len(one) - len(empty) + 4)  # 4: two ",\n"
+
+
+def _compact(value: Any) -> str:
+    return json.dumps(value, **_COMPACT)
+
+
+def _first_difference(got: str, want: str) -> int:
+    """Offset of the first character where two unequal strings differ."""
+    start, step = 0, 4096
+    while got[start:start + step] == want[start:start + step]:
+        start += step
+    return next(i for i in range(start, start + step) if got[i:i + 1] != want[i:i + 1])
+
+
+def _raise_first_disagreement(
+    doc: dict[str, Any], got: dict[str, str], want: dict[str, str], topology: Topology
+) -> None:
+    """Raise IntegrityError for the first section or entry of a valid ``doc`` that differs.
+
+    ``got`` and ``want`` hold each section of the document and of
+    ``topology`` in compact layout.
+    """
+    params = doc["params"]
+    for section in ("params", "awg_bank"):
+        if got[section] != want[section]:
+            raise IntegrityError(
+                f"$.{section} is inconsistent with (g,m,n)="
+                f"({params['g']},{params['m']},{params['n']})"
+            )
+    sizes = {"cables": len(topology.cables), "channels": topology.params.channel_count}
+    for section, expected in sizes.items():
+        count = len(doc[section])
+        if count != expected:
+            raise IntegrityError(f"$.{section} has {count} entries, expected {expected}")
+        if got[section] != want[section]:
+            offset = _first_difference(got[section], want[section])
+            # entries are objects, and "},{" occurs only between two of them
+            pos = want[section].count("},{", 0, offset)
+            raise IntegrityError(
+                f"$.{section}[{pos}] is inconsistent with the fabric "
+                f"derived from its own parameters"
+            )
+
+
 def parse_topology(
     data: bytes | str, *, max_channels: int = DEFAULT_CHANNEL_CAP
 ) -> Topology:
     """Reconstruct a topology from schema-version-1 JSON.
 
-    The returned value is rebuilt from the document's (g, m, n) and
-    verified field-by-field against the document, so it passes every
-    analysis check exactly like a freshly built fabric. Structural
-    problems raise ParseError with a JSON path; a well-formed document
-    whose cables or channels disagree with its own parameters raises
-    IntegrityError.
+    Input longer than the largest canonical document of a fabric within
+    ``max_channels`` raises CapacityError before it is decoded. The
+    returned value is rebuilt from the document's (g, m, n), and every
+    other section must equal the rebuilt fabric's exactly, integers as
+    integers, so it passes every analysis check like a freshly built
+    fabric. Structural problems raise ParseError with a JSON path, and
+    outrank any disagreement; a well-formed document whose sections
+    disagree with its own parameters raises IntegrityError naming the
+    first differing section or entry.
     """
+    budget = _document_budget(max_channels)
+    if len(data) > budget:
+        raise CapacityError(
+            f"input of {len(data)} bytes is over the budget of {budget} bytes "
+            f"for the cap of {max_channels} channels"
+        )
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc}") from None
     if not data.strip():
         raise ParseError("empty input")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    _validate_document(doc)
+    _validate_header(doc)
 
     params = doc["params"]
     try:
@@ -308,25 +470,22 @@ def parse_topology(
             params["g"], params["m"], params["n"], max_channels=max_channels
         )
     except DomainError as exc:
+        _validate_document(doc)
         raise ParseError(f"$.params invalid: {exc}") from None
+    except CapacityError:
+        _validate_document(doc)
+        raise
 
-    expected = topology_document(topology)
-    for section in ("params", "awg_bank"):
-        if doc[section] != expected[section]:
-            raise IntegrityError(
-                f"$.{section} is inconsistent with (g,m,n)="
-                f"({params['g']},{params['m']},{params['n']})"
-            )
-    for section in ("cables", "channels"):
-        got, want = doc[section], expected[section]
-        if len(got) != len(want):
-            raise IntegrityError(
-                f"$.{section} has {len(got)} entries, expected {len(want)}"
-            )
-        for pos, (g_entry, w_entry) in enumerate(zip(got, want)):
-            if g_entry != w_entry:
-                raise IntegrityError(
-                    f"$.{section}[{pos}] is inconsistent with the fabric "
-                    f"derived from its own parameters"
-                )
+    p = topology.params
+    want = {
+        "params": _compact(_params_json(p)),
+        "awg_bank": _compact(_awg_bank_json(p.m, topology.awg_spec)),
+        "cables": _listed(_CABLE_SKELETON, _cable_rows(topology), _COMPACT),
+        "channels": _listed(_channel_skeleton(p), _channel_rows(topology), _COMPACT),
+    }
+    got = {section: _compact(doc.get(section)) for section in want}
+    if got != want:
+        _validate_document(doc)  # a structural problem anywhere outranks a disagreement
+        _raise_first_disagreement(doc, got, want, topology)
+    _require(doc, "metadata", dict, "$")
     return topology

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .addressing import ChannelAddress
-from .errors import DomainError
+from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError
 
 __all__ = [
     "ShuffleSpec",
@@ -62,8 +62,14 @@ def shuffle_perm_decimal(spec: ShuffleSpec) -> list[int]:
 
     Ports are numbered group-major: input (a, b) sits at index a*l + b
     and is wired to output index b*g + a. Indices 0 and N-1 are always
-    fixed points.
+    fixed points. Raises CapacityError when N exceeds the default
+    channel cap.
     """
+    if spec.port_count > DEFAULT_CHANNEL_CAP:
+        raise CapacityError(
+            f"S({spec.g},{spec.l}) has {spec.port_count} ports, "
+            f"over the cap of {DEFAULT_CHANNEL_CAP}"
+        )
     perm = [0] * spec.port_count
     for hi in range(spec.g):
         for lo in range(spec.l):

@@ -8,8 +8,9 @@ router yields the fabric's permutation over the N = g*m*n wavelength
 channels. A built fabric holds that permutation as two flat integer
 tuples indexed by decimal input channel: the decimal output channel and
 the wavelength. The per-channel objects (addresses, loci, traces) are a
-view derived from those tuples on first use, for export and for
-counterexamples; the checks read the tuples directly. A single channel
+view derived from those tuples on first use, for callers that want
+objects and for counterexamples; the checks and the JSON export read
+the tuples directly. A single channel
 can also be traced from the shape alone with :func:`trace_channel`,
 without building the fabric.
 
@@ -38,7 +39,7 @@ from typing import Iterator
 
 from .addressing import ChannelAddress
 from .awg import AwgSpec, awg_route, awg_wavelength, valid_input_wavelengths
-from .errors import CapacityError, DomainError, InvalidChannelError
+from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError, InvalidChannelError
 
 __all__ = [
     "DEFAULT_CHANNEL_CAP",
@@ -62,9 +63,6 @@ __all__ = [
     "trace",
     "trace_channel",
 ]
-
-DEFAULT_CHANNEL_CAP = 1_000_000
-
 
 @dataclass(frozen=True)
 class NetworkParams:

@@ -4,6 +4,7 @@ import pytest
 
 from awgshuffle import (
     CHECK_NAMES,
+    DEFAULT_CHANNEL_CAP,
     CapacityError,
     ChannelAddress,
     DomainError,
@@ -192,6 +193,11 @@ class TestTradeoffTable:
         with pytest.raises(DomainError):
             tradeoff_table(1, 0)
 
+    def test_capped_at_the_channel_cap(self):
+        assert len(tradeoff_table(16, 360)) == 24
+        with pytest.raises(CapacityError, match="over the cap of 1000000"):
+            tradeoff_table(1, DEFAULT_CHANNEL_CAP + 1)
+
 
 def _run_checks(topology):
     return {name: run_named_check(name, topology) for name in CHECK_NAMES}
@@ -251,6 +257,44 @@ class TestFaultInjection:
         assert results["wavelength-conflicts"].counterexample == (
             "awg-out0/port0 carries wavelength 0 twice: 000 and 000"
         )
+
+    def test_swapped_wiring_fails_the_oracle_only(self):
+        # port b of group a plugged into input b of router a (needs g = m):
+        # still a bijection with one wavelength per fiber, so only the
+        # oracle sees it; the first channel off the diagonal goes wrong
+        g = m = n = 3
+        topology = build_network(g, m, n)
+        lambdas = topology.params.lambda_count
+        outputs = []
+        for i, w in enumerate(topology.wavelengths):
+            group, port = divmod(i // n, m)
+            router, awg_input = group, port
+            q = (w - awg_input) % lambdas
+            outputs.append((router * n + q) * g + (w - q) % lambdas)
+        results = _run_checks(replace(topology, outputs=outputs))
+        assert results["oracle-equivalence"].counterexample == (
+            "input 010 reaches 021, oracle expects 100"
+        )
+        assert results["bijectivity"].passed
+        assert results["wavelength-conflicts"].passed
+
+    def test_off_by_one_routing_fails_the_oracle_only(self, w323):
+        # router law (i - p + 1) mod L: every channel lands one output
+        # late, so the very first channel is already wrong
+        g, m, n = 3, 2, 3
+        lambdas = w323.params.lambda_count
+        outputs = []
+        for i, w in enumerate(w323.wavelengths):
+            group, port = divmod(i // n, m)
+            router, awg_input = port, group
+            q = (w - awg_input + 1) % lambdas
+            outputs.append((router * n + q) * g + (w - q) % lambdas)
+        results = _run_checks(replace(w323, outputs=outputs))
+        assert results["oracle-equivalence"].counterexample == (
+            "input 000 reaches 012, oracle expects 000"
+        )
+        assert results["bijectivity"].passed
+        assert results["wavelength-conflicts"].passed
 
     def test_mutants_keep_shape_and_ranges(self, w323):
         with pytest.raises(DomainError):

@@ -167,6 +167,13 @@ class TestTradeoffCommand:
         assert "12,1,12,2,12,0,24\n" in content
 
 
+    def test_fanout_over_the_cap_exits_two(self, capsys):
+        code, out, err = run(capsys, "tradeoff", "--g", "1", "--l", "1000001")
+        assert code == 2
+        assert out == ""
+        assert "over the cap of 1000000" in err
+
+
 class TestOracleCommand:
     def test_s36_frozen(self, capsys):
         code, out, _ = run(capsys, "oracle", "--g", "3", "--l", "6")
@@ -177,6 +184,12 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "--g", "1", "--l", "1")
         assert code == 0
         assert out == "0\n"
+
+    def test_over_the_cap_exits_two(self, capsys):
+        code, out, err = run(capsys, "oracle", "--g", "1001", "--l", "1000")
+        assert code == 2
+        assert out == ""
+        assert "over the cap of 1000000" in err
 
 
 class TestSynthCommand:

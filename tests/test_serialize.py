@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from awgshuffle import (
+    CapacityError,
     DomainError,
     IntegrityError,
     ParseError,
@@ -51,6 +53,43 @@ class TestJsonDocument:
         with pytest.raises(DomainError):
             serialize_topology(w323, "yaml")
 
+    # sha256 of the canonical JSON and DOT bytes: g > n, dot-separated
+    # text (radices over 10), m = 1, g = 1 and n = 1
+    GOLDEN = {
+        (3, 2, 3): (
+            "32e86c2c4561147233f27b81bbfb3e98ab8a7064ff3376a69d99d030503e82e0",
+            "01d48cdd1c70e7cb8be582288df640b9137deb3d572af6ef472b073551261061",
+        ),
+        (64, 8, 16): (
+            "0d143635afccd75f0274b28d00708d5a42cad05152d2be58d74bbe3ab9b30093",
+            "3cf64f0e4c72c27ab55ec5e8283036bdb042243f204432eef69cb4c3bba37cf0",
+        ),
+        (11, 3, 12): (
+            "5608d76779a57d1a4695115572e76c6ab714a62b43db63a4e58167579707323f",
+            "4ac0e611b38bb9ed0212db867473f2424709a1d97db53c3cfa7d391ff1f8a893",
+        ),
+        (1, 32, 32): (
+            "57b3df1a1cacbeab7dd3a0bb8e11e923cea1ad155c36f3a571ac999938238fdc",
+            "deafe945ec018201672070707e9e023ff9708d22b632909cc4e969dcac3bc122",
+        ),
+        (8, 64, 1): (
+            "344837fe94a0954591ffefea9673ba31a5cc89224152ff5cb1c2d202604db249",
+            "82d9a16cdc55e8ed0bac9b0921d107f1a3344b71791dbf8240adfa0aa3edadd9",
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN))
+    def test_golden_bytes(self, shape):
+        t = build_network(*shape)
+        got = tuple(
+            hashlib.sha256(serialize_topology(t, fmt)).hexdigest()
+            for fmt in ("json", "dot")
+        )
+        assert got == self.GOLDEN[shape]
+
+    def test_document_is_the_parsed_canonical_bytes(self, w323):
+        assert topology_document(w323) == json.loads(serialize_topology(w323, "json"))
+
 
 class TestParseErrors:
     def test_empty_input(self):
@@ -60,6 +99,14 @@ class TestParseErrors:
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_topology(b"{nope")
+
+    def test_invalid_utf8(self):
+        with pytest.raises(ParseError, match="invalid UTF-8"):
+            parse_topology(b'{"schema_version": "\xff"}')
+
+    def test_nesting_too_deep_for_the_decoder(self):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_topology(b"[" * 100_000)
 
     def test_wrong_schema_version(self, w323):
         doc = topology_document(w323)
@@ -77,6 +124,33 @@ class TestParseErrors:
         doc = topology_document(w323)
         doc["params"]["g"] = "three"
         with pytest.raises(ParseError, match=r"\$\.params\.g"):
+            parse_topology(json.dumps(doc))
+
+    def test_bool_port_names_json_path(self, w323):
+        doc = topology_document(w323)
+        assert doc["channels"][3]["input_locus"]["port"] == 1
+        doc["channels"][3]["input_locus"]["port"] = True  # == 1 in Python
+        with pytest.raises(ParseError, match=r"\$\.channels\[3\]\.input_locus\.port"):
+            parse_topology(json.dumps(doc))
+
+    def test_float_decimal_names_json_path(self, w323):
+        doc = topology_document(w323)
+        doc["channels"][5]["input"]["decimal"] = 5.0  # == 5 in Python
+        with pytest.raises(ParseError, match=r"\$\.channels\[5\]\.input\.decimal"):
+            parse_topology(json.dumps(doc))
+
+    def test_later_parse_error_outranks_earlier_integrity_error(self, w323):
+        doc = topology_document(w323)
+        doc["channels"][1]["output"]["decimal"] += 1
+        del doc["channels"][10]["wavelength"]
+        with pytest.raises(ParseError, match=r"\$\.channels\[10\]\.wavelength"):
+            parse_topology(json.dumps(doc))
+
+    def test_parse_error_outranks_invalid_params(self, w323):
+        doc = topology_document(w323)
+        doc["params"]["g"] = 0
+        del doc["channels"][7]["middle"]
+        with pytest.raises(ParseError, match=r"\$\.channels\[7\]\.middle"):
             parse_topology(json.dumps(doc))
 
     def test_non_positive_params(self, w323):
@@ -105,11 +179,57 @@ class TestIntegrity:
         with pytest.raises(IntegrityError, match="17 entries, expected 18"):
             parse_topology(json.dumps(doc))
 
+    def test_first_bad_channel_is_named(self, w323):
+        doc = topology_document(w323)
+        doc["channels"][4]["middle_locus"]["wavelength"] += 1
+        doc["channels"][9]["output"]["text"] = "x"
+        with pytest.raises(IntegrityError, match=r"channels\[4\] is inconsistent"):
+            parse_topology(json.dumps(doc))
+
+    def test_extra_key_is_an_integrity_error(self, w323):
+        doc = topology_document(w323)
+        doc["channels"][17]["input"]["note"] = 1
+        with pytest.raises(IntegrityError, match=r"channels\[17\] is inconsistent"):
+            parse_topology(json.dumps(doc))
+
+    def test_non_canonical_equal_document_is_accepted(self, w323):
+        def reordered(value):
+            if isinstance(value, dict):
+                return {k: reordered(value[k]) for k in reversed(list(value))}
+            if isinstance(value, list):
+                return [reordered(item) for item in value]
+            return value
+
+        doc = reordered(topology_document(w323))
+        doc["metadata"]["generator"] = "another writer 0.1"
+        data = json.dumps(doc)
+        assert data.encode() != serialize_topology(w323, "json")
+        assert parse_topology(data) == w323
+
     def test_inconsistent_declared_counts(self, w323):
         doc = topology_document(w323)
         doc["params"]["channel_count"] = 99
         with pytest.raises(IntegrityError, match=r"\$\.params"):
             parse_topology(json.dumps(doc))
+
+
+class TestInputBudget:
+    def test_canonical_documents_at_their_cap_are_accepted(self):
+        for g, m, n in [(3, 2, 3), (1, 1, 1), (11, 3, 12), (4, 3, 2), (2, 40, 1), (12, 1, 12)]:
+            t = build_network(g, m, n)
+            data = serialize_topology(t, "json")
+            assert parse_topology(data, max_channels=g * m * n) == t
+
+    def test_oversize_document_is_refused(self, w323):
+        data = serialize_topology(w323, "json")
+        padded = data + b" " * (20 * len(data))
+        assert parse_topology(padded) == w323
+        with pytest.raises(CapacityError, match="over the budget"):
+            parse_topology(padded, max_channels=18)
+
+    def test_refused_before_decoding(self):
+        with pytest.raises(CapacityError):
+            parse_topology(b"\xff" * 1_000_000, max_channels=18)
 
 
 class TestDot:

@@ -3,6 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from awgshuffle import (
+    DEFAULT_CHANNEL_CAP,
+    CapacityError,
     ChannelAddress,
     DomainError,
     ShuffleSpec,
@@ -89,6 +91,13 @@ class TestDecimalView:
     def test_rejects_bad_spec(self):
         with pytest.raises(DomainError):
             ShuffleSpec(0, 4)
+
+    def test_capped_at_the_channel_cap(self):
+        assert len(shuffle_perm_decimal(ShuffleSpec(1, DEFAULT_CHANNEL_CAP))) == (
+            DEFAULT_CHANNEL_CAP
+        )
+        with pytest.raises(CapacityError, match="over the cap of 1000000"):
+            shuffle_perm_decimal(ShuffleSpec(2, DEFAULT_CHANNEL_CAP // 2 + 1))
 
 
 class TestLeftCyclicShift:
