@@ -3,10 +3,12 @@
 Verification builds the fabric, then compares its routed permutation
 against the independent digit-rotation oracle, channel by channel,
 alongside bijectivity and per-fiber wavelength-distinctness checks.
-The checks are passes over the fabric's integer tuples; addresses are
-built only to word a counterexample. Each check reports the first
-counterexample in ascending address order and stops there, which keeps
-reports deterministic and compact.
+The checks are passes over the fabric's integer tuples: each first
+runs a whole-array test (tuple equality, set sizes), and only when
+that fails does an ordered scan look for the first counterexample in
+ascending address order and stop there, which keeps reports
+deterministic and compact. Addresses are built only to word a
+counterexample.
 
 The resource side tabulates the wavelength-versus-cabling tradeoff
 across every factorization l = m*n of a fixed fanout: growing n grows
@@ -17,8 +19,9 @@ down to the single-router extreme where stage-1 cabling disappears.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import prod
-from operator import eq
+from operator import add, eq, floordiv, mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .addressing import ChannelAddress, mixed_radix_decode
@@ -126,10 +129,13 @@ def _check_images(
 ) -> CheckResult:
     """Bijectivity of ``images`` (decimal outputs, in input order) onto range(space).
 
-    An occupancy pass over indices already known to lie in range(space);
-    ``input_at(position)`` and ``output_at(index)`` name addresses for
-    the counterexample only on failure.
+    The indices are already known to lie in range(space), so ``space``
+    distinct ones are a bijection; otherwise an occupancy pass finds the
+    first offender, and ``input_at(position)`` and ``output_at(index)``
+    name its addresses.
     """
+    if len(images) == space and len(set(images)) == space:
+        return CheckResult(CHECK_BIJECTIVITY, True)
     occupied = bytearray(space)
     for image in images:
         if occupied[image]:
@@ -188,18 +194,26 @@ def _check_topology_bijectivity(topology: Topology) -> CheckResult:
 def _conflicts(topology: Topology) -> Iterator[WavelengthConflict]:
     """Every wavelength carried twice on one fiber, in channel address order.
 
-    Occupancy is keyed sparsely by fiber * lambda_count + wavelength, so
-    memory follows the channel count, not fibers x wavelengths. Input
-    fiber (group, port) of channel i is i // n; router output fiber
-    (router, output) of output channel o is o // g. A fabric whose keys
-    are all distinct has no conflict and is not scanned in order.
+    Input fiber (group, port) of channel i is i // n, so its channels
+    are the n-wide slices of ``wavelengths``; router output fiber
+    (router, output) of output channel o is o // g, keyed sparsely by
+    fiber * lambda_count + wavelength so that memory follows the channel
+    count, not fibers x wavelengths. A fabric whose slices hold n
+    distinct wavelengths and whose output keys are all distinct has no
+    conflict and is not scanned in order.
     """
     p = topology.params
     lambdas, n, g = p.lambda_count, p.n, p.g
-    on_group = [i // n * lambdas + w for i, w in enumerate(topology.wavelengths)]
-    on_output = [o // g * lambdas + w for o, w in zip(topology.outputs, topology.wavelengths)]
-    if len(set(on_group)) == len(set(on_output)) == p.channel_count:
+    wavelengths = topology.wavelengths
+    per_fiber = zip(*[iter(wavelengths)] * n)  # consecutive n-wide chunks
+    output_fibers = map(floordiv, topology.outputs, repeat(g))
+    output_keys = map(add, map(mul, output_fibers, repeat(lambdas)), wavelengths)
+    if all(map(n.__eq__, map(len, map(set, per_fiber)))) and (
+        len(set(output_keys)) == p.channel_count
+    ):
         return
+    on_group = [i // n * lambdas + w for i, w in enumerate(wavelengths)]
+    on_output = [o // g * lambdas + w for o, w in zip(topology.outputs, wavelengths)]
     first_on_group: dict[int, int] = {}
     first_on_output: dict[int, int] = {}
     for i, (group_key, output_key) in enumerate(zip(on_group, on_output)):

@@ -110,4 +110,9 @@ def left_cyclic_shift_decimal(radices: Sequence[int]) -> list[int]:
         if radix < 1:
             raise DomainError(f"radix at position {pos} must be >= 1, got {radix}")
     r0, r1, r2 = radices
-    return [(b * r2 + c) * r0 + a for a in range(r0) for b in range(r1) for c in range(r2)]
+    perm: list[int] = []
+    for a in range(r0):
+        for b in range(r1):
+            # (b*r2 + c)*r0 + a for c in range(r2)
+            perm.extend(range(b * r2 * r0 + a, (b + 1) * r2 * r0 + a, r0))
+    return perm

@@ -5,14 +5,16 @@ n wavelengths, cross-wired into a bank of m identical g x n wavelength
 routers. The wiring law is fixed: port b of group a plugs into input a
 of router b. Routing every (fiber, wavelength) through its cable and
 router yields the fabric's permutation over the N = g*m*n wavelength
-channels. A built fabric holds that permutation as two flat integer
-tuples indexed by decimal input channel: the decimal output channel and
-the wavelength. The per-channel objects (addresses, loci, traces) are a
-view derived from those tuples on first use, for callers that want
-objects and for counterexamples; the checks and the JSON export read
-the tuples directly. A single channel
-can also be traced from the shape alone with :func:`trace_channel`,
-without building the fabric.
+channels. The routers are identical, so the build routes the carried
+wavelengths of each router input once and places that row of outputs
+at every router by the wiring law. A built fabric holds the
+permutation as two flat integer tuples indexed by decimal input
+channel: the decimal output channel and the wavelength. The
+per-channel objects (addresses, loci, traces) are a view derived from
+those tuples on first use, for callers that want objects and for
+counterexamples; the checks and the JSON export read the tuples
+directly. A single channel can also be traced from the shape alone with
+:func:`trace_channel`, without building the fabric.
 
 Three-digit addresses use a different radix order at each stage:
 (g, m, n) on input fibers, (m, g, n) between the stages, (m, n, g) on
@@ -399,10 +401,14 @@ def build_network(
 
     Channel (a, b, c) is the wavelength that router input a connects to
     output c (:func:`awg_wavelength`) on port b of group a; the wiring law
-    takes that fiber to input a of router b, and :func:`awg_route` then
-    routes every channel. Raises DomainError for non-positive dimensions and
-    CapacityError when g*m*n exceeds ``max_channels`` (default one
-    million channels).
+    takes that fiber to input a of router b. The m routers are copies of
+    one device, so :func:`awg_route` routes the n carried wavelengths of
+    each router input once, and the wiring law places that row of
+    router outputs at every router. Raises DomainError for non-positive
+    dimensions, InvalidChannelError (through the labeling laws, naming
+    router 0) when the router law leaves a carried wavelength dark or
+    without an originating input, and CapacityError when g*m*n exceeds
+    ``max_channels`` (default one million channels).
     """
     params = NetworkParams(g, m, n)
     if params.channel_count > max_channels:
@@ -417,17 +423,19 @@ def build_network(
     wavelengths: list[int] = []
     for a in range(g):
         carried = [awg_wavelength(awg_spec, a, c) for c in range(n)]
-        for b in range(m):
-            awg, awg_input = b, a  # the wiring law
-            for w in carried:
-                q = awg_route(awg_spec, awg_input, w)
-                origin = (w - q) % lambdas
-                if q >= n or origin >= g:
-                    # dark wavelength or no origin: the labeling laws raise
-                    label_middle_channel(params, awg, awg_input, w)
-                    label_net_output_channel(params, awg, q, w)
-                outputs.append((awg * n + q) * g + origin)
-            wavelengths.extend(carried)
+        row = []  # router-local output channel q*g + origin of each carried wavelength
+        for w in carried:
+            q = awg_route(awg_spec, a, w)
+            origin = (w - q) % lambdas
+            if q >= n or origin >= g:
+                # dark wavelength or no origin: the labeling laws raise, naming
+                # router 0, the first of the identical routers to carry it
+                label_middle_channel(params, 0, a, w)
+                label_net_output_channel(params, 0, q, w)
+            row.append(q * g + origin)
+        for b in range(m):  # the wiring law: port b of group a feeds input a of router b
+            outputs.extend(map((b * n * g).__add__, row))
+        wavelengths.extend(carried * m)
     return Topology(params, awg_spec, cables, tuple(outputs), tuple(wavelengths))
 
 

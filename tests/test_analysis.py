@@ -237,6 +237,29 @@ class TestFaultInjection:
         assert first.first == addr((1, 0, 0), (3, 2, 3))
         assert first.second == addr((1, 0, 1), (3, 2, 3))
 
+    def test_shared_wavelength_on_one_output_fiber_only(self, w323):
+        # channels 000 (wavelength 0) and 001 (wavelength 1) trade router
+        # outputs: still a bijection, and every input fiber keeps its
+        # wavelengths, but each of the two router-output fibers now
+        # carries one wavelength twice
+        outputs = list(w323.outputs)
+        outputs[0], outputs[1] = outputs[1], outputs[0]
+        mutant = replace(w323, outputs=outputs)
+        results = _run_checks(mutant)
+        assert not results["oracle-equivalence"].passed
+        assert results["bijectivity"].passed
+        assert results["wavelength-conflicts"].counterexample == (
+            "awg-out0/port0 carries wavelength 1 twice: 000 and 001"
+        )
+        out = (2, 3, 3)
+        assert [
+            (c.fiber, c.wavelength, c.first, c.second)
+            for c in check_wavelength_conflicts(mutant)
+        ] == [
+            ("awg-out0/port0", 1, addr((0, 0, 0), out), addr((0, 0, 1), out)),
+            ("awg-out0/port1", 0, addr((0, 1, 0), out), addr((0, 1, 2), out)),
+        ]
+
     def test_router_modulus_n_instead_of_max_g_n(self):
         # g > n: the router law must wrap at max(g, n) = 5; wrapping at n
         # first goes wrong at input (3, 0, 2), wavelength (3 + 2) mod 5 = 0

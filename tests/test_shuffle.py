@@ -139,7 +139,9 @@ class TestLeftCyclicShiftDecimal:
         assert left_cyclic_shift_decimal((3, 2, 3))[8] == 7
 
     def test_agrees_with_digit_view(self):
-        for radices in [(1, 1, 1), (3, 2, 3), (4, 3, 2), (2, 5, 1), (1, 4, 3)]:
+        for radices in [
+            (1, 1, 1), (3, 2, 3), (4, 3, 2), (2, 5, 1), (1, 4, 3), (5, 1, 3), (7, 2, 1)
+        ]:
             perm = left_cyclic_shift_decimal(radices)
             for index, image in enumerate(perm):
                 addr = ChannelAddress(mixed_radix_decode(index, radices), radices)

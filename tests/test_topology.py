@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import awgshuffle.topology as topology
@@ -14,6 +14,7 @@ from awgshuffle import (
     NetworkParams,
     awg_permutation,
     awg_route,
+    awg_wavelength,
     build_network,
     fiber_wavelengths,
     input_addresses,
@@ -37,6 +38,32 @@ P323 = NetworkParams(3, 2, 3)
 
 def addr(digits, radices):
     return ChannelAddress(digits, radices)
+
+
+def reference_arrays(g, m, n):
+    """``outputs`` and ``wavelengths`` of W(g, m, n), one routed channel at a time.
+
+    A test-only reference: every channel goes through its own cable and
+    its own :func:`awg_route` call, with no sharing between routers.
+    """
+    params = NetworkParams(g, m, n)
+    awg_spec = params.awg_spec
+    lambdas = params.lambda_count
+    outputs: list[int] = []
+    wavelengths: list[int] = []
+    for a in range(g):
+        carried = [awg_wavelength(awg_spec, a, c) for c in range(n)]
+        for b in range(m):
+            awg, awg_input = b, a  # the wiring law
+            for w in carried:
+                q = awg_route(awg_spec, awg_input, w)
+                origin = (w - q) % lambdas
+                if q >= n or origin >= g:
+                    label_middle_channel(params, awg, awg_input, w)
+                    label_net_output_channel(params, awg, q, w)
+                outputs.append((awg * n + q) * g + origin)
+            wavelengths.extend(carried)
+    return tuple(outputs), tuple(wavelengths)
 
 
 class TestBuild:
@@ -83,6 +110,29 @@ class TestBuild:
         monkeypatch.setattr(topology, "awg_route", lambda spec, p, i: spec.outputs)
         with pytest.raises(DomainError, match="router output 3 out of range for 3 outputs"):
             build_network(3, 2, 3)
+
+    def test_rejects_a_router_output_with_no_originating_input(self, monkeypatch):
+        # n > g: a router law one output early leaves wavelength 1 at input
+        # 1 on output 2, which only virtual input 2 of 2 could feed
+        monkeypatch.setattr(
+            topology, "awg_route", lambda spec, p, i: (i - p - 1) % spec.lambda_count
+        )
+        with pytest.raises(InvalidChannelError, match="has no originating input") as err:
+            build_network(2, 2, 3)
+        assert str(err.value) == (
+            "wavelength 1 at output 2 of router 0 has no originating input: "
+            "it would need virtual input 2 of 2"
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
+    @example(9, 2, 4)  # g > n
+    @example(5, 1, 7)  # m = 1
+    @example(1, 6, 8)  # g = 1
+    @example(7, 3, 1)  # n = 1
+    def test_arrays_equal_the_per_channel_reference(self, g, m, n):
+        t = build_network(g, m, n)
+        assert (t.outputs, t.wavelengths) == reference_arrays(g, m, n)
 
 
 class TestChannelLabels:
