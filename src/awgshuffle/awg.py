@@ -15,6 +15,10 @@ channel labeled (p, q) on the input side leaves on the channel labeled
 (q, p) on the output side. That exchange is exactly the perfect-shuffle
 permutation, which is what the analysis module verifies at scale.
 
+This module is the one statement of the routing law. The two-stage
+fabric's router-side labels are these labels behind a router index,
+and its build guard raises through them.
+
 Everything here is a pure function over immutable values and safe for
 concurrent use.
 """
@@ -28,20 +32,16 @@ from .addressing import ChannelAddress
 from .errors import DomainError, InvalidChannelError
 
 __all__ = [
-    "AwgLocus",
     "AwgSpec",
     "awg_permutation",
     "awg_route",
     "awg_wavelength",
-    "channel_is_valid",
     "decode_input_channel",
     "decode_output_channel",
     "input_channels",
     "label_input_channel",
     "label_output_channel",
-    "route_locus",
     "valid_input_wavelengths",
-    "valid_output_wavelengths",
 ]
 
 
@@ -63,32 +63,6 @@ class AwgSpec:
         if self.outputs < 1:
             raise DomainError(f"outputs must be >= 1, got {self.outputs}")
         object.__setattr__(self, "lambda_count", max(self.inputs, self.outputs))
-
-
-@dataclass(frozen=True)
-class AwgLocus:
-    """One (side, port, wavelength) coordinate on a router."""
-
-    side: str
-    port: int
-    wavelength: int
-
-    def __post_init__(self) -> None:
-        if self.side not in ("input", "output"):
-            raise DomainError(f"side must be 'input' or 'output', got {self.side!r}")
-        if self.port < 0:
-            raise DomainError(f"port must be >= 0, got {self.port}")
-        if self.wavelength < 0:
-            raise DomainError(f"wavelength must be >= 0, got {self.wavelength}")
-
-    def validate_for(self, spec: AwgSpec) -> None:
-        """Raise DomainError unless this locus exists on ``spec``."""
-        bound = spec.inputs if self.side == "input" else spec.outputs
-        if self.port >= bound:
-            raise DomainError(
-                f"{self.side} port {self.port} out of range for {bound} {self.side}s"
-            )
-        _check_wavelength(spec, self.wavelength)
 
 
 def _check_input_port(spec: AwgSpec, p: int) -> None:
@@ -114,8 +88,7 @@ def awg_route(spec: AwgSpec, p: int, i: int) -> int:
     The result is the raw cyclic value ``(i - p) mod lambda_count`` and
     may be >= ``spec.outputs``; such a result means wavelength ``i`` is
     dark at input ``p`` (there is no physical port for it). Callers that
-    need hard validation should use :func:`channel_is_valid` or the
-    labeling operations.
+    need hard validation should use the labeling operations.
     """
     _check_input_port(spec, p)
     _check_wavelength(spec, i)
@@ -129,35 +102,10 @@ def awg_wavelength(spec: AwgSpec, p: int, q: int) -> int:
     return (p + q) % spec.lambda_count
 
 
-def channel_is_valid(spec: AwgSpec, p: int, i: int) -> bool:
-    """True when wavelength ``i`` at input ``p`` reaches a physical output."""
-    return awg_route(spec, p, i) < spec.outputs
-
-
 def valid_input_wavelengths(spec: AwgSpec, p: int) -> tuple[int, ...]:
     """The ``outputs`` wavelengths that are live at input ``p``, ascending."""
     _check_input_port(spec, p)
     return tuple(sorted((p + q) % spec.lambda_count for q in range(spec.outputs)))
-
-
-def valid_output_wavelengths(spec: AwgSpec, q: int) -> tuple[int, ...]:
-    """The ``inputs`` wavelengths that can arrive at output ``q``, ascending."""
-    _check_output_port(spec, q)
-    return tuple(sorted((p + q) % spec.lambda_count for p in range(spec.inputs)))
-
-
-def route_locus(spec: AwgSpec, locus: AwgLocus) -> AwgLocus:
-    """Map an input-side locus to the output-side locus it connects to."""
-    if locus.side != "input":
-        raise DomainError(f"can only route from the input side, got {locus.side!r}")
-    locus.validate_for(spec)
-    q = awg_route(spec, locus.port, locus.wavelength)
-    if q >= spec.outputs:
-        raise InvalidChannelError(
-            f"wavelength {locus.wavelength} is dark at input {locus.port}: "
-            f"it routes to virtual output {q} of a {spec.outputs}-output device"
-        )
-    return AwgLocus("output", q, locus.wavelength)
 
 
 def label_input_channel(spec: AwgSpec, p: int, i: int) -> ChannelAddress:

@@ -116,7 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     params = NetworkParams(args.g, args.m, args.n)
     tr = trace_channel(params, args.group, args.port, args.wavelength)
-    w = tr.input_locus.wavelength
+    w = tr.wavelength
     print(
         f"input : group {tr.input_locus.device}, port {tr.input_locus.port}, "
         f"l{w}  addr {tr.input_addr}"

@@ -245,16 +245,9 @@ def topology_dot(topology: Topology) -> str:
 
 def report_document(report: VerificationReport) -> dict[str, Any]:
     """JSON-ready dict for one verification report."""
-    p = report.params
     return {
         "schema_version": SCHEMA_VERSION,
-        "params": {
-            "g": p.g,
-            "m": p.m,
-            "n": p.n,
-            "channel_count": p.channel_count,
-            "lambda_count": p.lambda_count,
-        },
+        "params": _params_json(report.params),
         "passed": report.passed,
         "permutation_size": report.permutation_size,
         "checks": [

@@ -7,19 +7,24 @@ of router b. Routing every (fiber, wavelength) through its cable and
 router yields the fabric's permutation over the N = g*m*n wavelength
 channels. The routers are identical, so the build routes the carried
 wavelengths of each router input once and places that row of outputs
-at every router by the wiring law. A built fabric holds the
-permutation as two flat integer tuples indexed by decimal input
-channel: the decimal output channel and the wavelength. The
-per-channel objects (addresses, loci, traces) are a view derived from
-those tuples on first use, for callers that want objects and for
-counterexamples; the checks and the JSON export read the tuples
-directly. A single channel can also be traced from the shape alone with
-:func:`trace_channel`, without building the fabric.
+at every router by the wiring law. A built fabric is its shape plus
+two flat integer tuples indexed by decimal input channel: the decimal
+output channel and the wavelength. Everything else follows from those:
+the router spec from the shape, the cables from the wiring law, and
+each channel's loci from its addresses. The per-channel objects
+(addresses, traces) are a view derived from the tuples on first use,
+for callers that want objects and for counterexamples; the checks and
+the JSON export read the tuples directly. A single channel can also be
+traced from the shape alone with :func:`trace_channel`, without
+building the fabric.
 
 Three-digit addresses use a different radix order at each stage:
 (g, m, n) on input fibers, (m, g, n) between the stages, (m, n, g) on
 router outputs. Addresses carry their radices, and the stage maps
-reject a value fed to the wrong stage.
+reject a value fed to the wrong stage. The router-side labels are the
+router's own labels (:func:`~awgshuffle.awg.label_input_channel` and
+:func:`~awgshuffle.awg.label_output_channel`) behind a router index, so
+the routing law is stated once, in the router model.
 
 When g > n, not every wavelength may enter every fiber: each router
 input accepts exactly the n wavelengths whose cyclic route lands on a
@@ -36,11 +41,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterator
 
 from .addressing import ChannelAddress
-from .awg import AwgSpec, awg_route, awg_wavelength, valid_input_wavelengths
+from .awg import (
+    AwgSpec,
+    awg_route,
+    awg_wavelength,
+    label_input_channel,
+    label_output_channel,
+    valid_input_wavelengths,
+)
 from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError, InvalidChannelError
 
 __all__ = [
@@ -52,14 +62,10 @@ __all__ = [
     "Topology",
     "build_network",
     "fiber_wavelengths",
-    "input_addresses",
-    "input_channel_wavelength",
     "label_middle_channel",
     "label_net_input_channel",
     "label_net_output_channel",
-    "middle_channel_wavelength",
     "network_permutation",
-    "output_channel_wavelength",
     "stage1_map",
     "stage2_map",
     "trace",
@@ -143,33 +149,43 @@ class Locus:
 class RouteTrace:
     """Full path of one channel: input fiber, router input, router output.
 
-    The wavelength is identical at all three loci; fibers and routers
-    never convert wavelengths.
+    Fibers and routers never convert wavelengths, so one wavelength
+    holds at all three stages, and each stage's locus is the first two
+    digits of its address with that wavelength.
     """
 
-    input_locus: Locus
-    middle_locus: Locus
-    output_locus: Locus
     input_addr: ChannelAddress
     middle_addr: ChannelAddress
     output_addr: ChannelAddress
+    wavelength: int
+
+    @property
+    def input_locus(self) -> Locus:
+        return Locus(*self.input_addr.digits[:2], self.wavelength)
+
+    @property
+    def middle_locus(self) -> Locus:
+        return Locus(*self.middle_addr.digits[:2], self.wavelength)
+
+    @property
+    def output_locus(self) -> Locus:
+        return Locus(*self.output_addr.digits[:2], self.wavelength)
 
 
 @dataclass(frozen=True)
 class Topology:
-    """A two-stage fabric held as flat integer tuples.
+    """A two-stage fabric: its shape plus two flat integer tuples.
 
     ``outputs[i]`` is the decimal output channel (radices (m, n, g)) and
     ``wavelengths[i]`` the wavelength of decimal input channel ``i``
-    (radices (g, m, n)). ``channels`` holds one trace per wavelength
-    channel, ordered by ascending input address, and ``channel_perm`` is
-    the input-to-output mapping over all of them; both are built from
-    the tuples on first use and then kept.
+    (radices (g, m, n)). ``awg_spec`` and ``cables`` follow from the
+    shape. ``channels`` holds one trace per wavelength channel, ordered
+    by ascending input address, and ``channel_perm`` is the
+    input-to-output mapping over all of them; ``cables``, ``channels``
+    and ``channel_perm`` are built on first use and then kept.
     """
 
     params: NetworkParams
-    awg_spec: AwgSpec
-    cables: tuple[Cable, ...]
     outputs: tuple[int, ...]
     wavelengths: tuple[int, ...]
 
@@ -184,6 +200,17 @@ class Topology:
             if min(values) < 0 or max(values) >= bound:
                 raise DomainError(f"{name} entries must lie in [0, {bound})")
 
+    @property
+    def awg_spec(self) -> AwgSpec:
+        """The one router design of the bank."""
+        return self.params.awg_spec
+
+    @cached_property
+    def cables(self) -> tuple[Cable, ...]:
+        """The g*m stage-1 fibers, group-major, laid out by the wiring law."""
+        p = self.params
+        return tuple(Cable(a, b, b, a) for a in range(p.g) for b in range(p.m))
+
     def channel(self, index: int) -> RouteTrace:
         """Trace of decimal input channel ``index``, built from the tuples."""
         p = self.params
@@ -191,14 +218,11 @@ class Topology:
         a, b = divmod(group_port, p.m)
         router_output, origin = divmod(self.outputs[index], p.g)
         router, q = divmod(router_output, p.n)
-        w = self.wavelengths[index]
         return RouteTrace(
-            input_locus=Locus(a, b, w),
-            middle_locus=Locus(b, a, w),
-            output_locus=Locus(router, q, w),
             input_addr=ChannelAddress((a, b, c), p.input_radices),
             middle_addr=ChannelAddress((b, a, c), p.middle_radices),
             output_addr=ChannelAddress((router, q, origin), p.output_radices),
+            wavelength=self.wavelengths[index],
         )
 
     @cached_property
@@ -215,7 +239,7 @@ class Topology:
             raise DomainError(f"group {group} out of range for {self.params.g} groups")
         if not 0 <= port < self.params.m:
             raise DomainError(f"port {port} out of range for {self.params.m} ports per group")
-        return self.cables[group * self.params.m + port]
+        return Cable(group, port, port, group)
 
     def fiber_wavelengths(self, group: int, port: int) -> tuple[int, ...]:
         """Wavelength set carried by the fiber at (group, port), ascending."""
@@ -234,34 +258,9 @@ def fiber_wavelengths(params: NetworkParams, group: int) -> tuple[int, ...]:
     return valid_input_wavelengths(params.awg_spec, group)
 
 
-def input_channel_wavelength(params: NetworkParams, addr: ChannelAddress) -> int:
-    """Physical wavelength of the input channel ``addr``."""
-    if addr.radices != params.input_radices:
-        raise DomainError(
-            f"address radices {addr.radices} are not input radices {params.input_radices}"
-        )
-    hi, _, lo = addr.digits
-    return (hi + lo) % params.lambda_count
-
-
-def middle_channel_wavelength(params: NetworkParams, addr: ChannelAddress) -> int:
-    """Physical wavelength of the middle channel ``addr``."""
-    if addr.radices != params.middle_radices:
-        raise DomainError(
-            f"address radices {addr.radices} are not middle radices {params.middle_radices}"
-        )
-    _, port, lo = addr.digits
-    return (port + lo) % params.lambda_count
-
-
-def output_channel_wavelength(params: NetworkParams, addr: ChannelAddress) -> int:
-    """Physical wavelength of the output channel ``addr``."""
-    if addr.radices != params.output_radices:
-        raise DomainError(
-            f"address radices {addr.radices} are not output radices {params.output_radices}"
-        )
-    _, port, lo = addr.digits
-    return (port + lo) % params.lambda_count
+def _check_router(params: NetworkParams, awg: int) -> None:
+    if not 0 <= awg < params.m:
+        raise DomainError(f"router index {awg} out of range for {params.m} routers")
 
 
 def label_middle_channel(
@@ -269,20 +268,12 @@ def label_middle_channel(
 ) -> ChannelAddress:
     """Address of wavelength ``wavelength`` at input ``port`` of router ``awg``.
 
-    Digits are (router, port, routed output) under radices (m, g, n).
+    Digits are (router, port, routed output) under radices (m, g, n):
+    the router's input label behind the router index.
     """
-    if not 0 <= awg < params.m:
-        raise DomainError(f"router index {awg} out of range for {params.m} routers")
-    if not 0 <= port < params.g:
-        raise DomainError(f"router input {port} out of range for {params.g} inputs")
-    _check_wavelength_index(params, wavelength)
-    lo = (wavelength - port) % params.lambda_count
-    if lo >= params.n:
-        raise InvalidChannelError(
-            f"wavelength {wavelength} is dark at input {port} of router {awg}: "
-            f"it routes to virtual output {lo} of {params.n}"
-        )
-    return ChannelAddress((awg, port, lo), params.middle_radices)
+    _check_router(params, awg)
+    label = label_input_channel(params.awg_spec, port, wavelength)
+    return ChannelAddress((awg, *label.digits), params.middle_radices)
 
 
 def label_net_output_channel(
@@ -290,20 +281,12 @@ def label_net_output_channel(
 ) -> ChannelAddress:
     """Address of wavelength ``wavelength`` at output ``port`` of router ``awg``.
 
-    Digits are (router, port, originating input) under radices (m, n, g).
+    Digits are (router, port, originating input) under radices (m, n, g):
+    the router's output label behind the router index.
     """
-    if not 0 <= awg < params.m:
-        raise DomainError(f"router index {awg} out of range for {params.m} routers")
-    if not 0 <= port < params.n:
-        raise DomainError(f"router output {port} out of range for {params.n} outputs")
-    _check_wavelength_index(params, wavelength)
-    lo = (wavelength - port) % params.lambda_count
-    if lo >= params.g:
-        raise InvalidChannelError(
-            f"wavelength {wavelength} at output {port} of router {awg} has no "
-            f"originating input: it would need virtual input {lo} of {params.g}"
-        )
-    return ChannelAddress((awg, port, lo), params.output_radices)
+    _check_router(params, awg)
+    label = label_output_channel(params.awg_spec, port, wavelength)
+    return ChannelAddress((awg, *label.digits), params.output_radices)
 
 
 def label_net_input_channel(
@@ -311,34 +294,24 @@ def label_net_input_channel(
 ) -> ChannelAddress:
     """Address of wavelength ``wavelength`` on port ``port`` of input group ``group``.
 
-    Derived physically: follow the fiber's cable to router ``port`` at
-    input ``group``, label the middle channel there, then swap the two
-    leading digits back to the fiber's point of view. Digits come out as
-    (group, port, routed output) under radices (g, m, n).
+    Derived physically: the fiber's cable leads to input ``group`` of
+    router ``port``, and the router's input label there gives the
+    routed output. Digits come out as (group, port, routed output)
+    under radices (g, m, n).
     """
     if not 0 <= group < params.g:
         raise DomainError(f"group {group} out of range for {params.g} groups")
     if not 0 <= port < params.m:
         raise DomainError(f"port {port} out of range for {params.m} ports per group")
-    _check_wavelength_index(params, wavelength)
-    lo = (wavelength - group) % params.lambda_count
-    if lo >= params.n:
+    try:
+        label = label_input_channel(params.awg_spec, group, wavelength)
+    except InvalidChannelError:
         carried = ", ".join(str(w) for w in fiber_wavelengths(params, group))
         raise InvalidChannelError(
             f"wavelength {wavelength} is not carried on port {port} of group "
             f"{group}; this fiber carries wavelengths {{{carried}}}"
-        )
-    middle = label_middle_channel(params, port, group, wavelength)
-    d = middle.digits
-    return ChannelAddress((d[1], d[0], d[2]), params.input_radices)
-
-
-def _check_wavelength_index(params: NetworkParams, wavelength: int) -> None:
-    if not 0 <= wavelength < params.lambda_count:
-        raise DomainError(
-            f"wavelength index {wavelength} out of range for "
-            f"{params.lambda_count} wavelengths"
-        )
+        ) from None
+    return ChannelAddress((group, port, label.digits[1]), params.input_radices)
 
 
 def stage1_map(params: NetworkParams, addr: ChannelAddress) -> ChannelAddress:
@@ -378,20 +351,7 @@ def trace_channel(
     middle_addr = label_middle_channel(params, awg, awg_input, wavelength)
     q = awg_route(params.awg_spec, awg_input, wavelength)
     output_addr = label_net_output_channel(params, awg, q, wavelength)
-    return RouteTrace(
-        input_locus=Locus(group, port, wavelength),
-        middle_locus=Locus(awg, awg_input, wavelength),
-        output_locus=Locus(awg, q, wavelength),
-        input_addr=input_addr,
-        middle_addr=middle_addr,
-        output_addr=output_addr,
-    )
-
-
-def input_addresses(params: NetworkParams) -> Iterator[ChannelAddress]:
-    """All N input-channel addresses in ascending address order."""
-    for digits in product(range(params.g), range(params.m), range(params.n)):
-        yield ChannelAddress(digits, params.input_radices)
+    return RouteTrace(input_addr, middle_addr, output_addr, wavelength)
 
 
 def build_network(
@@ -405,9 +365,9 @@ def build_network(
     one device, so :func:`awg_route` routes the n carried wavelengths of
     each router input once, and the wiring law places that row of
     router outputs at every router. Raises DomainError for non-positive
-    dimensions, InvalidChannelError (through the labeling laws, naming
-    router 0) when the router law leaves a carried wavelength dark or
-    without an originating input, and CapacityError when g*m*n exceeds
+    dimensions, InvalidChannelError (through the router's labeling laws)
+    when the router law leaves a carried wavelength dark or without an
+    originating input, and CapacityError when g*m*n exceeds
     ``max_channels`` (default one million channels).
     """
     params = NetworkParams(g, m, n)
@@ -418,7 +378,6 @@ def build_network(
         )
     awg_spec = params.awg_spec
     lambdas = params.lambda_count
-    cables = tuple(Cable(a, b, b, a) for a in range(g) for b in range(m))
     outputs: list[int] = []
     wavelengths: list[int] = []
     for a in range(g):
@@ -428,15 +387,14 @@ def build_network(
             q = awg_route(awg_spec, a, w)
             origin = (w - q) % lambdas
             if q >= n or origin >= g:
-                # dark wavelength or no origin: the labeling laws raise, naming
-                # router 0, the first of the identical routers to carry it
-                label_middle_channel(params, 0, a, w)
-                label_net_output_channel(params, 0, q, w)
+                # dark wavelength or no origin: the router's labels raise
+                label_input_channel(awg_spec, a, w)
+                label_output_channel(awg_spec, q, w)
             row.append(q * g + origin)
         for b in range(m):  # the wiring law: port b of group a feeds input a of router b
             outputs.extend(map((b * n * g).__add__, row))
         wavelengths.extend(carried * m)
-    return Topology(params, awg_spec, cables, tuple(outputs), tuple(wavelengths))
+    return Topology(params, tuple(outputs), tuple(wavelengths))
 
 
 def trace(topology: Topology, group: int, port: int, wavelength: int) -> RouteTrace:

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import awgshuffle.shuffle as shuffle_module
 from awgshuffle import (
     DEFAULT_CHANNEL_CAP,
     CapacityError,
@@ -161,3 +165,26 @@ class TestLeftCyclicShiftDecimal:
             left_cyclic_shift_decimal((3, 6))
         with pytest.raises(DomainError):
             left_cyclic_shift_decimal((3, 0, 2))
+
+
+class TestIndependence:
+    """The oracle and the fabric it judges share no code path."""
+
+    ROUTER_MODEL = {"awg", "topology", "analysis"}
+
+    @staticmethod
+    def imported_names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                yield base
+                # `from . import awg` names a module in its alias
+                yield from (f"{base}.{alias.name}" for alias in node.names)
+
+    def test_shuffle_imports_nothing_from_the_router_model(self):
+        tree = ast.parse(Path(shuffle_module.__file__).read_text(encoding="utf-8"))
+        imported = list(self.imported_names(tree))
+        assert "errors.DEFAULT_CHANNEL_CAP" in imported  # the walk sees relative imports
+        assert [name for name in imported if self.ROUTER_MODEL & set(name.split("."))] == []

@@ -17,16 +17,12 @@ from awgshuffle import (
     awg_wavelength,
     build_network,
     fiber_wavelengths,
-    input_addresses,
-    input_channel_wavelength,
     label_middle_channel,
     label_net_input_channel,
     label_net_output_channel,
     left_cyclic_shift_decimal,
-    middle_channel_wavelength,
     mixed_radix_decode,
     network_permutation,
-    output_channel_wavelength,
     stage1_map,
     stage2_map,
     trace,
@@ -108,20 +104,20 @@ class TestBuild:
 
     def test_rejects_a_router_that_routes_past_its_outputs(self, monkeypatch):
         monkeypatch.setattr(topology, "awg_route", lambda spec, p, i: spec.outputs)
-        with pytest.raises(DomainError, match="router output 3 out of range for 3 outputs"):
+        with pytest.raises(DomainError, match="output port 3 out of range for 3-output device"):
             build_network(3, 2, 3)
 
     def test_rejects_a_router_output_with_no_originating_input(self, monkeypatch):
         # n > g: a router law one output early leaves wavelength 1 at input
-        # 1 on output 2, which only virtual input 2 of 2 could feed
+        # 1 on output 2, which only virtual input 2 of a 2-input router could feed
         monkeypatch.setattr(
             topology, "awg_route", lambda spec, p, i: (i - p - 1) % spec.lambda_count
         )
         with pytest.raises(InvalidChannelError, match="has no originating input") as err:
             build_network(2, 2, 3)
         assert str(err.value) == (
-            "wavelength 1 at output 2 of router 0 has no originating input: "
-            "it would need virtual input 2 of 2"
+            "wavelength 1 at output 2 has no originating input: "
+            "it would need virtual input 2 of a 2-input device"
         )
 
     @settings(max_examples=80, deadline=None)
@@ -183,30 +179,6 @@ class TestChannelLabels:
             label_net_output_channel(P323, 0, 3, 0)
         with pytest.raises(DomainError):
             label_net_input_channel(P323, 3, 0, 0)
-
-
-class TestWavelengthRecovery:
-    def test_middle_worked_example(self):
-        # middle channel 012 carries wavelength (2 + 1) mod 3 = 0
-        assert middle_channel_wavelength(P323, addr((0, 1, 2), (2, 3, 3))) == 0
-
-    def test_round_trips_with_labels(self):
-        for awg in range(2):
-            for port in range(3):
-                for w in fiber_wavelengths(P323, port):
-                    a = label_middle_channel(P323, awg, port, w)
-                    assert middle_channel_wavelength(P323, a) == w
-
-    def test_input_and_output_recovery(self, w323):
-        for tr in w323.channels:
-            w = tr.input_locus.wavelength
-            assert input_channel_wavelength(P323, tr.input_addr) == w
-            assert middle_channel_wavelength(P323, tr.middle_addr) == w
-            assert output_channel_wavelength(P323, tr.output_addr) == w
-
-    def test_rejects_foreign_radices(self):
-        with pytest.raises(DomainError):
-            input_channel_wavelength(P323, addr((0, 1, 2), (2, 3, 3)))
 
 
 class TestStageMaps:
@@ -350,7 +322,8 @@ class TestNetworkPermutation:
 
     def test_keys_in_ascending_address_order(self, w323):
         perm = network_permutation(w323)
-        assert list(perm) == list(input_addresses(P323))
+        radices = P323.input_radices
+        assert list(perm) == [addr(mixed_radix_decode(i, radices), radices) for i in range(18)]
         decimals = [a.decimal for a in perm]
         assert decimals == sorted(decimals)
 
