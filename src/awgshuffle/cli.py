@@ -13,6 +13,7 @@ from ._version import __version__
 from .analysis import tradeoff_table, verify_shuffle_equivalence
 from .errors import ShuffleNetError
 from .serialize import (
+    _canonical_chunks,
     serialize_report,
     serialize_topology,
     tradeoff_csv,
@@ -88,7 +89,10 @@ def _add_gmn(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     topology = build_network(args.g, args.m, args.n)
-    write_bytes(args.out, serialize_topology(topology, args.format))
+    if args.format == "json":  # streamed: the document is never whole in memory
+        write_bytes(args.out, _canonical_chunks(topology))
+    else:
+        write_bytes(args.out, serialize_topology(topology, args.format))
     print(
         f"wrote {args.out} ({args.format}, "
         f"{topology.params.channel_count} channels)"

@@ -6,31 +6,39 @@ belong in version control. A topology document is rendered straight
 from the fabric's integer tuples: json.dumps lays out one skeleton
 cable and one skeleton channel per fabric, with a ``%d`` slot for every
 per-entry integer, and each entry fills that template with plain ints.
+One generator renders the document in order, in chunks of a bounded
+number of list entries; writing joins the chunks, ``synth`` streams
+them to the file, and reading compares with them.
 
-Parsing validates the document's header and rebuilds the fabric from
-its parameters. It renders the rebuilt arrays through the same
-templates in compact layout and compares that text with the compact
-json.dumps of the parsed sections, so the comparison is type-strict
-(``true`` or ``1.0`` never stand in for ``1``) while key order,
-whitespace and metadata may differ. A document that differs is
-validated in full first, so a structural problem anywhere is a
-ParseError; only then is the first disagreeing section or entry an
-IntegrityError.
+Parsing takes (g, m, n) from the fixed tail of a canonical document,
+builds that fabric and compares the input with its chunks byte for
+byte; input equal to them, to the last byte, is accepted without being
+decoded. Any other input is decoded, its header validated, and the
+rebuilt arrays rendered through the same templates in compact layout
+and compared with the compact json.dumps of the parsed sections, so the
+comparison is type-strict (``true`` or ``1.0`` never stand in for
+``1``) while key order, whitespace and metadata may differ. A document
+that differs is validated in full first, so a structural problem
+anywhere is a ParseError; only then is the first disagreeing section or
+entry an IntegrityError.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import tempfile
 from functools import lru_cache
+from itertools import islice
 from typing import Any, Iterable, Iterator
 
 from ._version import __version__
 from .addressing import digit_separator
 from .analysis import VerificationReport, ResourceMetrics
 from .awg import AwgSpec
-from .errors import CapacityError, DomainError, IntegrityError, ParseError
+from .errors import CapacityError, DomainError, IntegrityError, ParseError, ShuffleNetError
 from .topology import (
     DEFAULT_CHANNEL_CAP,
     NetworkParams,
@@ -42,7 +50,6 @@ from .topology import (
 __all__ = [
     "SCHEMA_VERSION",
     "parse_topology",
-    "report_document",
     "serialize_report",
     "serialize_topology",
     "topology_document",
@@ -67,6 +74,8 @@ _PORT_ORDER_NOTE = "decimal channel indices are group-major (row-major) over the
 
 _PRETTY = {"sort_keys": True, "indent": 2}
 _COMPACT = {"sort_keys": True, "separators": (",", ":")}
+
+_BLOCK = 1024  # list entries per chunk of a canonical document (about 1 MB of channels)
 
 # A "%d" string in a skeleton becomes a bare %d slot of its template.
 _SLOT = "%d"
@@ -134,15 +143,21 @@ def _channel_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
                 i += 1
 
 
-def _listed(
-    skeleton: dict[str, Any], rows: Iterable[tuple[int, ...]], layout: dict[str, Any]
-) -> str:
-    """A list section: one ``skeleton`` entry per row, laid out like json.dumps."""
-    template = _template(skeleton, layout)
-    entries = [template % row for row in rows]
-    if layout is _PRETTY:
-        return "[\n" + ",\n".join(entries) + "\n  ]"
-    return "[" + ",".join(entries) + "]"
+def _list_chunks(skeleton: dict[str, Any], rows: Iterable[tuple[int, ...]]) -> Iterator[bytes]:
+    """A pretty list section of one or more entries, like json.dumps, _BLOCK entries a chunk."""
+    template = _template(skeleton, _PRETTY)
+    rows = iter(rows)
+    opening = "[\n"
+    while block := list(islice(rows, _BLOCK)):
+        yield (opening + ",\n".join([template % row for row in block])).encode()
+        opening = ",\n"
+    yield b"\n  ]"
+
+
+def _compact_list(skeleton: dict[str, Any], rows: Iterable[tuple[int, ...]]) -> str:
+    """A list section in the compact layout of json.dumps."""
+    template = _template(skeleton, _COMPACT)
+    return "[" + ",".join([template % row for row in rows]) + "]"
 
 
 def _params_json(p: NetworkParams) -> dict[str, int]:
@@ -164,12 +179,12 @@ def _awg_bank_json(count: int, spec: AwgSpec) -> dict[str, int]:
     }
 
 
-def _document_json(params: NetworkParams, awg_spec: AwgSpec, cables: str, channels: str) -> str:
-    """Canonical text of a document, given its pretty ``cables`` and ``channels`` lists."""
+def _frame(params: NetworkParams) -> tuple[str, str, str]:
+    """Canonical text before, between and after the cable and channel lists."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": _params_json(params),
-        "awg_bank": _awg_bank_json(params.m, awg_spec),
+        "awg_bank": _awg_bank_json(params.m, params.awg_spec),
         "cables": "<cables>",
         "channels": "<channels>",
         "metadata": {
@@ -180,7 +195,25 @@ def _document_json(params: NetworkParams, awg_spec: AwgSpec, cables: str, channe
         },
     }
     text = json.dumps(doc, **_PRETTY) + "\n"
-    return text.replace('"<cables>"', cables).replace('"<channels>"', channels)
+    head, rest = text.split('"<cables>"')
+    between, tail = rest.split('"<channels>"')
+    return head, between, tail
+
+
+def _canonical_chunks(topology: Topology) -> Iterator[bytes]:
+    """The canonical JSON of ``topology``, in order, as ASCII chunks.
+
+    Sorted keys put ``awg_bank`` before the two lists and ``metadata``,
+    ``params`` and ``schema_version`` after them, so the document is its
+    head, the cable list, the text between the lists, the channel list
+    and its tail. Each list comes in chunks of at most _BLOCK entries.
+    """
+    head, between, tail = _frame(topology.params)
+    yield head.encode()
+    yield from _list_chunks(_CABLE_SKELETON, _cable_rows(topology))
+    yield between.encode()
+    yield from _list_chunks(_channel_skeleton(topology.params), _channel_rows(topology))
+    yield tail.encode()
 
 
 def topology_document(topology: Topology) -> dict[str, Any]:
@@ -188,20 +221,12 @@ def topology_document(topology: Topology) -> dict[str, Any]:
     return json.loads(serialize_topology(topology, "json"))
 
 
-def _canonical_json(doc: dict[str, Any]) -> bytes:
-    return (json.dumps(doc, **_PRETTY) + "\n").encode("utf-8")
-
-
 def serialize_topology(topology: Topology, fmt: str = "json") -> bytes:
     """Render a topology as canonical JSON or DOT bytes."""
     if fmt == "json":
-        text = _document_json(
-            topology.params,
-            topology.awg_spec,
-            _listed(_CABLE_SKELETON, _cable_rows(topology), _PRETTY),
-            _listed(_channel_skeleton(topology.params), _channel_rows(topology), _PRETTY),
-        )
-        return text.encode("utf-8")
+        buffer = io.BytesIO()  # CPython returns the grown buffer itself: held once, not twice
+        buffer.writelines(_canonical_chunks(topology))
+        return buffer.getvalue()
     if fmt == "dot":
         return topology_dot(topology).encode("utf-8")
     raise DomainError(f"unsupported format {fmt!r} (expected 'json' or 'dot')")
@@ -243,9 +268,9 @@ def topology_dot(topology: Topology) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_document(report: VerificationReport) -> dict[str, Any]:
-    """JSON-ready dict for one verification report."""
-    return {
+def serialize_report(report: VerificationReport) -> bytes:
+    """Canonical JSON of one verification report."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "params": _params_json(report.params),
         "passed": report.passed,
@@ -259,10 +284,7 @@ def report_document(report: VerificationReport) -> dict[str, Any]:
             for check in report.checks
         ],
     }
-
-
-def serialize_report(report: VerificationReport) -> bytes:
-    return _canonical_json(report_document(report))
+    return (json.dumps(doc, **_PRETTY) + "\n").encode("utf-8")
 
 
 def tradeoff_csv(rows: list[ResourceMetrics]) -> bytes:
@@ -276,15 +298,22 @@ def tradeoff_csv(rows: list[ResourceMetrics]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_bytes(path: str, data: bytes) -> None:
-    """Atomic file write: stage to a temp file, then rename into place."""
+def write_bytes(path: str, data: bytes | Iterable[bytes]) -> None:
+    """Atomic file write: stage to a temp file, then rename into place.
+
+    ``data`` is the whole content or an iterable of chunks written in
+    order, so a streamed document is never held whole in memory. Any
+    exception, one raised while producing a chunk included, removes the
+    staged file and leaves ``path`` as it was.
+    """
+    chunks = (data,) if isinstance(data, bytes) else data
     directory = os.path.dirname(os.path.abspath(path))
     fd, staged = tempfile.mkstemp(dir=directory, prefix=".awgshuffle-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(staged, path)
-    except OSError:
+    except BaseException:
         try:
             os.unlink(staged)
         except OSError:
@@ -368,17 +397,11 @@ def _document_budget(max_channels: int) -> int:
     """
     widest = int("9" * len(str(max_channels)))
     params = NetworkParams(widest, widest, widest)
-    cable, channel = _CABLE_SKELETON, _channel_skeleton(params)
-    empty = _document_json(
-        params, params.awg_spec, _listed(cable, [], _PRETTY), _listed(channel, [], _PRETTY)
-    )
-    one = _document_json(
-        params,
-        params.awg_spec,
-        _listed(cable, [(widest,) * 4], _PRETTY),
-        _listed(channel, [(widest,) * 31], _PRETTY),
-    )
-    return len(empty) + max_channels * (len(one) - len(empty) + 4)  # 4: two ",\n"
+    cable = len(_template(_CABLE_SKELETON, _PRETTY) % ((widest,) * 4))
+    channel = len(_template(_channel_skeleton(params), _PRETTY) % ((widest,) * 31))
+    # each list adds "[\n" and "\n  ]", and at most one ",\n" per entry
+    frame = sum(map(len, _frame(params))) + 2 * (len("[\n") + len("\n  ]"))
+    return frame + max_channels * (cable + channel + 2 * len(",\n"))
 
 
 def _compact(value: Any) -> str:
@@ -423,6 +446,41 @@ def _raise_first_disagreement(
             )
 
 
+# The canonical tail: sorted keys put params and schema_version last.
+_CANONICAL_TAIL = re.compile(
+    rb'\n  "params": \{\n    "channel_count": [0-9]+,\n    "g": ([0-9]+),\n'
+    rb'    "lambda_count": [0-9]+,\n    "m": ([0-9]+),\n    "n": ([0-9]+)\n'
+    rb'  \},\n  "schema_version": "1"\n\}\n\Z'
+)
+_TAIL_SPAN = 256  # bytes of input searched for the canonical tail
+
+
+def _canonical_match(data: bytes | str, max_channels: int) -> tuple[Topology | None, bool]:
+    """The fabric a canonical tail of ``data`` names, and whether ``data`` is its document.
+
+    The fabric is None when ``data`` has no canonical tail or its shape
+    does not build. ``data`` is compared with the fabric's canonical
+    chunks in order, stopping at the first that differs.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None, False
+        data = data.encode("ascii")
+    match = _CANONICAL_TAIL.search(data[-_TAIL_SPAN:])
+    if match is None:
+        return None, False
+    try:
+        topology = build_network(*map(int, match.groups()), max_channels=max_channels)
+    except ShuffleNetError:
+        return None, False
+    offset = 0
+    for chunk in _canonical_chunks(topology):
+        if not data.startswith(chunk, offset):
+            return topology, False
+        offset += len(chunk)
+    return topology, offset == len(data)
+
+
 def parse_topology(
     data: bytes | str, *, max_channels: int = DEFAULT_CHANNEL_CAP
 ) -> Topology:
@@ -437,6 +495,12 @@ def parse_topology(
     outrank any disagreement; a well-formed document whose sections
     disagree with its own parameters raises IntegrityError naming the
     first differing section or entry.
+
+    A canonical document is accepted by byte comparison: (g, m, n) come
+    from its fixed tail, and the input must equal that fabric's
+    canonical chunks exactly, to its last byte, so it is never decoded.
+    Any other input, canonical tail or not, is decoded and checked
+    section by section, reusing the fabric already built.
     """
     budget = _document_budget(max_channels)
     if len(data) > budget:
@@ -444,6 +508,9 @@ def parse_topology(
             f"input of {len(data)} bytes is over the budget of {budget} bytes "
             f"for the cap of {max_channels} channels"
         )
+    topology, canonical = _canonical_match(data, max_channels)
+    if canonical:
+        return topology
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -455,26 +522,27 @@ def parse_topology(
         doc = json.loads(data)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    del data  # the decoded text is not needed again
     _validate_header(doc)
 
     params = doc["params"]
-    try:
-        topology = build_network(
-            params["g"], params["m"], params["n"], max_channels=max_channels
-        )
-    except DomainError as exc:
-        _validate_document(doc)
-        raise ParseError(f"$.params invalid: {exc}") from None
-    except CapacityError:
-        _validate_document(doc)
-        raise
+    shape = (params["g"], params["m"], params["n"])
+    if topology is None or shape != (topology.params.g, topology.params.m, topology.params.n):
+        try:
+            topology = build_network(*shape, max_channels=max_channels)
+        except DomainError as exc:
+            _validate_document(doc)
+            raise ParseError(f"$.params invalid: {exc}") from None
+        except CapacityError:
+            _validate_document(doc)
+            raise
 
     p = topology.params
     want = {
         "params": _compact(_params_json(p)),
         "awg_bank": _compact(_awg_bank_json(p.m, topology.awg_spec)),
-        "cables": _listed(_CABLE_SKELETON, _cable_rows(topology), _COMPACT),
-        "channels": _listed(_channel_skeleton(p), _channel_rows(topology), _COMPACT),
+        "cables": _compact_list(_CABLE_SKELETON, _cable_rows(topology)),
+        "channels": _compact_list(_channel_skeleton(p), _channel_rows(topology)),
     }
     got = {section: _compact(doc.get(section)) for section in want}
     if got != want:

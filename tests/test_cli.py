@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 import awgshuffle.analysis as analysis
-from awgshuffle import build_network, cli_main, parse_topology
+from awgshuffle import build_network, cli_main, parse_topology, serialize_topology
+from awgshuffle.serialize import _BLOCK
 
 
 def run(capsys, *argv):
@@ -214,6 +215,19 @@ class TestSynthCommand:
         assert content.count('kind="cable"') == 0
         assert content.count('kind="direct"') == 3
 
+    # W(9,9,30): 2,430 channels, two whole blocks and a partial one
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (1, 1, 1), (9, 9, 30)])
+    def test_streamed_json_equals_serialize_topology(self, capsys, tmp_path, shape):
+        path = tmp_path / "w.json"
+        g, m, n = (str(d) for d in shape)
+        code, _, _ = run(capsys, "synth", "--g", g, "--m", m, "--n", n, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == serialize_topology(build_network(*shape), "json")
+        assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
+
+    def test_streamed_shape_spans_blocks(self):
+        assert 9 * 9 * 30 > 2 * _BLOCK and (9 * 9 * 30) % _BLOCK
+
     def test_bad_format_exits_two(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--g", "1", "--m", "1", "--n", "1",
@@ -221,6 +235,7 @@ class TestSynthCommand:
         )
         assert code == 2
         assert "usage" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_path_exits_two(self, capsys, tmp_path):
         code, _, err = run(
@@ -229,6 +244,7 @@ class TestSynthCommand:
         )
         assert code == 2
         assert "error:" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

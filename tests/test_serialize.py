@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import re
 
 import pytest
 
@@ -8,6 +10,7 @@ from awgshuffle import (
     DomainError,
     IntegrityError,
     ParseError,
+    ShuffleNetError,
     build_network,
     parse_topology,
     serialize_report,
@@ -19,6 +22,8 @@ from awgshuffle import (
     verify_shuffle_equivalence,
     write_bytes,
 )
+from awgshuffle import serialize
+from awgshuffle.serialize import _BLOCK, _canonical_chunks
 
 
 class TestJsonDocument:
@@ -232,6 +237,103 @@ class TestInputBudget:
             parse_topology(b"\xff" * 1_000_000, max_channels=18)
 
 
+def _outcome(data):
+    try:
+        return parse_topology(data)
+    except ShuffleNetError as exc:
+        return type(exc), str(exc)
+
+
+def _full_path_outcome(data):
+    """Outcome of the decoding path: one more newline never matches a canonical document."""
+    return _outcome(data + (b"\n" if isinstance(data, bytes) else "\n"))
+
+
+class TestCanonicalFastPath:
+    """Single edits of canonical documents end as they do on the decoding path."""
+
+    # W(5,5,41): 1,025 channels, one whole block and a partial one
+    SHAPES = [(3, 2, 3), (11, 3, 12), (5, 5, 41)]
+
+    def test_a_shape_spans_blocks(self):
+        assert 5 * 5 * 41 > _BLOCK and (5 * 5 * 41) % _BLOCK
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_edits_inside_every_chunk(self, shape):
+        rng = random.Random(sum(shape))
+        t = build_network(*shape)
+        doc = serialize_topology(t, "json")
+        start = 0
+        for chunk in _canonical_chunks(t):
+            end = start + len(chunk)
+            digits = [start + m.start() for m in re.finditer(rb"[0-9]", chunk)]
+            # the chunk's first byte: only a comparison with this very chunk sees it
+            edits = [doc[:start] + b"x" + doc[start + 1:]]
+            if digits:
+                pos = rng.choice(digits)
+                digit = rng.choice(b"0123456789".replace(doc[pos:pos + 1], b""))
+                edits.append(doc[:pos] + bytes([digit]) + doc[pos + 1:])
+            pos = rng.randrange(start, end)
+            edits.append(doc[:pos] + doc[pos + 1:])
+            edits.append(doc[:pos] + rng.choice([b" ", b"1", b",", b"}", b"x"]) + doc[pos:])
+            for edited in edits:
+                got = _outcome(edited)
+                assert not isinstance(got, tuple) or got[0] in (ParseError, IntegrityError)
+                assert got == _full_path_outcome(edited)
+            start = end
+        assert start == len(doc)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_truncated(self, shape, monkeypatch):
+        rng = random.Random(sum(shape))
+        doc = serialize_topology(build_network(*shape), "json")
+        cuts = [0, 1, len(doc) - 2, len(doc) - 1] + rng.sample(range(len(doc)), 5)
+        got = [_outcome(doc[:cut]) for cut in cuts]
+        # a newline after a cut string or number changes the decoder's error,
+        # so the reference here is the decoding path with the fast path off
+        monkeypatch.setattr(serialize, "_canonical_match", lambda data, cap: (None, False))
+        assert got == [_outcome(doc[:cut]) for cut in cuts]
+        assert got[3] == build_network(*shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_trailing_bytes(self, shape):
+        t = build_network(*shape)
+        doc = serialize_topology(t, "json")
+        tail = list(_canonical_chunks(t))[-1]
+        for extra in (b"x", tail):  # a repeated tail still ends like a canonical document
+            got = _outcome(doc + extra)
+            assert got[0] is ParseError and got[1].startswith("invalid JSON")
+            assert got == _full_path_outcome(doc + extra)
+        assert _outcome(doc + b" \t\n") == _full_path_outcome(doc + b" \t\n") == t
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_other_generator_is_accepted(self, shape):
+        t = build_network(*shape)
+        doc = serialize_topology(t, "json").replace(
+            b'"generator": "awgshuffle ', b'"generator": "another writer ')
+        assert _outcome(doc) == _full_path_outcome(doc) == t
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_tail_names_another_shape(self, shape):
+        g, m, n = shape
+        doc = serialize_topology(build_network(*shape), "json")
+        edited = doc.replace(f'\n    "g": {g},\n'.encode(), f'\n    "g": {g + 1},\n'.encode())
+        assert edited != doc
+        got = _outcome(edited)
+        assert got[0] is IntegrityError and "$.params" in got[1]
+        assert got == _full_path_outcome(edited)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_str_input(self, shape):
+        t = build_network(*shape)
+        text = serialize_topology(t, "json").decode()
+        assert _outcome(text) == _full_path_outcome(text) == t
+        edited = text.replace('"wavelength": 0', '"wavelength": 1', 1)
+        got = _outcome(edited)
+        assert got[0] is IntegrityError
+        assert got == _full_path_outcome(edited)
+
+
 class TestDot:
     def test_degenerate_graph(self):
         dot = topology_dot(build_network(1, 1, 1))
@@ -298,4 +400,21 @@ class TestAtomicWrite:
     def test_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "out.json"
         write_bytes(str(target), b"x")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_writes_chunks_in_order(self, tmp_path):
+        target = tmp_path / "out.json"
+        write_bytes(str(target), iter([b"pay", b"", b"load"]))
+        assert target.read_bytes() == b"payload"
+
+    def test_failing_chunk_source_leaves_target_and_no_staged_file(self, tmp_path):
+        def chunks():
+            yield b"new"
+            raise ValueError("no more chunks")
+
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old")
+        with pytest.raises(ValueError, match="no more chunks"):
+            write_bytes(str(target), chunks())
+        assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
