@@ -1,8 +1,11 @@
 """Fabric verification and resource accounting.
 
 Verification builds the fabric, then compares its routed permutation
-against the independent digit-rotation oracle, channel by channel,
-alongside bijectivity and per-fiber wavelength-distinctness checks.
+channel by channel against the oracle, the decimal array of the perfect
+shuffle S(g, m*n) from the independent shuffle module, alongside
+bijectivity and per-fiber wavelength-distinctness checks. The oracle's
+digit form, the left cyclic shift (a, b, c) -> (b, c, a), words an
+oracle counterexample.
 The checks are passes over the fabric's integer tuples: each first
 runs a whole-array test (tuple equality, set sizes), and only when
 that fails does an ordered scan look for the first counterexample in
@@ -26,13 +29,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .addressing import ChannelAddress, mixed_radix_decode
 from .errors import CapacityError, DomainError
-from .shuffle import left_cyclic_shift, left_cyclic_shift_decimal
-from .topology import (
-    DEFAULT_CHANNEL_CAP,
-    NetworkParams,
-    Topology,
-    build_network,
-)
+from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
+from .topology import DEFAULT_CHANNEL_CAP, NetworkParams, Topology, build_network
 
 __all__ = [
     "CHECK_BIJECTIVITY",
@@ -101,8 +99,14 @@ class VerificationReport:
 
 
 def check_oracle_equivalence(topology: Topology) -> CheckResult:
-    """Compare the routed permutation against the digit-rotation oracle."""
-    expected = left_cyclic_shift_decimal(topology.params.input_radices)
+    """Compare the routed permutation against the oracle S(g, m*n).
+
+    The oracle is the decimal array of the perfect shuffle S(g, m*n);
+    the first channel that disagrees is worded through its digit form,
+    the left cyclic shift of the input address.
+    """
+    p = topology.params
+    expected = shuffle_perm_decimal(ShuffleSpec(p.g, p.m * p.n))
     if topology.outputs == tuple(expected):
         return CheckResult(CHECK_ORACLE, True)
     index = next(i for i, want in enumerate(expected) if topology.outputs[i] != want)
@@ -116,8 +120,9 @@ def check_oracle_equivalence(topology: Topology) -> CheckResult:
 
 
 def _oracle_matches(topology: Topology) -> int:
-    """How many channels reach the output the digit-rotation oracle expects."""
-    expected = left_cyclic_shift_decimal(topology.params.input_radices)
+    """How many channels reach the output the oracle S(g, m*n) expects."""
+    p = topology.params
+    expected = shuffle_perm_decimal(ShuffleSpec(p.g, p.m * p.n))
     return sum(map(eq, topology.outputs, expected))
 
 
@@ -266,16 +271,14 @@ def run_named_check(name: str, topology: Topology) -> CheckResult:
     raise DomainError(f"unknown check {name!r}")
 
 
-def verify_shuffle_equivalence(
-    g: int, m: int, n: int, *, max_channels: int = DEFAULT_CHANNEL_CAP
-) -> VerificationReport:
+def verify_shuffle_equivalence(g: int, m: int, n: int) -> VerificationReport:
     """Build W(g, m, n) and verify it behaves as the N = g*m*n shuffle.
 
     Runs the oracle-equivalence, bijectivity, and wavelength-conflict
     checks over all channels. CapacityError propagates before any report
-    is produced.
+    is produced for a fabric over the default channel cap.
     """
-    topology = build_network(g, m, n, max_channels=max_channels)
+    topology = build_network(g, m, n)
     checks = tuple(run_named_check(name, topology) for name in CHECK_NAMES)
     size = topology.params.channel_count
     oracle_passed = next(c.passed for c in checks if c.name == CHECK_ORACLE)

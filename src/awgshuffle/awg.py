@@ -26,7 +26,6 @@ concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .addressing import ChannelAddress
 from .errors import DomainError, InvalidChannelError
@@ -36,9 +35,6 @@ __all__ = [
     "awg_permutation",
     "awg_route",
     "awg_wavelength",
-    "decode_input_channel",
-    "decode_output_channel",
-    "input_channels",
     "label_input_channel",
     "label_output_channel",
     "valid_input_wavelengths",
@@ -110,9 +106,7 @@ def valid_input_wavelengths(spec: AwgSpec, p: int) -> tuple[int, ...]:
 
 def label_input_channel(spec: AwgSpec, p: int, i: int) -> ChannelAddress:
     """Two-digit address (port, routed output) of wavelength ``i`` at input ``p``."""
-    _check_input_port(spec, p)
-    _check_wavelength(spec, i)
-    low = (i - p) % spec.lambda_count
+    low = awg_route(spec, p, i)
     if low >= spec.outputs:
         raise InvalidChannelError(
             f"wavelength {i} is dark at input {p}: it routes to virtual output "
@@ -134,46 +128,22 @@ def label_output_channel(spec: AwgSpec, q: int, k: int) -> ChannelAddress:
     return ChannelAddress((q, low), (spec.outputs, spec.inputs))
 
 
-def decode_input_channel(spec: AwgSpec, addr: ChannelAddress) -> tuple[int, int]:
-    """Recover (input port, wavelength) from an input-channel address."""
-    if addr.radices != (spec.inputs, spec.outputs):
-        raise DomainError(
-            f"address radices {addr.radices} do not match input channels "
-            f"of a {spec.inputs}x{spec.outputs} device"
-        )
-    p, low = addr.digits
-    return p, (p + low) % spec.lambda_count
-
-
-def decode_output_channel(spec: AwgSpec, addr: ChannelAddress) -> tuple[int, int]:
-    """Recover (output port, wavelength) from an output-channel address."""
-    if addr.radices != (spec.outputs, spec.inputs):
-        raise DomainError(
-            f"address radices {addr.radices} do not match output channels "
-            f"of a {spec.inputs}x{spec.outputs} device"
-        )
-    q, low = addr.digits
-    return q, (q + low) % spec.lambda_count
-
-
-def input_channels(spec: AwgSpec) -> Iterator[ChannelAddress]:
-    """All valid input-channel addresses in ascending address order."""
-    for p in range(spec.inputs):
-        for low in range(spec.outputs):
-            yield ChannelAddress((p, low), (spec.inputs, spec.outputs))
-
-
 def awg_permutation(spec: AwgSpec) -> dict[ChannelAddress, ChannelAddress]:
     """Total input-channel to output-channel mapping of one router.
 
     Built by actually routing every valid channel, not by assuming the
-    digit-exchange law; the exchange is asserted over this result by the
-    test suite and the analysis module. The mapping covers all
-    inputs * outputs valid channels and is a bijection.
+    digit-exchange law: for each input ``p`` and output ``low`` in
+    ascending order, the wavelength :func:`awg_wavelength` assigns to
+    that pair is routed by :func:`awg_route` and labeled at its exit.
+    The exchange is asserted over this result by the test suite and the
+    analysis module. The mapping covers all inputs * outputs valid
+    channels, keyed in ascending address order, and is a bijection.
     """
+    radices = (spec.inputs, spec.outputs)
     mapping: dict[ChannelAddress, ChannelAddress] = {}
-    for addr in input_channels(spec):
-        p, i = decode_input_channel(spec, addr)
-        q = awg_route(spec, p, i)
-        mapping[addr] = label_output_channel(spec, q, i)
+    for p in range(spec.inputs):
+        for low in range(spec.outputs):
+            i = awg_wavelength(spec, p, low)
+            q = awg_route(spec, p, i)
+            mapping[ChannelAddress((p, low), radices)] = label_output_channel(spec, q, i)
     return mapping

@@ -177,10 +177,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ShuffleNetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ShuffleNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -304,14 +304,20 @@ def write_bytes(path: str, data: bytes | Iterable[bytes]) -> None:
     ``data`` is the whole content or an iterable of chunks written in
     order, so a streamed document is never held whole in memory. Any
     exception, one raised while producing a chunk included, removes the
-    staged file and leaves ``path`` as it was.
+    staged file and leaves ``path`` as it was. The file gets the mode a
+    plain ``open(path, "wb")`` gives a new file, 0o666 less the umask.
     """
     chunks = (data,) if isinstance(data, bytes) else data
+    # The umask is read by setting it: the strictest mask meanwhile keeps
+    # a file another thread creates in that instant from being looser.
+    umask = os.umask(0o777)
+    os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
     fd, staged = tempfile.mkstemp(dir=directory, prefix=".awgshuffle-")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
+        os.chmod(staged, 0o666 & ~umask)  # mkstemp creates it owner-only
         os.replace(staged, path)
     except BaseException:
         try:

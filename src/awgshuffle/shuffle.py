@@ -1,18 +1,20 @@
 """Reference perfect-shuffle permutations.
 
 The classical N = g*l shuffle splits a port index into a group digit
-and a member digit and exchanges them; the three-digit form rotates the
-whole digit vector one position left. This module computes those
-permutations from digit manipulation alone and deliberately imports
-nothing from the router or topology modules: the verifier compares
-fabric behaviour against these functions, and that comparison is only
-convincing if the two sides share no code path.
+and a member digit and exchanges them. Read over three digits (a, b, c)
+under (g, m, n) with l = m*n, that exchange is the left cyclic shift
+(a, b, c) -> (b, c, a), so S(g, m*n) is the permutation the fabric
+W(g, m, n) must realize: the verifier compares the fabric with
+:func:`shuffle_perm_decimal`, and words a counterexample through
+:func:`left_cyclic_shift`. This module computes both from digit
+manipulation alone and deliberately imports nothing from the router or
+topology modules; the comparison is only convincing if the two sides
+share no code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .addressing import ChannelAddress
 from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError
@@ -20,7 +22,6 @@ from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError
 __all__ = [
     "ShuffleSpec",
     "left_cyclic_shift",
-    "left_cyclic_shift_decimal",
     "shuffle_map",
     "shuffle_perm_decimal",
 ]
@@ -70,10 +71,9 @@ def shuffle_perm_decimal(spec: ShuffleSpec) -> list[int]:
             f"S({spec.g},{spec.l}) has {spec.port_count} ports, "
             f"over the cap of {DEFAULT_CHANNEL_CAP}"
         )
-    perm = [0] * spec.port_count
+    perm: list[int] = []
     for hi in range(spec.g):
-        for lo in range(spec.l):
-            perm[hi * spec.l + lo] = lo * spec.g + hi
+        perm.extend(range(hi, spec.port_count, spec.g))
     return perm
 
 
@@ -91,28 +91,3 @@ def left_cyclic_shift(addr: ChannelAddress) -> ChannelAddress:
     d = addr.digits
     r = addr.radices
     return ChannelAddress((d[1], d[2], d[0]), (r[1], r[2], r[0]))
-
-
-def left_cyclic_shift_decimal(radices: Sequence[int]) -> list[int]:
-    """The left cyclic shift as a permutation array over decimal indices.
-
-    Entry ``i`` is the decimal index, under the rotated radices
-    (r1, r2, r0), of the shifted digits of ``i`` under ``radices``
-    (r0, r1, r2): input (a, b, c) at (a*r1 + b)*r2 + c goes to output
-    (b, c, a) at (b*r2 + c)*r0 + a. Pointwise it equals
-    :func:`left_cyclic_shift`, without building an address per index.
-    """
-    if len(radices) != 3:
-        raise DomainError(
-            f"left cyclic shift is defined on 3-digit addresses, got {len(radices)} radices"
-        )
-    for pos, radix in enumerate(radices):
-        if radix < 1:
-            raise DomainError(f"radix at position {pos} must be >= 1, got {radix}")
-    r0, r1, r2 = radices
-    perm: list[int] = []
-    for a in range(r0):
-        for b in range(r1):
-            # (b*r2 + c)*r0 + a for c in range(r2)
-            perm.extend(range(b * r2 * r0 + a, (b + 1) * r2 * r0 + a, r0))
-    return perm

@@ -2,19 +2,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import awgshuffle.awg as awg_module
 from awgshuffle import (
     AwgSpec,
     ChannelAddress,
     DomainError,
     InvalidChannelError,
+    ShuffleSpec,
     awg_permutation,
     awg_route,
     awg_wavelength,
-    decode_input_channel,
-    decode_output_channel,
-    input_channels,
     label_input_channel,
     label_output_channel,
+    shuffle_perm_decimal,
     valid_input_wavelengths,
 )
 
@@ -119,28 +119,6 @@ class TestLabeling:
         with pytest.raises(InvalidChannelError, match="no originating input"):
             label_output_channel(spec, 0, 3)
 
-    @given(specs, st.data())
-    def test_decode_then_relabel_is_identity(self, spec, data):
-        p = data.draw(st.integers(0, spec.inputs - 1))
-        i = data.draw(st.sampled_from(valid_input_wavelengths(spec, p)))
-        addr = label_input_channel(spec, p, i)
-        assert decode_input_channel(spec, addr) == (p, i)
-        assert label_input_channel(spec, *decode_input_channel(spec, addr)) == addr
-
-    @given(specs, st.data())
-    def test_output_decode_then_relabel_is_identity(self, spec, data):
-        q = data.draw(st.integers(0, spec.outputs - 1))
-        p = data.draw(st.integers(0, spec.inputs - 1))
-        k = awg_wavelength(spec, p, q)
-        addr = label_output_channel(spec, q, k)
-        assert decode_output_channel(spec, addr) == (q, k)
-
-    def test_decode_rejects_foreign_radices(self, awg36):
-        with pytest.raises(DomainError):
-            decode_input_channel(awg36, ChannelAddress((0, 0), (6, 3)))
-        with pytest.raises(DomainError):
-            decode_output_channel(awg36, ChannelAddress((0, 0), (3, 6)))
-
 
 class TestValidWavelengthSets:
     def test_all_wavelengths_live_when_outputs_dominate(self, awg36):
@@ -198,8 +176,28 @@ class TestPermutation:
 
     def test_covers_every_input_channel_once(self, awg36):
         perm = awg_permutation(awg36)
-        assert list(perm) == list(input_channels(awg36))
+        assert list(perm) == [
+            ChannelAddress((p, low), (3, 6)) for p in range(3) for low in range(6)
+        ]
         assert len(set(perm.values())) == 18
+
+    def test_enumeration_and_labels_route_through_the_router_law(self, awg36, monkeypatch):
+        # a router that reads its input port off by one (wrapping at its 3
+        # inputs) still permutes the 18 channels, but not as S(3, 6)
+        def outputs(perm):
+            return [perm[src].decimal for src in perm]
+
+        shuffle = shuffle_perm_decimal(ShuffleSpec(3, 6))
+        assert outputs(awg_permutation(awg36)) == shuffle
+        monkeypatch.setattr(
+            awg_module,
+            "awg_route",
+            lambda spec, p, i: (i - (p + 1) % spec.inputs) % spec.lambda_count,
+        )
+        mutant = outputs(awg_permutation(awg36))
+        assert sorted(mutant) == list(range(18))
+        assert mutant != shuffle
+        assert label_input_channel(awg36, 0, 0) == ChannelAddress((0, 5), (3, 6))
 
     def test_per_wavelength_injectivity(self):
         for inputs in range(1, 9):

@@ -1,7 +1,10 @@
-"""Every name the package and its modules advertise in ``__all__`` exists."""
+"""Every name the package and its modules advertise in ``__all__`` exists,
+and every name a module imports is used there or re-exported."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import awgshuffle
 
@@ -24,3 +27,33 @@ def test_module_exports_resolve():
 def test_package_exports_resolve_once():
     assert [n for n in awgshuffle.__all__ if not hasattr(awgshuffle, n)] == []
     assert len(set(awgshuffle.__all__)) == len(awgshuffle.__all__)
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_used_or_exported():
+    sources = sorted(Path(awgshuffle.__file__).parent.glob("*.py"))
+    assert {"__init__.py", "__main__.py", "awg.py"} <= {path.name for path in sources}
+    unused = {}
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        idle = set(imported_names(tree)) - used - exported_names(tree)
+        if idle:
+            unused[path.name] = sorted(idle)
+    assert unused == {}

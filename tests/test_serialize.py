@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import random
 import re
+import stat
 
 import pytest
 
@@ -418,3 +420,14 @@ class TestAtomicWrite:
             write_bytes(str(target), chunks())
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_new_file_gets_the_mode_a_plain_open_gives(self, tmp_path):
+        # 0o666 less the umask, not mkstemp's owner-only 0o600
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            target = tmp_path / f"out-{umask:03o}.json"
+            previous = os.umask(umask)
+            try:
+                write_bytes(str(target), b"x")
+            finally:
+                os.umask(previous)
+            assert stat.S_IMODE(target.stat().st_mode) == mode

@@ -13,7 +13,6 @@ from awgshuffle import (
     DomainError,
     ShuffleSpec,
     left_cyclic_shift,
-    left_cyclic_shift_decimal,
     mixed_radix_decode,
     mixed_radix_encode,
     shuffle_map,
@@ -138,33 +137,35 @@ class TestLeftCyclicShift:
 
 
 class TestLeftCyclicShiftDecimal:
+    """Over (g, m, n) the left cyclic shift (a, b, c) -> (b, c, a) is, on
+    decimal indices, the shuffle S(g, m*n): the oracle's array and the
+    digit form that words its counterexamples are one map."""
+
+    @staticmethod
+    def assert_agrees(g, m, n):
+        radices = (g, m, n)
+        perm = shuffle_perm_decimal(ShuffleSpec(g, m * n))
+        assert len(perm) == g * m * n
+        for index, image in enumerate(perm):
+            addr = ChannelAddress(mixed_radix_decode(index, radices), radices)
+            assert image == left_cyclic_shift(addr).decimal
+
     def test_worked_entry(self):
         # input 102 (decimal 8) lands on output 021 (decimal (0*3 + 2)*3 + 1 = 7)
-        assert left_cyclic_shift_decimal((3, 2, 3))[8] == 7
+        assert shuffle_perm_decimal(ShuffleSpec(3, 2 * 3))[8] == 7
 
     def test_agrees_with_digit_view(self):
         for radices in [
             (1, 1, 1), (3, 2, 3), (4, 3, 2), (2, 5, 1), (1, 4, 3), (5, 1, 3), (7, 2, 1)
         ]:
-            perm = left_cyclic_shift_decimal(radices)
-            for index, image in enumerate(perm):
-                addr = ChannelAddress(mixed_radix_decode(index, radices), radices)
-                assert image == left_cyclic_shift(addr).decimal
+            self.assert_agrees(*radices)
 
     def test_is_the_shuffle_over_the_group_digit(self):
-        # (a, b, c) -> (b, c, a) is S(g, m*n) on decimal indices
-        for g in range(1, 5):
-            for m in range(1, 5):
-                for n in range(1, 5):
-                    assert left_cyclic_shift_decimal((g, m, n)) == shuffle_perm_decimal(
-                        ShuffleSpec(g, m * n)
-                    )
-
-    def test_rejects_bad_radices(self):
-        with pytest.raises(DomainError):
-            left_cyclic_shift_decimal((3, 6))
-        with pytest.raises(DomainError):
-            left_cyclic_shift_decimal((3, 0, 2))
+        # every (g, m, n) address, g, m, n <= 6
+        for g in range(1, 7):
+            for m in range(1, 7):
+                for n in range(1, 7):
+                    self.assert_agrees(g, m, n)
 
 
 class TestIndependence:

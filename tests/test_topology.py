@@ -12,6 +12,7 @@ from awgshuffle import (
     InvalidChannelError,
     Locus,
     NetworkParams,
+    ShuffleSpec,
     awg_permutation,
     awg_route,
     awg_wavelength,
@@ -20,9 +21,9 @@ from awgshuffle import (
     label_middle_channel,
     label_net_input_channel,
     label_net_output_channel,
-    left_cyclic_shift_decimal,
     mixed_radix_decode,
     network_permutation,
+    shuffle_perm_decimal,
     stage1_map,
     stage2_map,
     trace,
@@ -277,7 +278,7 @@ class TestChannelView:
     def test_agrees_with_trace_labels_and_oracle(self, g, m, n):
         t = build_network(g, m, n)
         p = t.params
-        assert list(t.outputs) == left_cyclic_shift_decimal(p.input_radices)
+        assert list(t.outputs) == shuffle_perm_decimal(ShuffleSpec(g, m * n))
         assert len(t.channels) == p.channel_count
         for i, tr in enumerate(t.channels):
             a, b, _ = mixed_radix_decode(i, p.input_radices)
