@@ -73,12 +73,7 @@ from .topology import (
     Topology,
     build_network,
     fiber_wavelengths,
-    label_middle_channel,
-    label_net_input_channel,
-    label_net_output_channel,
     network_permutation,
-    stage1_map,
-    stage2_map,
     trace,
     trace_channel,
 )
@@ -119,9 +114,6 @@ __all__ = [
     "cli_main",
     "fiber_wavelengths",
     "label_input_channel",
-    "label_middle_channel",
-    "label_net_input_channel",
-    "label_net_output_channel",
     "label_output_channel",
     "left_cyclic_shift",
     "mixed_radix_decode",
@@ -135,8 +127,6 @@ __all__ = [
     "serialize_topology",
     "shuffle_map",
     "shuffle_perm_decimal",
-    "stage1_map",
-    "stage2_map",
     "topology_document",
     "topology_dot",
     "trace",

@@ -16,8 +16,9 @@ channel labeled (p, q) on the input side leaves on the channel labeled
 permutation, which is what the analysis module verifies at scale.
 
 This module is the one statement of the routing law. The two-stage
-fabric's router-side labels are these labels behind a router index,
-and its build guard raises through them.
+fabric's trace and its build guard label through this module: a trace
+takes the routed output from the input label and the originating input
+from the output label, and the guard raises through both.
 
 Everything here is a pure function over immutable values and safe for
 concurrent use.

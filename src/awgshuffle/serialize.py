@@ -306,6 +306,8 @@ def write_bytes(path: str, data: bytes | Iterable[bytes]) -> None:
     exception, one raised while producing a chunk included, removes the
     staged file and leaves ``path`` as it was. The file gets the mode a
     plain ``open(path, "wb")`` gives a new file, 0o666 less the umask.
+    An OSError from staging (a missing or unwritable directory) names
+    ``path``, not the staged file.
     """
     chunks = (data,) if isinstance(data, bytes) else data
     # The umask is read by setting it: the strictest mask meanwhile keeps
@@ -313,7 +315,10 @@ def write_bytes(path: str, data: bytes | Iterable[bytes]) -> None:
     umask = os.umask(0o777)
     os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, staged = tempfile.mkstemp(dir=directory, prefix=".awgshuffle-")
+    try:
+        fd, staged = tempfile.mkstemp(dir=directory, prefix=".awgshuffle-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)

@@ -20,11 +20,11 @@ building the fabric.
 
 Three-digit addresses use a different radix order at each stage:
 (g, m, n) on input fibers, (m, g, n) between the stages, (m, n, g) on
-router outputs. Addresses carry their radices, and the stage maps
-reject a value fed to the wrong stage. The router-side labels are the
-router's own labels (:func:`~awgshuffle.awg.label_input_channel` and
-:func:`~awgshuffle.awg.label_output_channel`) behind a router index, so
-the routing law is stated once, in the router model.
+router outputs, and addresses carry their radices. A trace takes the
+routed output from the router's own input label
+(:func:`~awgshuffle.awg.label_input_channel`) and the originating input
+from its output label (:func:`~awgshuffle.awg.label_output_channel`),
+so the routing law is stated once, in the router model.
 
 When g > n, not every wavelength may enter every fiber: each router
 input accepts exactly the n wavelengths whose cyclic route lands on a
@@ -62,12 +62,7 @@ __all__ = [
     "Topology",
     "build_network",
     "fiber_wavelengths",
-    "label_middle_channel",
-    "label_net_input_channel",
-    "label_net_output_channel",
     "network_permutation",
-    "stage1_map",
-    "stage2_map",
     "trace",
     "trace_channel",
 ]
@@ -235,15 +230,12 @@ class Topology:
 
     def cable_for(self, group: int, port: int) -> Cable:
         """The unique cable leaving ``port`` of ``group``."""
-        if not 0 <= group < self.params.g:
-            raise DomainError(f"group {group} out of range for {self.params.g} groups")
-        if not 0 <= port < self.params.m:
-            raise DomainError(f"port {port} out of range for {self.params.m} ports per group")
+        _check_fiber(self.params, group, port)
         return Cable(group, port, port, group)
 
     def fiber_wavelengths(self, group: int, port: int) -> tuple[int, ...]:
         """Wavelength set carried by the fiber at (group, port), ascending."""
-        self.cable_for(group, port)  # range checks
+        _check_fiber(self.params, group, port)
         return fiber_wavelengths(self.params, group)
 
 
@@ -258,80 +250,11 @@ def fiber_wavelengths(params: NetworkParams, group: int) -> tuple[int, ...]:
     return valid_input_wavelengths(params.awg_spec, group)
 
 
-def _check_router(params: NetworkParams, awg: int) -> None:
-    if not 0 <= awg < params.m:
-        raise DomainError(f"router index {awg} out of range for {params.m} routers")
-
-
-def label_middle_channel(
-    params: NetworkParams, awg: int, port: int, wavelength: int
-) -> ChannelAddress:
-    """Address of wavelength ``wavelength`` at input ``port`` of router ``awg``.
-
-    Digits are (router, port, routed output) under radices (m, g, n):
-    the router's input label behind the router index.
-    """
-    _check_router(params, awg)
-    label = label_input_channel(params.awg_spec, port, wavelength)
-    return ChannelAddress((awg, *label.digits), params.middle_radices)
-
-
-def label_net_output_channel(
-    params: NetworkParams, awg: int, port: int, wavelength: int
-) -> ChannelAddress:
-    """Address of wavelength ``wavelength`` at output ``port`` of router ``awg``.
-
-    Digits are (router, port, originating input) under radices (m, n, g):
-    the router's output label behind the router index.
-    """
-    _check_router(params, awg)
-    label = label_output_channel(params.awg_spec, port, wavelength)
-    return ChannelAddress((awg, *label.digits), params.output_radices)
-
-
-def label_net_input_channel(
-    params: NetworkParams, group: int, port: int, wavelength: int
-) -> ChannelAddress:
-    """Address of wavelength ``wavelength`` on port ``port`` of input group ``group``.
-
-    Derived physically: the fiber's cable leads to input ``group`` of
-    router ``port``, and the router's input label there gives the
-    routed output. Digits come out as (group, port, routed output)
-    under radices (g, m, n).
-    """
+def _check_fiber(params: NetworkParams, group: int, port: int) -> None:
     if not 0 <= group < params.g:
         raise DomainError(f"group {group} out of range for {params.g} groups")
     if not 0 <= port < params.m:
         raise DomainError(f"port {port} out of range for {params.m} ports per group")
-    try:
-        label = label_input_channel(params.awg_spec, group, wavelength)
-    except InvalidChannelError:
-        carried = ", ".join(str(w) for w in fiber_wavelengths(params, group))
-        raise InvalidChannelError(
-            f"wavelength {wavelength} is not carried on port {port} of group "
-            f"{group}; this fiber carries wavelengths {{{carried}}}"
-        ) from None
-    return ChannelAddress((group, port, label.digits[1]), params.input_radices)
-
-
-def stage1_map(params: NetworkParams, addr: ChannelAddress) -> ChannelAddress:
-    """Stage-1 wiring as a digit map: (a, b, c) -> (b, a, c)."""
-    if addr.radices != params.input_radices:
-        raise DomainError(
-            f"address radices {addr.radices} are not input radices {params.input_radices}"
-        )
-    d = addr.digits
-    return ChannelAddress((d[1], d[0], d[2]), params.middle_radices)
-
-
-def stage2_map(params: NetworkParams, addr: ChannelAddress) -> ChannelAddress:
-    """Stage-2 routing as a digit map: (a, b, c) -> (a, c, b)."""
-    if addr.radices != params.middle_radices:
-        raise DomainError(
-            f"address radices {addr.radices} are not middle radices {params.middle_radices}"
-        )
-    d = addr.digits
-    return ChannelAddress((d[0], d[2], d[1]), params.output_radices)
 
 
 def trace_channel(
@@ -341,17 +264,32 @@ def trace_channel(
 
     The channel is followed physically, in constant time and without
     building the fabric: its fiber's cable leads to router ``port`` at
-    input ``group``, the router law picks the output, and each stage is
-    labeled by its own labeling law. Raises DomainError for an
-    out-of-range locus and InvalidChannelError (naming the fiber's
-    carried set) for a wavelength the fiber cannot accept.
+    input ``group``, where the router's input label
+    (:func:`~awgshuffle.awg.label_input_channel`) gives the routed
+    output and its output label there
+    (:func:`~awgshuffle.awg.label_output_channel`) the originating
+    input; the wiring law lays out the three addresses. Raises
+    DomainError for an out-of-range locus and InvalidChannelError
+    (naming the fiber's carried set) for a wavelength the fiber cannot
+    accept.
     """
-    input_addr = label_net_input_channel(params, group, port, wavelength)
-    awg, awg_input = port, group  # the wiring law
-    middle_addr = label_middle_channel(params, awg, awg_input, wavelength)
-    q = awg_route(params.awg_spec, awg_input, wavelength)
-    output_addr = label_net_output_channel(params, awg, q, wavelength)
-    return RouteTrace(input_addr, middle_addr, output_addr, wavelength)
+    _check_fiber(params, group, port)
+    awg_spec = params.awg_spec
+    try:
+        q = label_input_channel(awg_spec, group, wavelength).digits[1]
+    except InvalidChannelError:
+        carried = ", ".join(str(w) for w in fiber_wavelengths(params, group))
+        raise InvalidChannelError(
+            f"wavelength {wavelength} is not carried on port {port} of group "
+            f"{group}; this fiber carries wavelengths {{{carried}}}"
+        ) from None
+    origin = label_output_channel(awg_spec, q, wavelength).digits[1]
+    return RouteTrace(
+        input_addr=ChannelAddress((group, port, q), params.input_radices),
+        middle_addr=ChannelAddress((port, group, q), params.middle_radices),
+        output_addr=ChannelAddress((port, q, origin), params.output_radices),
+        wavelength=wavelength,
+    )
 
 
 def build_network(

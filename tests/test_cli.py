@@ -70,6 +70,16 @@ class TestVerifyCommand:
             "g": 4, "m": 3, "n": 2, "channel_count": 24, "lambda_count": 4
         }
 
+    def test_unwritable_report_path_exits_two(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "report.json")
+        code, out, err = run(
+            capsys, "verify", "--g", "3", "--m", "2", "--n", "3", "--report", path
+        )
+        assert code == 2
+        assert out.endswith("result: PASS\n")
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
@@ -238,12 +248,10 @@ class TestSynthCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_path_exits_two(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "synth", "--g", "1", "--m", "1", "--n", "1",
-            "--out", str(tmp_path / "missing" / "x.json"),
-        )
+        path = str(tmp_path / "missing" / "x.json")
+        code, _, err = run(capsys, "synth", "--g", "1", "--m", "1", "--n", "1", "--out", path)
         assert code == 2
-        assert "error:" in err
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,9 +1,11 @@
 """Every name the package and its modules advertise in ``__all__`` exists,
-and every name a module imports is used there or re-exported."""
+every package export has a caller outside the unit tests, and every name
+a module imports is used there or re-exported."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import awgshuffle
@@ -57,3 +59,22 @@ def test_every_import_is_used_or_exported():
         if idle:
             unused[path.name] = sorted(idle)
     assert unused == {}
+
+
+def test_every_package_export_has_a_caller_outside_the_unit_tests():
+    # A caller is a use in a package module (not an import, a definition
+    # or an ``__all__`` entry), an import of the acceptance tests, or the
+    # name anywhere in the benchmark, which resolves some names as strings.
+    repo = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in Path(awgshuffle.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    acceptance = repo / "tests" / "test_acceptance.py"
+    used.update(imported_names(ast.parse(acceptance.read_text(encoding="utf-8"))))
+    for path in (repo / "perfbench").glob("*.py"):
+        used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    assert sorted(set(awgshuffle.__all__) - used) == []

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import awgshuffle.awg as awg_module
 import awgshuffle.topology as topology
 from awgshuffle import (
     AwgSpec,
@@ -18,14 +19,11 @@ from awgshuffle import (
     awg_wavelength,
     build_network,
     fiber_wavelengths,
-    label_middle_channel,
-    label_net_input_channel,
-    label_net_output_channel,
+    label_input_channel,
+    label_output_channel,
     mixed_radix_decode,
     network_permutation,
     shuffle_perm_decimal,
-    stage1_map,
-    stage2_map,
     trace,
     trace_channel,
 )
@@ -56,8 +54,8 @@ def reference_arrays(g, m, n):
                 q = awg_route(awg_spec, awg_input, w)
                 origin = (w - q) % lambdas
                 if q >= n or origin >= g:
-                    label_middle_channel(params, awg, awg_input, w)
-                    label_net_output_channel(params, awg, q, w)
+                    label_input_channel(awg_spec, awg_input, w)
+                    label_output_channel(awg_spec, q, w)
                 outputs.append((awg * n + q) * g + origin)
             wavelengths.extend(carried)
     return tuple(outputs), tuple(wavelengths)
@@ -133,89 +131,92 @@ class TestBuild:
 
 
 class TestChannelLabels:
+    """The three addresses :func:`trace_channel` lays out on W(3,2,3)
+    without a fabric, and the loci it rejects."""
+
     def test_middle_worked_example(self):
-        assert label_middle_channel(P323, 0, 1, 0) == addr((0, 1, 2), (2, 3, 3))
+        assert trace_channel(P323, 1, 0, 0).middle_addr == addr((0, 1, 2), (2, 3, 3))
 
     def test_middle_zero(self):
-        assert label_middle_channel(P323, 0, 0, 0) == addr((0, 0, 0), (2, 3, 3))
+        assert trace_channel(P323, 0, 0, 0).middle_addr == addr((0, 0, 0), (2, 3, 3))
 
     def test_middle_wraparound(self):
-        assert label_middle_channel(P323, 1, 2, 2) == addr((1, 2, 0), (2, 3, 3))
+        assert trace_channel(P323, 2, 1, 2).middle_addr == addr((1, 2, 0), (2, 3, 3))
 
     def test_output_examples(self):
-        assert label_net_output_channel(P323, 0, 2, 0) == addr((0, 2, 1), (2, 3, 3))
-        assert label_net_output_channel(P323, 0, 0, 0) == addr((0, 0, 0), (2, 3, 3))
-        assert label_net_output_channel(P323, 1, 1, 1) == addr((1, 1, 0), (2, 3, 3))
+        assert trace_channel(P323, 1, 0, 0).output_addr == addr((0, 2, 1), (2, 3, 3))
+        assert trace_channel(P323, 0, 0, 0).output_addr == addr((0, 0, 0), (2, 3, 3))
+        assert trace_channel(P323, 0, 1, 1).output_addr == addr((1, 1, 0), (2, 3, 3))
+        assert trace_channel(P323, 2, 1, 2).output_addr == addr((1, 0, 2), (2, 3, 3))
 
     def test_input_worked_example(self):
-        assert label_net_input_channel(P323, 1, 0, 0) == addr((1, 0, 2), (3, 2, 3))
+        assert trace_channel(P323, 1, 0, 0).input_addr == addr((1, 0, 2), (3, 2, 3))
 
     def test_input_zero(self):
-        assert label_net_input_channel(P323, 0, 0, 0) == addr((0, 0, 0), (3, 2, 3))
+        assert trace_channel(P323, 0, 0, 0).input_addr == addr((0, 0, 0), (3, 2, 3))
 
     def test_input_wraparound(self):
-        assert label_net_input_channel(P323, 2, 1, 2) == addr((2, 1, 0), (3, 2, 3))
+        assert trace_channel(P323, 2, 1, 2).input_addr == addr((2, 1, 0), (3, 2, 3))
 
     def test_input_rejects_uncarried_wavelength(self):
-        params = NetworkParams(4, 3, 2)
         with pytest.raises(InvalidChannelError) as err:
-            label_net_input_channel(params, 0, 1, 3)
-        # the error names the fiber's carried set {0, 1}
-        assert "{0, 1}" in str(err.value)
+            trace_channel(NetworkParams(4, 3, 2), 0, 1, 3)
+        assert str(err.value) == (
+            "wavelength 3 is not carried on port 1 of group 0; "
+            "this fiber carries wavelengths {0, 1}"
+        )
 
     def test_middle_rejects_dark_wavelength(self):
-        params = NetworkParams(4, 3, 2)
-        with pytest.raises(InvalidChannelError):
-            label_middle_channel(params, 0, 0, 2)
+        # wavelength 2 is in range for W(4,3,2) but routes to virtual output 2
+        with pytest.raises(InvalidChannelError) as err:
+            trace_channel(NetworkParams(4, 3, 2), 0, 0, 2)
+        assert str(err.value) == (
+            "wavelength 2 is not carried on port 0 of group 0; "
+            "this fiber carries wavelengths {0, 1}"
+        )
 
-    def test_output_rejects_unreachable_wavelength(self):
-        params = NetworkParams(2, 2, 4)
-        with pytest.raises(InvalidChannelError):
-            label_net_output_channel(params, 0, 0, 2)
+    def test_output_rejects_unreachable_wavelength(self, monkeypatch):
+        # a router law one output early sends wavelength 1 at input 1 to
+        # output 2, which only virtual input 2 of a 2-input router could feed;
+        # the trace must reject it, not pair that input with another output
+        monkeypatch.setattr(
+            awg_module, "awg_route", lambda spec, p, i: (i - p - 1) % spec.lambda_count
+        )
+        with pytest.raises(InvalidChannelError) as err:
+            trace_channel(NetworkParams(2, 2, 3), 1, 0, 1)
+        assert str(err.value) == (
+            "wavelength 1 at output 2 has no originating input: "
+            "it would need virtual input 2 of a 2-input device"
+        )
 
-    def test_labels_reject_out_of_range_indices(self):
-        with pytest.raises(DomainError):
-            label_middle_channel(P323, 2, 0, 0)
-        with pytest.raises(DomainError):
-            label_net_output_channel(P323, 0, 3, 0)
-        with pytest.raises(DomainError):
-            label_net_input_channel(P323, 3, 0, 0)
+    def test_labels_reject_out_of_range_indices(self, w323):
+        with pytest.raises(DomainError, match="^group 3 out of range for 3 groups$"):
+            trace_channel(P323, 3, 0, 0)
+        with pytest.raises(DomainError, match="^port 2 out of range for 2 ports per group$"):
+            trace_channel(P323, 0, 2, 0)
+        with pytest.raises(DomainError, match="^wavelength index 3 out of range for 3 "):
+            trace_channel(P323, 0, 0, 3)
+        # the fabric's fiber lookups share the trace's range checks
+        with pytest.raises(DomainError, match="^group -1 out of range for 3 groups$"):
+            w323.cable_for(-1, 0)
+        with pytest.raises(DomainError, match="^port 2 out of range for 2 ports per group$"):
+            w323.fiber_wavelengths(0, 2)
 
 
 class TestStageMaps:
-    def test_stage1_worked_example(self):
-        assert stage1_map(P323, addr((1, 0, 2), (3, 2, 3))) == addr((0, 1, 2), (2, 3, 3))
-
-    def test_stage1_zero(self):
-        assert stage1_map(P323, addr((0, 0, 0), (3, 2, 3))) == addr((0, 0, 0), (2, 3, 3))
-
-    def test_stage1_swap(self):
-        assert stage1_map(P323, addr((2, 1, 0), (3, 2, 3))) == addr((1, 2, 0), (2, 3, 3))
-
-    def test_stage2_worked_example(self):
-        assert stage2_map(P323, addr((0, 1, 2), (2, 3, 3))) == addr((0, 2, 1), (2, 3, 3))
-
-    def test_stage2_zero(self):
-        assert stage2_map(P323, addr((0, 0, 0), (2, 3, 3))) == addr((0, 0, 0), (2, 3, 3))
-
-    def test_stage2_swap_agrees_with_routing(self):
-        assert stage2_map(P323, addr((1, 2, 0), (2, 3, 3))) == addr((1, 0, 2), (2, 3, 3))
-        # inside router 1: wavelength (0 + 2) mod 3 = 2 at input 2 exits port 0
-        assert awg_route(P323.awg_spec, 2, 2) == 0
-
-    def test_radix_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            stage1_map(P323, addr((0, 1, 2), (2, 3, 3)))
-        with pytest.raises(DomainError):
-            stage2_map(P323, addr((0, 0, 0), (3, 2, 3)))
-
     def test_stage_maps_agree_with_physical_traces(self):
-        # the traced permutation must equal stage2 after stage1, pointwise
+        # wiring swaps digit positions 0 and 1, routing swaps 1 and 2, and
+        # the radices move with the digits
         for g, m, n in [(3, 2, 3), (4, 3, 2), (2, 4, 3), (5, 1, 2)]:
-            t = build_network(g, m, n)
-            for tr in t.channels:
-                assert stage1_map(t.params, tr.input_addr) == tr.middle_addr
-                assert stage2_map(t.params, tr.middle_addr) == tr.output_addr
+            params = NetworkParams(g, m, n)
+            for a in range(g):
+                for b in range(m):
+                    for w in fiber_wavelengths(params, a):
+                        tr = trace_channel(params, a, b, w)
+                        (x, y, z), (rx, ry, rz) = tr.input_addr.digits, tr.input_addr.radices
+                        assert tr.middle_addr == addr((y, x, z), (ry, rx, rz))
+                        (x, y, z), (rx, ry, rz) = tr.middle_addr.digits, tr.middle_addr.radices
+                        assert tr.output_addr == addr((x, z, y), (rx, rz, ry))
 
 
 class TestTrace:
@@ -284,10 +285,6 @@ class TestChannelView:
             a, b, _ = mixed_radix_decode(i, p.input_radices)
             w = t.wavelengths[i]
             assert tr == trace(t, a, b, w)
-            assert tr.input_addr == label_net_input_channel(p, a, b, w)
-            assert tr.middle_addr == label_middle_channel(p, b, a, w)
-            q = awg_route(p.awg_spec, a, w)
-            assert tr.output_addr == label_net_output_channel(p, b, q, w)
 
     def test_trace_needs_no_fabric(self, w323):
         assert trace_channel(P323, 1, 0, 0) == trace(w323, 1, 0, 0) == w323.channels[8]
