@@ -12,10 +12,14 @@ them to the file, and reading compares with them.
 
 Parsing takes (g, m, n) from the fixed tail of a canonical document,
 builds that fabric and compares the input with its chunks byte for
-byte; input equal to them, to the last byte, is accepted without being
-decoded. Any other input is decoded, its header validated, and the
-rebuilt arrays rendered through the same templates in compact layout
-and compared with the compact json.dumps of the parsed sections, so the
+byte, from the front and then from the back. Input has one of three
+outcomes. Input equal to the chunks, to the last byte, is accepted
+without being decoded. Input equal to them except for one run of
+entries of one list has only that run decoded, validated and compared,
+with the outcome the decoding path would reach. Any other input takes
+the decoding path: it is decoded, its header validated, and the rebuilt
+arrays rendered through the same templates in compact layout and
+compared with the compact json.dumps of the parsed sections, so the
 comparison is type-strict (``true`` or ``1.0`` never stand in for
 ``1``) while key order, whitespace and metadata may differ. A document
 that differs is validated in full first, so a structural problem
@@ -143,15 +147,21 @@ def _channel_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
                 i += 1
 
 
-def _list_chunks(skeleton: dict[str, Any], rows: Iterable[tuple[int, ...]]) -> Iterator[bytes]:
-    """A pretty list section of one or more entries, like json.dumps, _BLOCK entries a chunk."""
+def _list_chunks(
+    skeleton: dict[str, Any], rows: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, bytes]]:
+    """A pretty list section of one or more entries, like json.dumps, _BLOCK entries a chunk.
+
+    Each chunk comes with the index of its first entry; the closing
+    chunk has none, and comes with the entry count.
+    """
     template = _template(skeleton, _PRETTY)
     rows = iter(rows)
-    opening = "[\n"
+    opening, first = "[\n", 0
     while block := list(islice(rows, _BLOCK)):
-        yield (opening + ",\n".join([template % row for row in block])).encode()
-        opening = ",\n"
-    yield b"\n  ]"
+        yield first, (opening + ",\n".join([template % row for row in block])).encode()
+        opening, first = ",\n", first + len(block)
+    yield first, b"\n  ]"
 
 
 def _compact_list(skeleton: dict[str, Any], rows: Iterable[tuple[int, ...]]) -> str:
@@ -200,6 +210,24 @@ def _frame(params: NetworkParams) -> tuple[str, str, str]:
     return head, between, tail
 
 
+def _lists(topology: Topology) -> dict[str, tuple[dict[str, Any], Iterator[tuple[int, ...]]]]:
+    """Skeleton and slot rows of the cable and the channel list, in document order."""
+    return {
+        "cables": (_CABLE_SKELETON, _cable_rows(topology)),
+        "channels": (_channel_skeleton(topology.params), _channel_rows(topology)),
+    }
+
+
+def _labelled_chunks(topology: Topology) -> Iterator[tuple[str | None, int, bytes]]:
+    """Each chunk of _canonical_chunks with its list (None around the lists) and first entry."""
+    head, *after = _frame(topology.params)
+    yield None, 0, head.encode()
+    for (section, (skeleton, rows)), text in zip(_lists(topology).items(), after):
+        for first, chunk in _list_chunks(skeleton, rows):
+            yield section, first, chunk
+        yield None, 0, text.encode()
+
+
 def _canonical_chunks(topology: Topology) -> Iterator[bytes]:
     """The canonical JSON of ``topology``, in order, as ASCII chunks.
 
@@ -208,12 +236,8 @@ def _canonical_chunks(topology: Topology) -> Iterator[bytes]:
     head, the cable list, the text between the lists, the channel list
     and its tail. Each list comes in chunks of at most _BLOCK entries.
     """
-    head, between, tail = _frame(topology.params)
-    yield head.encode()
-    yield from _list_chunks(_CABLE_SKELETON, _cable_rows(topology))
-    yield between.encode()
-    yield from _list_chunks(_channel_skeleton(topology.params), _channel_rows(topology))
-    yield tail.encode()
+    for *_, chunk in _labelled_chunks(topology):
+        yield chunk
 
 
 def topology_document(topology: Topology) -> dict[str, Any]:
@@ -306,8 +330,8 @@ def write_bytes(path: str, data: bytes | Iterable[bytes]) -> None:
     exception, one raised while producing a chunk included, removes the
     staged file and leaves ``path`` as it was. The file gets the mode a
     plain ``open(path, "wb")`` gives a new file, 0o666 less the umask.
-    An OSError from staging (a missing or unwritable directory) names
-    ``path``, not the staged file.
+    An OSError from staging (a missing or unwritable directory) or from
+    the rename (``path`` a directory) names ``path``, not the staged file.
     """
     chunks = (data,) if isinstance(data, bytes) else data
     # The umask is read by setting it: the strictest mask meanwhile keeps
@@ -323,7 +347,10 @@ def write_bytes(path: str, data: bytes | Iterable[bytes]) -> None:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
         os.chmod(staged, 0o666 & ~umask)  # mkstemp creates it owner-only
-        os.replace(staged, path)
+        try:
+            os.replace(staged, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         try:
             os.unlink(staged)
@@ -381,20 +408,27 @@ def _validate_header(doc: Any) -> None:
         _require(bank, key, int, "$.awg_bank")
 
 
+def _validate_cable(cable: Any, path: str) -> None:
+    for key in ("from_group", "from_port", "to_awg", "to_input"):
+        _require(cable, key, int, path)
+
+
+def _validate_channel(channel: Any, path: str) -> None:
+    for key in ("input", "middle", "output"):
+        _validate_address(_require(channel, key, dict, path), f"{path}.{key}")
+    for key in ("input_locus", "middle_locus", "output_locus"):
+        _validate_locus(_require(channel, key, dict, path), f"{path}.{key}")
+    _require(channel, "wavelength", int, path)
+
+
+_VALIDATE_ENTRY = {"cables": _validate_cable, "channels": _validate_channel}
+
+
 def _validate_document(doc: Any) -> None:
     _validate_header(doc)
-    cables = _require(doc, "cables", list, "$")
-    for pos, cable in enumerate(cables):
-        for key in ("from_group", "from_port", "to_awg", "to_input"):
-            _require(cable, key, int, f"$.cables[{pos}]")
-    channels = _require(doc, "channels", list, "$")
-    for pos, channel in enumerate(channels):
-        path = f"$.channels[{pos}]"
-        for key in ("input", "middle", "output"):
-            _validate_address(_require(channel, key, dict, path), f"{path}.{key}")
-        for key in ("input_locus", "middle_locus", "output_locus"):
-            _validate_locus(_require(channel, key, dict, path), f"{path}.{key}")
-        _require(channel, "wavelength", int, path)
+    for section, validate in _VALIDATE_ENTRY.items():
+        for pos, entry in enumerate(_require(doc, section, list, "$")):
+            validate(entry, f"$.{section}[{pos}]")
     _require(doc, "metadata", dict, "$")
 
 
@@ -419,12 +453,21 @@ def _compact(value: Any) -> str:
     return json.dumps(value, **_COMPACT)
 
 
-def _first_difference(got: str, want: str) -> int:
-    """Offset of the first character where two unequal strings differ."""
-    start, step = 0, 4096
-    while got[start:start + step] == want[start:start + step]:
-        start += step
-    return next(i for i in range(start, start + step) if got[i:i + 1] != want[i:i + 1])
+def _common_prefix(a: bytes | str, b: bytes | str) -> int:
+    """Length of the longest common prefix of two strings, or of two bytes values."""
+    start, size = 0, min(len(a), len(b))
+    for step in (4096, 64, 1):
+        while start < size and a[start:start + step] == b[start:start + step]:
+            start += step
+    return min(start, size)
+
+
+def _entry_counts(p: NetworkParams) -> dict[str, int]:
+    return {"cables": p.g * p.m, "channels": p.channel_count}
+
+
+_COUNT_MISMATCH = "$.{} has {} entries, expected {}"
+_ENTRY_MISMATCH = "$.{}[{}] is inconsistent with the fabric derived from its own parameters"
 
 
 def _raise_first_disagreement(
@@ -442,19 +485,15 @@ def _raise_first_disagreement(
                 f"$.{section} is inconsistent with (g,m,n)="
                 f"({params['g']},{params['m']},{params['n']})"
             )
-    sizes = {"cables": len(topology.cables), "channels": topology.params.channel_count}
-    for section, expected in sizes.items():
+    for section, expected in _entry_counts(topology.params).items():
         count = len(doc[section])
         if count != expected:
-            raise IntegrityError(f"$.{section} has {count} entries, expected {expected}")
+            raise IntegrityError(_COUNT_MISMATCH.format(section, count, expected))
         if got[section] != want[section]:
-            offset = _first_difference(got[section], want[section])
+            offset = _common_prefix(got[section], want[section])
             # entries are objects, and "},{" occurs only between two of them
             pos = want[section].count("},{", 0, offset)
-            raise IntegrityError(
-                f"$.{section}[{pos}] is inconsistent with the fabric "
-                f"derived from its own parameters"
-            )
+            raise IntegrityError(_ENTRY_MISMATCH.format(section, pos))
 
 
 # The canonical tail: sorted keys put params and schema_version last.
@@ -466,12 +505,89 @@ _CANONICAL_TAIL = re.compile(
 _TAIL_SPAN = 256  # bytes of input searched for the canonical tail
 
 
+# In a list chunk an entry's own braces, and nothing else, start a line
+# at the second indent level (see _template).
+_ENTRY_START = b"\n    {"
+_ENTRY_END = b"\n    }"
+_RUN_BRACKETS = 256  # a run decoded alone nests far below any recursion limit
+
+
+def _settle_run(
+    data: bytes, start: int, held: list[tuple[str | None, int, bytes]], topology: Topology
+) -> bool:
+    """Settle ``data`` without the decoding path if it differs from its document in one run.
+
+    ``held`` is the canonical rendering, as _labelled_chunks yields it,
+    from the first chunk that ``data`` does not match, which starts at
+    byte ``start`` of both. If every byte outside entries j..l of one
+    list is canonical, and the input's text R in their place is ASCII
+    and decodes as ``[R]`` to one or more entries, then JSON's list
+    grammar makes R decode in place of j..l too, and only those entries
+    are validated and compared. The outcome is the decoding path's: True
+    to accept, or its ParseError or IntegrityError. Otherwise the result
+    is False, for that path.
+    """
+    section, first, chunk = held[0]
+    prefix = start + _common_prefix(chunk, data[start:start + len(chunk)])
+    # the run starts at the last entry start at or before the first difference
+    opening = chunk.rfind(_ENTRY_START, 0, prefix - start + len(_ENTRY_START) - 1)
+    if section is None or (opening < 0 and first == 0):
+        return False
+    if opening < 0:  # at the list's entry before this chunk, whose text data shares
+        j, run_start = first - 1, data.rfind(_ENTRY_START, 0, start) + 1
+    else:
+        j, run_start = first + chunk.count(_ENTRY_START, 0, opening), start + opening + 1
+    end = start + sum(len(c) for *_, c in held)
+    shift = len(data) - end  # from the back, the input is the canonical text shifted by this
+    for last_section, last_first, chunk in reversed(held):
+        begin = end - len(chunk)
+        if min(begin, begin + shift) < prefix or not data.endswith(chunk, 0, end + shift):
+            suffix = _common_prefix(chunk[::-1], data[max(begin + shift, 0):end + shift][::-1])
+            end -= min(suffix, end - prefix, end + shift - prefix)
+            break
+        end = begin
+    # the difference ends at ``end``, and the run at the first entry end at or after it
+    if last_section != section:
+        return False
+    if end == begin and last_first > 0:  # all held chunks match: text inserted at ``start``
+        l, run_end = last_first - 1, begin
+    else:
+        closing = chunk.find(_ENTRY_END, max(end - begin - len(_ENTRY_END), 0))
+        if closing < 0:
+            return False
+        l = last_first + chunk.count(_ENTRY_END, 0, closing)
+        run_end = begin + closing + len(_ENTRY_END)
+    run = data[run_start:run_end + shift]
+    if run.count(b"[") + run.count(b"{") > _RUN_BRACKETS:
+        return False
+    try:
+        entries = json.loads("[" + run.decode("ascii") + "]")
+    except (ValueError, RecursionError):  # non-ASCII and over-long integers are ValueErrors too
+        return False
+    if not entries:
+        return False
+    for k, entry in enumerate(entries):
+        _VALIDATE_ENTRY[section](entry, f"$.{section}[{j + k}]")
+    expected = _entry_counts(topology.params)[section]
+    count = expected - (l + 1 - j) + len(entries)
+    if count != expected:
+        raise IntegrityError(_COUNT_MISMATCH.format(section, count, expected))
+    skeleton, rows = _lists(topology)[section]
+    template = _template(skeleton, _COMPACT)
+    for k, row in enumerate(islice(rows, j, l + 1)):
+        if _compact(entries[k]) != template % row:
+            raise IntegrityError(_ENTRY_MISMATCH.format(section, j + k))
+    return True
+
+
 def _canonical_match(data: bytes | str, max_channels: int) -> tuple[Topology | None, bool]:
-    """The fabric a canonical tail of ``data`` names, and whether ``data`` is its document.
+    """The fabric a canonical tail of ``data`` names, and whether ``data`` is accepted.
 
     The fabric is None when ``data`` has no canonical tail or its shape
     does not build. ``data`` is compared with the fabric's canonical
-    chunks in order, stopping at the first that differs.
+    chunks in order. It is accepted when it equals them, to the last
+    byte; from the first chunk that differs on, _settle_run accepts it,
+    raises, or leaves it to the decoding path.
     """
     if isinstance(data, str):
         if not data.isascii():
@@ -485,10 +601,11 @@ def _canonical_match(data: bytes | str, max_channels: int) -> tuple[Topology | N
     except ShuffleNetError:
         return None, False
     offset = 0
-    for chunk in _canonical_chunks(topology):
-        if not data.startswith(chunk, offset):
-            return topology, False
-        offset += len(chunk)
+    pieces = _labelled_chunks(topology)
+    for piece in pieces:
+        if not data.startswith(piece[2], offset):
+            return topology, _settle_run(data, offset, [piece, *pieces], topology)
+        offset += len(piece[2])
     return topology, offset == len(data)
 
 
@@ -507,11 +624,15 @@ def parse_topology(
     disagree with its own parameters raises IntegrityError naming the
     first differing section or entry.
 
-    A canonical document is accepted by byte comparison: (g, m, n) come
-    from its fixed tail, and the input must equal that fabric's
-    canonical chunks exactly, to its last byte, so it is never decoded.
-    Any other input, canonical tail or not, is decoded and checked
-    section by section, reusing the fabric already built.
+    Input with a canonical tail is compared with the canonical chunks of
+    the fabric that tail names, and ends in one of three ways. A
+    canonical document, equal to the chunks to its last byte, is
+    accepted without being decoded. A document equal to them except for
+    one run of cable or channel entries, such as a tampered field, has
+    only that run decoded, validated and compared, and ends as the
+    decoding path would. Any other input, canonical tail or not, is
+    decoded and checked section by section, reusing any fabric already
+    built.
     """
     budget = _document_budget(max_channels)
     if len(data) > budget:
@@ -552,8 +673,7 @@ def parse_topology(
     want = {
         "params": _compact(_params_json(p)),
         "awg_bank": _compact(_awg_bank_json(p.m, topology.awg_spec)),
-        "cables": _compact_list(_CABLE_SKELETON, _cable_rows(topology)),
-        "channels": _compact_list(_channel_skeleton(p), _channel_rows(topology)),
+        **{section: _compact_list(*pair) for section, pair in _lists(topology).items()},
     }
     got = {section: _compact(doc.get(section)) for section in want}
     if got != want:

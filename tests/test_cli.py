@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -79,6 +80,17 @@ class TestVerifyCommand:
         assert out.endswith("result: PASS\n")
         assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_report_path_that_is_a_directory_exits_two(self, capsys, tmp_path):
+        path = str(tmp_path / "sub")
+        os.mkdir(path)
+        code, out, err = run(
+            capsys, "verify", "--g", "3", "--m", "2", "--n", "3", "--report", path
+        )
+        assert code == 2
+        assert out.endswith("result: PASS\n")
+        assert err == f"error: [Errno 21] Is a directory: '{path}'\n"
+        assert os.listdir(tmp_path) == ["sub"] and os.listdir(path) == []
 
 
 class TestUsageErrors:
@@ -253,6 +265,14 @@ class TestSynthCommand:
         assert code == 2
         assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_path_that_is_a_directory_exits_two(self, capsys, tmp_path):
+        path = str(tmp_path / "sub")
+        os.mkdir(path)
+        code, _, err = run(capsys, "synth", "--g", "1", "--m", "1", "--n", "1", "--out", path)
+        assert code == 2
+        assert err == f"error: [Errno 21] Is a directory: '{path}'\n"
+        assert os.listdir(tmp_path) == ["sub"] and os.listdir(path) == []
 
 
 class TestDeterminism:

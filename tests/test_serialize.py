@@ -167,6 +167,15 @@ class TestParseErrors:
             parse_topology(json.dumps(doc))
 
 
+def _reordered(value):
+    """``value`` with the keys of every object in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reordered(value[k]) for k in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reordered(item) for item in value]
+    return value
+
+
 class TestIntegrity:
     def test_duplicated_output_address(self, w323):
         doc = topology_document(w323)
@@ -200,14 +209,7 @@ class TestIntegrity:
             parse_topology(json.dumps(doc))
 
     def test_non_canonical_equal_document_is_accepted(self, w323):
-        def reordered(value):
-            if isinstance(value, dict):
-                return {k: reordered(value[k]) for k in reversed(list(value))}
-            if isinstance(value, list):
-                return [reordered(item) for item in value]
-            return value
-
-        doc = reordered(topology_document(w323))
+        doc = _reordered(topology_document(w323))
         doc["metadata"]["generator"] = "another writer 0.1"
         data = json.dumps(doc)
         assert data.encode() != serialize_topology(w323, "json")
@@ -334,6 +336,145 @@ class TestCanonicalFastPath:
         got = _outcome(edited)
         assert got[0] is IntegrityError
         assert got == _full_path_outcome(edited)
+
+
+def _entry_spans(doc, section):
+    """Byte spans of the entries of one list of a canonical document."""
+    start = doc.index(b'"%s": [' % section.encode())
+    end = doc.index(b"\n  ]", start)
+    return [(start + m.start(1), start + m.end(1))
+            for m in re.finditer(rb"\n(    \{.*?\n    \})", doc[start:end], re.S)]
+
+
+def _edit(doc, span, pattern, replace):
+    """``doc`` with the first match of ``pattern`` inside ``span`` replaced."""
+    start, end = span
+    entry = re.sub(pattern, replace, doc[start:end], count=1)
+    assert entry != doc[start:end]
+    return doc[:start] + entry + doc[end:]
+
+
+def _off_by_one(doc, span, key=b"port"):
+    return _edit(doc, span, rb'"%s": (\d+)' % key,
+                 lambda m: b'"%s": %d' % (key, int(m.group(1)) + 1))
+
+
+def _reformatted(doc, span):
+    """An entry with reversed key order and another indent: the same JSON value."""
+    start, end = span
+    text = json.dumps(_reordered(json.loads(doc[start:end])), indent=1).encode()
+    return doc[:start] + text + doc[end:]
+
+
+class TestLocalizedEdits:
+    """Edits of canonical documents end as on the decoding path, most of them without it.
+
+    Each case names what it must end as, and whether it settles without
+    decoding the document (None: either way).
+    """
+
+    # g > n, m = 1, g = 1 and n = 1 after the three shapes of TestCanonicalFastPath
+    SHAPES = [(3, 2, 3), (11, 3, 12), (5, 5, 41), (7, 3, 2), (4, 1, 5), (1, 5, 4), (5, 3, 1)]
+
+    @staticmethod
+    def cases(t, doc):
+        channels, cables = _entry_spans(doc, "channels"), _entry_spans(doc, "cables")
+        n = len(channels)
+        assert n == t.params.channel_count and len(cables) == t.params.g * t.params.m
+        last, mid = n - 1, min(n // 2, _BLOCK)
+        for k in sorted({0, mid, last}):
+            at = f"$.channels[{k}]"
+            yield _off_by_one(doc, channels[k]), IntegrityError, at, True
+            yield _reformatted(doc, channels[k]), t, None, True
+            yield _edit(doc, channels[k], rb'"decimal": \d+', b'"decimal": true'), \
+                ParseError, at + ".input.decimal", True
+            yield _edit(doc, channels[k], rb'"decimal": (\d+)', rb'"decimal": \1.0'), \
+                ParseError, at + ".input.decimal", True
+            s, e = channels[k]
+            duplicated = doc[:e] + b",\n" + doc[s:e] + doc[e:]
+            yield duplicated, IntegrityError, f"{n + 1} entries, expected {n}", True
+            # a run of whitespace or of nothing is no entry: invalid JSON
+            yield doc[:s] + b" " * (e - s) + doc[e:], ParseError, "invalid JSON", False
+            yield doc[:s] + doc[e:], ParseError, "invalid JSON", False
+            yield _edit(doc, channels[k], rb'"text": "', '"text": "\u00e9'.encode()), \
+                IntegrityError, at, False
+            yield _edit(doc, channels[k], rb'"text": "', b'"text": "\xff'), \
+                ParseError, "invalid UTF-8", False
+        for k in sorted({0, len(cables) - 1}):
+            yield _off_by_one(doc, cables[k], b"to_input"), IntegrityError, f"$.cables[{k}]", True
+        s, e = channels[1]
+        yield doc[:s - 2] + doc[e:], IntegrityError, f"{n - 1} entries, expected {n}", True
+        # two distant entries: one run when few entries lie between them
+        two = _off_by_one(_off_by_one(doc, channels[last]), channels[0])
+        yield two, IntegrityError, "$.channels[0]", None
+        two = _off_by_one(_reformatted(doc, channels[last]), channels[0])
+        yield two, IntegrityError, "$.channels[0]", None
+        two = _off_by_one(_reformatted(doc, channels[0]), channels[last])
+        yield two, IntegrityError, f"$.channels[{last}]", None
+        # two adjacent entries, one on each side of a block boundary when n > _BLOCK
+        k = min(last, _BLOCK)
+        two = _off_by_one(_off_by_one(doc, channels[k]), channels[k - 1])
+        yield two, IntegrityError, f"$.channels[{k - 1}]", True
+        e = channels[0][1]
+        split = doc[:e] + b'\n  ],\n  "x": [\n' + doc[e + 2:]
+        yield split, IntegrityError, f"1 entries, expected {n}", False
+        # edits reaching into the end of the list or into the tail
+        e = channels[last][1]
+        closed = doc[:e] + b"\n ]" + doc[e + 4:]
+        yield _off_by_one(closed, channels[last]), IntegrityError, f"$.channels[{last}]", False
+        yield closed, t, None, False
+        tail = doc.replace(b'"generator": "awgshuffle ', b'"generator": "another ')
+        yield _off_by_one(tail, channels[mid]), IntegrityError, f"$.channels[{mid}]", False
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_each_edit_ends_as_on_the_decoding_path(self, shape, monkeypatch):
+        settled = []
+
+        def settle_run(*args):
+            settled.append(True)
+            if not real(*args):
+                settled[-1] = False
+                return False
+            return True
+
+        real = serialize._settle_run
+        monkeypatch.setattr(serialize, "_settle_run", settle_run)
+        t = build_network(*shape)
+        doc = serialize_topology(t, "json")
+        for edited, want, words, localized in self.cases(t, doc):
+            del settled[:]
+            got = _outcome(edited)
+            if isinstance(want, type):
+                assert got[0] is want and words in got[1]
+            else:
+                assert got == want
+            assert got == _full_path_outcome(edited)
+            assert localized is None or settled == [localized]
+
+    def test_str_input(self, w323):
+        text = serialize_topology(w323, "json").decode()
+        edited = _off_by_one(text.encode(), _entry_spans(text.encode(), "channels")[7]).decode()
+        got = _outcome(edited)
+        assert got[0] is IntegrityError and "$.channels[7] is" in got[1]
+        assert got == _full_path_outcome(edited)
+
+    def test_one_field_tamper_decodes_no_more_than_one_entry(self, monkeypatch):
+        t = build_network(5, 5, 41)
+        doc = serialize_topology(t, "json")
+        channels = _entry_spans(doc, "channels")
+        decoded = []
+
+        def loads(text, *args, **kwargs):
+            decoded.append(len(text))
+            return real(text, *args, **kwargs)
+
+        real = json.loads
+        monkeypatch.setattr(serialize.json, "loads", loads)
+        for k in (0, 700, _BLOCK, len(channels) - 1):
+            with pytest.raises(IntegrityError, match=rf"\$\.channels\[{k}\] is"):
+                parse_topology(_off_by_one(doc, channels[k], b"wavelength"))
+        # "[" and "]" around the entry's own text
+        assert decoded and max(decoded) <= max(e - s for s, e in channels) + 2
 
 
 class TestDot:
