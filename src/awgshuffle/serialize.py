@@ -25,6 +25,13 @@ comparison is type-strict (``true`` or ``1.0`` never stand in for
 that differs is validated in full first, so a structural problem
 anywhere is a ParseError; only then is the first disagreeing section or
 entry an IntegrityError.
+
+The skeletons the renderer fills also state the schema that validation
+checks: it walks them in their own key order, which fixes which of
+several structural problems is named first. One entry check serves
+both parse paths: it counts a list's entries and compares their compact
+JSON with the fabric's compact rows, for a whole list on the decoding
+path and for the run in place on the other.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import os
 import re
 import tempfile
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from typing import Any, Iterable, Iterator
 
 from ._version import __version__
@@ -97,13 +104,14 @@ def _address_skeleton(radices: tuple[int, ...]) -> dict[str, Any]:
 
 
 def _channel_skeleton(p: NetworkParams) -> dict[str, Any]:
-    # sorted keys fix the slot order that _channel_rows fills
+    # rendering sorts the keys, which fixes the slot order _channel_rows
+    # fills; the order here is the one validation checks them in
     return {
         "input": _address_skeleton(p.input_radices),
-        "input_locus": _LOCUS_SKELETON,
         "middle": _address_skeleton(p.middle_radices),
-        "middle_locus": _LOCUS_SKELETON,
         "output": _address_skeleton(p.output_radices),
+        "input_locus": _LOCUS_SKELETON,
+        "middle_locus": _LOCUS_SKELETON,
         "output_locus": _LOCUS_SKELETON,
         "wavelength": _SLOT,
     }
@@ -117,34 +125,33 @@ def _template(skeleton: dict[str, Any], layout: dict[str, Any]) -> str:
     return text.replace(f'"{_SLOT}"', _SLOT)
 
 
-def _cable_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
-    for c in topology.cables:
+def _cable_rows(topology: Topology, first: int) -> Iterator[tuple[int, ...]]:
+    for c in topology.cables[first:]:
         yield c.from_group, c.from_port, c.to_awg, c.to_input
 
 
-def _channel_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
-    """Slot values of every channel entry, derived from the integer tuples."""
+def _channel_rows(topology: Topology, first: int) -> Iterator[tuple[int, ...]]:
+    """Slot values of the channel entries from ``first`` on, derived from the integer tuples."""
     p = topology.params
     g, m, n = p.g, p.m, p.n
     outputs, wavelengths = topology.outputs, topology.wavelengths
-    i = 0
-    for a in range(g):
-        for b in range(m):
-            middle = (b * g + a) * n
-            for c in range(n):
-                out, w = outputs[i], wavelengths[i]
-                router_output, origin = divmod(out, g)
-                router, q = divmod(router_output, n)
-                yield (
-                    i, a, b, c, a, b, c,  # input: decimal, digits, text
-                    a, b, w,  # input_locus
-                    middle + c, b, a, c, b, a, c,  # middle
-                    b, a, w,  # middle_locus
-                    out, router, q, origin, router, q, origin,  # output
-                    router, q, w,  # output_locus
-                    w,
-                )
-                i += 1
+    i = first
+    for a, b in islice(product(range(g), range(m)), first // n, None):
+        middle = (b * g + a) * n
+        for c in range(i % n, n):  # i % n is 0 after the first (group, port)
+            out, w = outputs[i], wavelengths[i]
+            router_output, origin = divmod(out, g)
+            router, q = divmod(router_output, n)
+            yield (
+                i, a, b, c, a, b, c,  # input: decimal, digits, text
+                a, b, w,  # input_locus
+                middle + c, b, a, c, b, a, c,  # middle
+                b, a, w,  # middle_locus
+                out, router, q, origin, router, q, origin,  # output
+                router, q, w,  # output_locus
+                w,
+            )
+            i += 1
 
 
 def _list_chunks(
@@ -162,12 +169,6 @@ def _list_chunks(
         yield first, (opening + ",\n".join([template % row for row in block])).encode()
         opening, first = ",\n", first + len(block)
     yield first, b"\n  ]"
-
-
-def _compact_list(skeleton: dict[str, Any], rows: Iterable[tuple[int, ...]]) -> str:
-    """A list section in the compact layout of json.dumps."""
-    template = _template(skeleton, _COMPACT)
-    return "[" + ",".join([template % row for row in rows]) + "]"
 
 
 def _params_json(p: NetworkParams) -> dict[str, int]:
@@ -210,11 +211,13 @@ def _frame(params: NetworkParams) -> tuple[str, str, str]:
     return head, between, tail
 
 
-def _lists(topology: Topology) -> dict[str, tuple[dict[str, Any], Iterator[tuple[int, ...]]]]:
-    """Skeleton and slot rows of the cable and the channel list, in document order."""
+def _lists(
+    topology: Topology, first: int = 0
+) -> dict[str, tuple[dict[str, Any], Iterator[tuple[int, ...]]]]:
+    """Skeleton and slot rows, from entry ``first`` on, of the cable and the channel list."""
     return {
-        "cables": (_CABLE_SKELETON, _cable_rows(topology)),
-        "channels": (_channel_skeleton(topology.params), _channel_rows(topology)),
+        "cables": (_CABLE_SKELETON, _cable_rows(topology, first)),
+        "channels": (_channel_skeleton(topology.params), _channel_rows(topology, first)),
     }
 
 
@@ -372,63 +375,46 @@ def _require(obj: Any, key: str, kind: type, path: str) -> Any:
     return value
 
 
-def _require_int_list(obj: Any, key: str, path: str) -> list[int]:
-    values = _require(obj, key, list, path)
-    for pos, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"{path}.{key}[{pos}] must be an integer")
-    return values
+def _validate(obj: Any, skeleton: dict[str, Any], path: str) -> None:
+    """Raise ParseError unless ``obj`` holds every key of ``skeleton`` with a value of its kind.
+
+    Keys are checked in the skeleton's order. A slot or an integer
+    stands for an integer, any other string for a string, a list for a
+    list of integers, and an object for an object walked in turn.
+    """
+    for key, shape in skeleton.items():
+        kind = int if shape is _SLOT else type(shape)
+        value = obj.get(key) if type(obj) is dict else None
+        if type(value) is not kind:
+            _require(obj, key, kind, path)  # words the error
+        if kind is dict:
+            _validate(value, shape, f"{path}.{key}")
+        elif kind is list:
+            for pos, item in enumerate(value):
+                if type(item) is not int:
+                    raise ParseError(f"{path}.{key}[{pos}] must be an integer")
 
 
-def _validate_address(obj: Any, path: str) -> None:
-    _require(obj, "decimal", int, path)
-    _require_int_list(obj, "digits", path)
-    _require_int_list(obj, "radices", path)
-    _require(obj, "text", str, path)
-
-
-def _validate_locus(obj: Any, path: str) -> None:
-    for key in ("device", "port", "wavelength"):
-        _require(obj, key, int, path)
+# Validation reads only the kinds in a skeleton, which every fabric shares.
+_UNIT = NetworkParams(1, 1, 1)
+_HEADER_SKELETON = {"params": _params_json(_UNIT), "awg_bank": _awg_bank_json(1, _UNIT.awg_spec)}
+_ENTRY_SKELETONS = {"cables": _CABLE_SKELETON, "channels": _channel_skeleton(_UNIT)}
 
 
 def _validate_header(doc: Any) -> None:
-    if not isinstance(doc, dict):
-        raise ParseError("$ must be an object")
     version = _require(doc, "schema_version", str, "$")
     if version != SCHEMA_VERSION:
         raise ParseError(
             f"$.schema_version is {version!r}, this reader supports {SCHEMA_VERSION!r}"
         )
-    params = _require(doc, "params", dict, "$")
-    for key in ("g", "m", "n", "channel_count", "lambda_count"):
-        _require(params, key, int, "$.params")
-    bank = _require(doc, "awg_bank", dict, "$")
-    for key in ("count", "inputs", "outputs", "lambda_count"):
-        _require(bank, key, int, "$.awg_bank")
-
-
-def _validate_cable(cable: Any, path: str) -> None:
-    for key in ("from_group", "from_port", "to_awg", "to_input"):
-        _require(cable, key, int, path)
-
-
-def _validate_channel(channel: Any, path: str) -> None:
-    for key in ("input", "middle", "output"):
-        _validate_address(_require(channel, key, dict, path), f"{path}.{key}")
-    for key in ("input_locus", "middle_locus", "output_locus"):
-        _validate_locus(_require(channel, key, dict, path), f"{path}.{key}")
-    _require(channel, "wavelength", int, path)
-
-
-_VALIDATE_ENTRY = {"cables": _validate_cable, "channels": _validate_channel}
+    _validate(doc, _HEADER_SKELETON, "$")
 
 
 def _validate_document(doc: Any) -> None:
     _validate_header(doc)
-    for section, validate in _VALIDATE_ENTRY.items():
+    for section, skeleton in _ENTRY_SKELETONS.items():
         for pos, entry in enumerate(_require(doc, section, list, "$")):
-            validate(entry, f"$.{section}[{pos}]")
+            _validate(entry, skeleton, f"$.{section}[{pos}]")
     _require(doc, "metadata", dict, "$")
 
 
@@ -462,38 +448,32 @@ def _common_prefix(a: bytes | str, b: bytes | str) -> int:
     return min(start, size)
 
 
-def _entry_counts(p: NetworkParams) -> dict[str, int]:
-    return {"cables": p.g * p.m, "channels": p.channel_count}
-
-
-_COUNT_MISMATCH = "$.{} has {} entries, expected {}"
-_ENTRY_MISMATCH = "$.{}[{}] is inconsistent with the fabric derived from its own parameters"
-
-
-def _raise_first_disagreement(
-    doc: dict[str, Any], got: dict[str, str], want: dict[str, str], topology: Topology
+def _check_entries(
+    topology: Topology, section: str, entries: list[Any], first: int = 0, end: int | None = None
 ) -> None:
-    """Raise IntegrityError for the first section or entry of a valid ``doc`` that differs.
+    """Raise IntegrityError unless ``entries`` in place of first..end-1 make ``topology``'s list.
 
-    ``got`` and ``want`` hold each section of the document and of
-    ``topology`` in compact layout.
+    ``end`` defaults to the list's end. The error names the list when
+    its entry count would be wrong, else the first entry that differs in
+    compact layout, which is meaningful for valid entries only.
     """
-    params = doc["params"]
-    for section in ("params", "awg_bank"):
-        if got[section] != want[section]:
-            raise IntegrityError(
-                f"$.{section} is inconsistent with (g,m,n)="
-                f"({params['g']},{params['m']},{params['n']})"
-            )
-    for section, expected in _entry_counts(topology.params).items():
-        count = len(doc[section])
-        if count != expected:
-            raise IntegrityError(_COUNT_MISMATCH.format(section, count, expected))
-        if got[section] != want[section]:
-            offset = _common_prefix(got[section], want[section])
-            # entries are objects, and "},{" occurs only between two of them
-            pos = want[section].count("},{", 0, offset)
-            raise IntegrityError(_ENTRY_MISMATCH.format(section, pos))
+    p = topology.params
+    expected = {"cables": p.g * p.m, "channels": p.channel_count}[section]
+    end = expected if end is None else end
+    skeleton, rows = _lists(topology, first)[section]
+    template = _template(skeleton, _COMPACT)
+    got = _compact(entries)
+    want = "[" + ",".join([template % row for row in islice(rows, end - first)]) + "]"
+    if got == want:
+        return
+    count = expected - (end - first) + len(entries)
+    if count != expected:
+        raise IntegrityError(f"$.{section} has {count} entries, expected {expected}")
+    # entries are objects, and "},{" occurs only between two of them
+    pos = first + want.count("},{", 0, _common_prefix(got, want))
+    raise IntegrityError(
+        f"$.{section}[{pos}] is inconsistent with the fabric derived from its own parameters"
+    )
 
 
 # The canonical tail: sorted keys put params and schema_version last.
@@ -566,17 +546,9 @@ def _settle_run(
         return False
     if not entries:
         return False
-    for k, entry in enumerate(entries):
-        _VALIDATE_ENTRY[section](entry, f"$.{section}[{j + k}]")
-    expected = _entry_counts(topology.params)[section]
-    count = expected - (l + 1 - j) + len(entries)
-    if count != expected:
-        raise IntegrityError(_COUNT_MISMATCH.format(section, count, expected))
-    skeleton, rows = _lists(topology)[section]
-    template = _template(skeleton, _COMPACT)
-    for k, row in enumerate(islice(rows, j, l + 1)):
-        if _compact(entries[k]) != template % row:
-            raise IntegrityError(_ENTRY_MISMATCH.format(section, j + k))
+    for pos, entry in enumerate(entries, j):
+        _validate(entry, _ENTRY_SKELETONS[section], f"$.{section}[{pos}]")
+    _check_entries(topology, section, entries, j, l + 1)
     return True
 
 
@@ -652,7 +624,7 @@ def parse_topology(
         raise ParseError("empty input")
     try:
         doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid JSON: {exc}") from None
     del data  # the decoded text is not needed again
     _validate_header(doc)
@@ -670,14 +642,18 @@ def parse_topology(
             raise
 
     p = topology.params
-    want = {
-        "params": _compact(_params_json(p)),
-        "awg_bank": _compact(_awg_bank_json(p.m, topology.awg_spec)),
-        **{section: _compact_list(*pair) for section, pair in _lists(topology).items()},
-    }
-    got = {section: _compact(doc.get(section)) for section in want}
-    if got != want:
+    header = {"params": _params_json(p), "awg_bank": _awg_bank_json(p.m, topology.awg_spec)}
+    try:
+        for section, want in header.items():
+            if _compact(doc[section]) != _compact(want):
+                raise IntegrityError(
+                    f"$.{section} is inconsistent with (g,m,n)=({p.g},{p.m},{p.n})"
+                )
+        for section in _ENTRY_SKELETONS:
+            # what validation would name first, with the header and any earlier list equal
+            _check_entries(topology, section, _require(doc, section, list, "$"))
+    except IntegrityError:
         _validate_document(doc)  # a structural problem anywhere outranks a disagreement
-        _raise_first_disagreement(doc, got, want, topology)
+        raise
     _require(doc, "metadata", dict, "$")
     return topology

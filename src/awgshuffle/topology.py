@@ -228,11 +228,6 @@ class Topology:
     def channel_perm(self) -> dict[ChannelAddress, ChannelAddress]:
         return {tr.input_addr: tr.output_addr for tr in self.channels}
 
-    def cable_for(self, group: int, port: int) -> Cable:
-        """The unique cable leaving ``port`` of ``group``."""
-        _check_fiber(self.params, group, port)
-        return Cable(group, port, port, group)
-
     def fiber_wavelengths(self, group: int, port: int) -> tuple[int, ...]:
         """Wavelength set carried by the fiber at (group, port), ascending."""
         _check_fiber(self.params, group, port)

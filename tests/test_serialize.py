@@ -166,6 +166,122 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=r"\$\.params invalid"):
             parse_topology(json.dumps(doc))
 
+    def test_integer_too_long_to_decode(self):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            parse_topology(b'{"a": ' + b"1" * 5000 + b"}")
+
+    def test_integer_too_long_to_decode_in_one_entry(self, w323):
+        doc = serialize_topology(w323, "json")
+        edited = re.sub(rb'"wavelength": \d+', b'"wavelength": ' + b"1" * 5000, doc, count=1)
+        got = _outcome(edited)
+        assert got[0] is ParseError and got[1].startswith("invalid JSON: ")
+        assert got == _full_path_outcome(edited)
+
+
+_DELETED = object()
+
+
+class TestParseErrorMatrix:
+    """Each field of the header, of one cable and of one channel, edited one way at a time.
+
+    Each edited document is rendered in the canonical layout, where an
+    edit inside one entry is settled without the decoding path, and in
+    the compact layout, which always takes it; both end in the same
+    exact outcome.
+    """
+
+    EDITS = [_DELETED, True, "x", 1.0, [], {}]
+    # the key an emptied object is first found missing: validation order, not sorted order
+    FIRST_KEY = {"params": "g", "awg_bank": "count", "input": "decimal", "middle": "decimal",
+                 "output": "decimal", "input_locus": "device", "middle_locus": "device",
+                 "output_locus": "device"}
+    ENTRY = "$.channels[4] is inconsistent with the fabric derived from its own parameters"
+
+    @staticmethod
+    def fields(doc):
+        """Key path and value of every field under test."""
+        yield ("schema_version",), doc["schema_version"]
+        for section in ("params", "awg_bank"):
+            yield (section,), doc[section]
+            for key, value in doc[section].items():
+                yield (section, key), value
+        for key, value in doc["cables"][2].items():
+            yield ("cables", 2, key), value
+        for key, value in doc["channels"][4].items():
+            yield ("channels", 4, key), value
+            for sub, item in value.items() if isinstance(value, dict) else ():
+                yield ("channels", 4, key, sub), item
+
+    def expected(self, path, original, edit):
+        if edit is _DELETED:
+            return ParseError, f"{path} is missing"
+        kind = type(original)
+        if edit is True and kind is int:
+            return ParseError, f"{path} must be an integer"
+        if type(edit) is not kind:
+            return ParseError, f"{path} must be {kind.__name__}"
+        if kind is dict:
+            return ParseError, f"{path}.{self.FIRST_KEY[path.rpartition('.')[2]]} is missing"
+        if path == "$.schema_version":
+            return ParseError, "$.schema_version is 'x', this reader supports '1'"
+        return IntegrityError, self.ENTRY  # an empty digit list or another text
+
+    def cases(self, doc):
+        for keys, original in self.fields(doc):
+            path = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+            edits = [(edit, self.expected(path, original, edit)) for edit in self.EDITS]
+            if isinstance(original, list):
+                for bad in (True, 1.0, "x"):
+                    edits.append(([original[0], bad, *original[2:]],
+                                  (ParseError, f"{path}[1] must be an integer")))
+            for edit, want in edits:
+                edited = json.loads(json.dumps(doc))
+                parent = edited
+                for key in keys[:-1]:
+                    parent = parent[key]
+                if edit is _DELETED:
+                    del parent[keys[-1]]
+                else:
+                    parent[keys[-1]] = edit
+                yield keys, edited, want
+
+    @pytest.mark.parametrize("layout", ["canonical", "compact"])
+    def test_every_field_every_edit(self, w323, layout, monkeypatch):
+        settled = []
+
+        def settle_run(*args):
+            settled.append(None)  # raised: settled
+            settled[-1] = real(*args)
+            return settled[-1]
+
+        real = serialize._settle_run
+        monkeypatch.setattr(serialize, "_settle_run", settle_run)
+        doc = topology_document(w323)
+        wrong, count = [], 0
+        for keys, edited, want in self.cases(doc):
+            if layout == "canonical":
+                data = (json.dumps(edited, sort_keys=True, indent=2) + "\n").encode()
+            else:
+                data = json.dumps(edited, sort_keys=True, separators=(",", ":")).encode()
+            del settled[:]
+            got = _outcome(data)
+            in_entry = keys[0] in ("cables", "channels")
+            ran = (settled == [None]) == (layout == "canonical" and in_entry)
+            if got != want or not ran:
+                wrong.append((keys, got, want, settled[:]))
+            count += 1
+        assert not wrong
+        assert count == 282  # 44 fields, six edits each, three bad elements in six lists
+
+    @pytest.mark.parametrize("layout", [{"indent": 2}, {"separators": (",", ":")}])
+    def test_first_error_in_validation_order(self, w323, layout):
+        doc = topology_document(w323)
+        doc["channels"][4]["middle"]["decimal"] = "x"
+        doc["channels"][4]["input_locus"]["port"] = "x"
+        data = json.dumps(doc, sort_keys=True, **layout) + "\n"
+        with pytest.raises(ParseError, match=r"^\$\.channels\[4\]\.middle\.decimal must be int$"):
+            parse_topology(data)
+
 
 def _reordered(value):
     """``value`` with the keys of every object in reverse order."""

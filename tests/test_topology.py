@@ -63,8 +63,7 @@ def reference_arrays(g, m, n):
 
 class TestBuild:
     def test_worked_cable(self, w323):
-        cable = w323.cable_for(1, 0)
-        assert cable == Cable(from_group=1, from_port=0, to_awg=0, to_input=1)
+        assert w323.cables[2] == Cable(from_group=1, from_port=0, to_awg=0, to_input=1)
 
     def test_degenerate_network(self):
         t = build_network(1, 1, 1)
@@ -198,7 +197,7 @@ class TestChannelLabels:
             trace_channel(P323, 0, 0, 3)
         # the fabric's fiber lookups share the trace's range checks
         with pytest.raises(DomainError, match="^group -1 out of range for 3 groups$"):
-            w323.cable_for(-1, 0)
+            w323.fiber_wavelengths(-1, 0)
         with pytest.raises(DomainError, match="^port 2 out of range for 2 ports per group$"):
             w323.fiber_wavelengths(0, 2)
 
