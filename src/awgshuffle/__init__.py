@@ -54,7 +54,6 @@ from .serialize import (
     serialize_report,
     serialize_topology,
     topology_document,
-    topology_dot,
     tradeoff_csv,
     write_bytes,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "shuffle_map",
     "shuffle_perm_decimal",
     "topology_document",
-    "topology_dot",
     "trace",
     "trace_channel",
     "tradeoff_csv",

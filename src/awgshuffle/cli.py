@@ -12,13 +12,7 @@ import sys
 from ._version import __version__
 from .analysis import tradeoff_table, verify_shuffle_equivalence
 from .errors import ShuffleNetError
-from .serialize import (
-    _canonical_chunks,
-    serialize_report,
-    serialize_topology,
-    tradeoff_csv,
-    write_bytes,
-)
+from .serialize import _EXPORTS, serialize_report, tradeoff_csv, write_bytes
 from .shuffle import ShuffleSpec, shuffle_perm_decimal
 from .topology import NetworkParams, build_network, trace_channel
 
@@ -40,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_gmn(synth)
     synth.add_argument("--out", required=True, help="output file path")
     synth.add_argument(
-        "--format", choices=("json", "dot"), default="json", help="output format"
+        "--format", choices=tuple(_EXPORTS), default="json", help="output format"
     )
     synth.set_defaults(handler=_cmd_synth)
 
@@ -89,10 +83,8 @@ def _add_gmn(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     topology = build_network(args.g, args.m, args.n)
-    if args.format == "json":  # streamed: the document is never whole in memory
-        write_bytes(args.out, _canonical_chunks(topology))
-    else:
-        write_bytes(args.out, serialize_topology(topology, args.format))
+    # streamed: the output is never whole in memory
+    write_bytes(args.out, _EXPORTS[args.format](topology))
     print(
         f"wrote {args.out} ({args.format}, "
         f"{topology.params.channel_count} channels)"

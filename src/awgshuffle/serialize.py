@@ -7,8 +7,12 @@ from the fabric's integer tuples: json.dumps lays out one skeleton
 cable and one skeleton channel per fabric, with a ``%d`` slot for every
 per-entry integer, and each entry fills that template with plain ints.
 One generator renders the document in order, in chunks of a bounded
-number of list entries; writing joins the chunks, ``synth`` streams
-them to the file, and reading compares with them.
+number of list entries, and reading compares with them; another renders
+DOT in chunks of a bounded number of lines. One table maps each export
+format to its generator: ``serialize_topology`` joins a format's chunks
+and ``synth`` streams them to the file. Cables come from the wiring law
+(port b of group a lands on input a of router b), not from
+``Topology.cables``, a view nothing in the package reads.
 
 Parsing takes (g, m, n) from the fixed tail of a canonical document,
 builds that fabric and compares the input with its chunks byte for
@@ -64,7 +68,6 @@ __all__ = [
     "serialize_report",
     "serialize_topology",
     "topology_document",
-    "topology_dot",
     "tradeoff_csv",
     "write_bytes",
 ]
@@ -126,8 +129,10 @@ def _template(skeleton: dict[str, Any], layout: dict[str, Any]) -> str:
 
 
 def _cable_rows(topology: Topology, first: int) -> Iterator[tuple[int, ...]]:
-    for c in topology.cables[first:]:
-        yield c.from_group, c.from_port, c.to_awg, c.to_input
+    """Cable slot values from ``first`` on: port b of group a lands on input a of router b."""
+    p = topology.params
+    for a, b in islice(product(range(p.g), range(p.m)), first, None):
+        yield a, b, b, a
 
 
 def _channel_rows(topology: Topology, first: int) -> Iterator[tuple[int, ...]]:
@@ -222,7 +227,15 @@ def _lists(
 
 
 def _labelled_chunks(topology: Topology) -> Iterator[tuple[str | None, int, bytes]]:
-    """Each chunk of _canonical_chunks with its list (None around the lists) and first entry."""
+    """The canonical JSON of ``topology``, in order, as ASCII chunks.
+
+    Sorted keys put ``awg_bank`` before the two lists and ``metadata``,
+    ``params`` and ``schema_version`` after them, so the document is its
+    head, the cable list, the text between the lists, the channel list
+    and its tail. Each list comes in chunks of at most _BLOCK entries.
+    Each chunk comes with its list (None around the lists) and the index
+    of its first entry.
+    """
     head, *after = _frame(topology.params)
     yield None, 0, head.encode()
     for (section, (skeleton, rows)), text in zip(_lists(topology).items(), after):
@@ -231,16 +244,46 @@ def _labelled_chunks(topology: Topology) -> Iterator[tuple[str | None, int, byte
         yield None, 0, text.encode()
 
 
-def _canonical_chunks(topology: Topology) -> Iterator[bytes]:
-    """The canonical JSON of ``topology``, in order, as ASCII chunks.
+def _dot_lines(p: NetworkParams) -> Iterator[str]:
+    """Left-to-right layered graph: input groups, then the router bank.
 
-    Sorted keys put ``awg_bank`` before the two lists and ``metadata``,
-    ``params`` and ``schema_version`` after them, so the document is its
-    head, the cable list, the text between the lists, the channel list
-    and its tail. Each list comes in chunks of at most _BLOCK entries.
+    One edge per cable, group-major, labeled with the wavelengths its
+    fiber carries. Edges carry kind="cable" normally and kind="direct"
+    when m = 1 and the inputs plug straight into the single router.
     """
-    for *_, chunk in _labelled_chunks(topology):
-        yield chunk
+    yield from (
+        "digraph wdm_shuffle {", "  rankdir=LR;", "  node [shape=box];",
+        f'  label="W({p.g},{p.m},{p.n}): {p.channel_count}-channel shuffle";',
+        "  subgraph cluster_groups {", '    label="input groups";',
+    )
+    yield from (f"    grp{a};" for a in range(p.g))
+    yield from ("  }", "  subgraph cluster_awgs {", f'    label="{p.g}x{p.n} AWGs";')
+    yield from (f"    awg{b};" for b in range(p.m))
+    yield "  }"
+    kind = "direct" if p.m == 1 else "cable"
+    for a in range(p.g):  # the fibers of a group carry one set; port b lands on router b
+        carried = ",".join([f"l{w}" for w in fiber_wavelengths(p, a)])
+        edge = (
+            f'  grp{a} -> awg%d [label="{carried}", kind="{kind}", '
+            f'taillabel="p%d", headlabel="in{a}"];'
+        )
+        for b in range(p.m):
+            yield edge % (b, b)
+    yield "}"
+
+
+def _dot_chunks(topology: Topology) -> Iterator[bytes]:
+    """The DOT text of ``topology``, in order, as ASCII chunks of at most _BLOCK lines."""
+    lines = _dot_lines(topology.params)
+    while block := list(islice(lines, _BLOCK)):
+        yield ("\n".join(block) + "\n").encode()
+
+
+# Each export format and the generator of its chunks; ``synth`` offers them in this order.
+_EXPORTS = {
+    "json": lambda topology: (chunk for *_, chunk in _labelled_chunks(topology)),
+    "dot": _dot_chunks,
+}
 
 
 def topology_document(topology: Topology) -> dict[str, Any]:
@@ -249,50 +292,13 @@ def topology_document(topology: Topology) -> dict[str, Any]:
 
 
 def serialize_topology(topology: Topology, fmt: str = "json") -> bytes:
-    """Render a topology as canonical JSON or DOT bytes."""
-    if fmt == "json":
-        buffer = io.BytesIO()  # CPython returns the grown buffer itself: held once, not twice
-        buffer.writelines(_canonical_chunks(topology))
-        return buffer.getvalue()
-    if fmt == "dot":
-        return topology_dot(topology).encode("utf-8")
-    raise DomainError(f"unsupported format {fmt!r} (expected 'json' or 'dot')")
-
-
-def topology_dot(topology: Topology) -> str:
-    """Left-to-right layered graph: input groups, then the router bank.
-
-    One edge per stage-1 connection, labeled with the wavelengths the
-    fiber carries. Edges carry kind="cable" normally and kind="direct"
-    when m = 1 and the inputs plug straight into the single router.
-    """
-    p = topology.params
-    kind = "direct" if p.m == 1 else "cable"
-    lines = [
-        "digraph wdm_shuffle {",
-        "  rankdir=LR;",
-        "  node [shape=box];",
-        f'  label="W({p.g},{p.m},{p.n}): {p.channel_count}-channel shuffle";',
-        "  subgraph cluster_groups {",
-        '    label="input groups";',
-    ]
-    lines.extend(f"    grp{a};" for a in range(p.g))
-    lines.append("  }")
-    lines.append("  subgraph cluster_awgs {")
-    lines.append(f'    label="{p.g}x{p.n} AWGs";')
-    lines.extend(f"    awg{b};" for b in range(p.m))
-    lines.append("  }")
-    for cable in topology.cables:
-        carried = ",".join(
-            f"l{w}" for w in fiber_wavelengths(p, cable.from_group)
-        )
-        lines.append(
-            f'  grp{cable.from_group} -> awg{cable.to_awg} '
-            f'[label="{carried}", kind="{kind}", '
-            f'taillabel="p{cable.from_port}", headlabel="in{cable.to_input}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Render a topology as canonical JSON or DOT bytes: the joined chunks of that format."""
+    if fmt not in list(_EXPORTS):  # by equality, so an unhashable fmt is unknown too
+        formats = " or ".join(map(repr, _EXPORTS))
+        raise DomainError(f"unsupported format {fmt!r} (expected {formats})")
+    buffer = io.BytesIO()  # CPython returns the grown buffer itself: held once, not twice
+    buffer.writelines(_EXPORTS[fmt](topology))
+    return buffer.getvalue()
 
 
 def serialize_report(report: VerificationReport) -> bytes:

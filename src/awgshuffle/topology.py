@@ -14,7 +14,7 @@ the router spec from the shape, the cables from the wiring law, and
 each channel's loci from its addresses. The per-channel objects
 (addresses, traces) are a view derived from the tuples on first use,
 for callers that want objects and for counterexamples; the checks and
-the JSON export read the tuples directly. A single channel can also be
+the exporters read the tuples directly. A single channel can also be
 traced from the shape alone with :func:`trace_channel`, without
 building the fabric.
 
@@ -174,10 +174,12 @@ class Topology:
     ``outputs[i]`` is the decimal output channel (radices (m, n, g)) and
     ``wavelengths[i]`` the wavelength of decimal input channel ``i``
     (radices (g, m, n)). ``awg_spec`` and ``cables`` follow from the
-    shape. ``channels`` holds one trace per wavelength channel, ordered
-    by ascending input address, and ``channel_perm`` is the
-    input-to-output mapping over all of them; ``cables``, ``channels``
-    and ``channel_perm`` are built on first use and then kept.
+    shape; ``cables`` is a view nothing in the package reads, as the
+    exporters derive each cable from the wiring law. ``channels`` holds
+    one trace per wavelength channel, ordered by ascending input
+    address, and ``channel_perm`` is the input-to-output mapping over
+    all of them; ``cables``, ``channels`` and ``channel_perm`` are built
+    on first use and then kept.
     """
 
     params: NetworkParams

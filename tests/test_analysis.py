@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -9,12 +10,14 @@ from awgshuffle import (
     ChannelAddress,
     DomainError,
     NetworkParams,
+    ResourceMetrics,
     build_network,
     check_bijectivity,
     check_oracle_equivalence,
     check_wavelength_conflicts,
     resource_metrics,
     run_named_check,
+    serialize_topology,
     tradeoff_table,
     verify_shuffle_equivalence,
 )
@@ -158,6 +161,22 @@ class TestResourceMetrics:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(DomainError):
             resource_metrics(0, 1, 1)
+
+    def test_bill_is_what_the_built_fabric_uses(self):
+        # every shape with g, m, n <= 6, then g > n, n = 1, g = 1 and radices over 10
+        shapes = [*product(range(1, 7), repeat=3), (64, 8, 16), (8, 64, 1), (1, 32, 32),
+                  (11, 3, 12)]
+        for g, m, n in shapes:
+            t = build_network(g, m, n)
+            dot = serialize_topology(t, "dot").decode()
+            assert resource_metrics(g, m, n) == ResourceMetrics(
+                wavelength_count=len(set(t.wavelengths)),
+                awg_count=len({o // (n * g) for o in t.outputs}),  # routers reached
+                awg_inputs=t.awg_spec.inputs,
+                awg_outputs=t.awg_spec.outputs,
+                cable_count=dot.count('kind="cable"'),
+                channel_count=len(t.outputs),
+            ), (g, m, n)
 
 
 class TestTradeoffTable:

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import awgshuffle
 import awgshuffle.analysis as analysis
 from awgshuffle import build_network, cli_main, parse_topology, serialize_topology
 from awgshuffle.serialize import _BLOCK
@@ -249,6 +253,28 @@ class TestSynthCommand:
 
     def test_streamed_shape_spans_blocks(self):
         assert 9 * 9 * 30 > 2 * _BLOCK and (9 * 9 * 30) % _BLOCK
+
+    def test_dot_at_the_cap_peaks_near_the_build(self, tmp_path):
+        # W(1000,1000,1): one million cables, 85 MB of DOT text
+        path = tmp_path / "w.dot"
+        argv = ["synth", "--g", "1000", "--m", "1000", "--n", "1", "--format", "dot",
+                "--out", str(path)]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(awgshuffle.__file__).parents[1]), env.get("PYTHONPATH", "")])
+
+        def peak_kb(statement):
+            # each child reports its own RUSAGE_SELF peak on its last line
+            script = (f"import resource, awgshuffle\n{statement}\n"
+                      "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            return int(done.stdout.split()[-1])
+
+        build = peak_kb("awgshuffle.build_network(1000, 1000, 1)")
+        synth = peak_kb(f"assert awgshuffle.cli_main({argv!r}) == 0")
+        assert synth <= 1.15 * build
+        assert path.stat().st_size > 80_000_000
 
     def test_bad_format_exits_two(self, capsys, tmp_path):
         code, _, err = run(

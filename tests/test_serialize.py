@@ -8,6 +8,7 @@ import stat
 import pytest
 
 from awgshuffle import (
+    Cable,
     CapacityError,
     DomainError,
     IntegrityError,
@@ -18,14 +19,13 @@ from awgshuffle import (
     serialize_report,
     serialize_topology,
     topology_document,
-    topology_dot,
     tradeoff_csv,
     tradeoff_table,
     verify_shuffle_equivalence,
     write_bytes,
 )
 from awgshuffle import serialize
-from awgshuffle.serialize import _BLOCK, _canonical_chunks
+from awgshuffle.serialize import _BLOCK, _EXPORTS
 
 
 class TestJsonDocument:
@@ -372,11 +372,13 @@ def _full_path_outcome(data):
 class TestCanonicalFastPath:
     """Single edits of canonical documents end as they do on the decoding path."""
 
-    # W(5,5,41): 1,025 channels, one whole block and a partial one
-    SHAPES = [(3, 2, 3), (11, 3, 12), (5, 5, 41)]
+    # W(5,5,41): 1,025 channels, one whole block and a partial one;
+    # W(3,345,1): 1,035 cables and channels, so the cable list spans blocks too
+    SHAPES = [(3, 2, 3), (11, 3, 12), (5, 5, 41), (3, 345, 1)]
 
     def test_a_shape_spans_blocks(self):
         assert 5 * 5 * 41 > _BLOCK and (5 * 5 * 41) % _BLOCK
+        assert 3 * 345 > _BLOCK and (3 * 345) % _BLOCK
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_edits_inside_every_chunk(self, shape):
@@ -384,7 +386,7 @@ class TestCanonicalFastPath:
         t = build_network(*shape)
         doc = serialize_topology(t, "json")
         start = 0
-        for chunk in _canonical_chunks(t):
+        for chunk in _EXPORTS["json"](t):
             end = start + len(chunk)
             digits = [start + m.start() for m in re.finditer(rb"[0-9]", chunk)]
             # the chunk's first byte: only a comparison with this very chunk sees it
@@ -419,7 +421,7 @@ class TestCanonicalFastPath:
     def test_trailing_bytes(self, shape):
         t = build_network(*shape)
         doc = serialize_topology(t, "json")
-        tail = list(_canonical_chunks(t))[-1]
+        tail = list(_EXPORTS["json"](t))[-1]
         for extra in (b"x", tail):  # a repeated tail still ends like a canonical document
             got = _outcome(doc + extra)
             assert got[0] is ParseError and got[1].startswith("invalid JSON")
@@ -489,8 +491,12 @@ class TestLocalizedEdits:
     decoding the document (None: either way).
     """
 
-    # g > n, m = 1, g = 1 and n = 1 after the three shapes of TestCanonicalFastPath
-    SHAPES = [(3, 2, 3), (11, 3, 12), (5, 5, 41), (7, 3, 2), (4, 1, 5), (1, 5, 4), (5, 3, 1)]
+    # g > n, m = 1, g = 1 and n = 1 after the first three shapes of
+    # TestCanonicalFastPath, and its cable list that spans blocks last
+    SHAPES = [
+        (3, 2, 3), (11, 3, 12), (5, 5, 41), (7, 3, 2), (4, 1, 5), (1, 5, 4), (5, 3, 1),
+        (3, 345, 1),
+    ]
 
     @staticmethod
     def cases(t, doc):
@@ -516,7 +522,8 @@ class TestLocalizedEdits:
                 IntegrityError, at, False
             yield _edit(doc, channels[k], rb'"text": "', b'"text": "\xff'), \
                 ParseError, "invalid UTF-8", False
-        for k in sorted({0, len(cables) - 1}):
+        # the first cable of the second block too, when there is one
+        for k in sorted({0, min(len(cables) - 1, _BLOCK), len(cables) - 1}):
             yield _off_by_one(doc, cables[k], b"to_input"), IntegrityError, f"$.cables[{k}]", True
         s, e = channels[1]
         yield doc[:s - 2] + doc[e:], IntegrityError, f"{n - 1} entries, expected {n}", True
@@ -595,30 +602,64 @@ class TestLocalizedEdits:
 
 class TestDot:
     def test_degenerate_graph(self):
-        dot = topology_dot(build_network(1, 1, 1))
+        dot = serialize_topology(build_network(1, 1, 1), "dot").decode()
         node_lines = [l for l in dot.splitlines() if l.strip() in ("grp0;", "awg0;")]
         assert len(node_lines) == 2
         assert dot.count("->") == 1
 
     def test_single_router_has_no_interstage_cables(self):
-        dot = topology_dot(build_network(3, 1, 6))
+        dot = serialize_topology(build_network(3, 1, 6), "dot").decode()
         assert dot.count('kind="cable"') == 0
         assert dot.count('kind="direct"') == 3
 
     def test_worked_example_edges(self, w323):
-        dot = topology_dot(w323)
+        dot = serialize_topology(w323, "dot").decode()
         assert dot.count('kind="cable"') == 6
         assert 'grp1 -> awg0 [label="l0,l1,l2"' in dot
         assert 'headlabel="in1"' in dot
 
     def test_partial_wavelength_sets_in_labels(self):
-        dot = topology_dot(build_network(4, 3, 2))
+        dot = serialize_topology(build_network(4, 3, 2), "dot").decode()
         assert 'grp3 -> awg0 [label="l0,l3"' in dot
 
     def test_layered_left_to_right(self, w323):
-        dot = topology_dot(w323)
+        dot = serialize_topology(w323, "dot").decode()
         assert "rankdir=LR" in dot
         assert "cluster_groups" in dot and "cluster_awgs" in dot
+
+    def test_cable_list_longer_than_one_chunk(self):
+        t = build_network(3, 345, 1)  # 1,035 cables
+        chunks = list(_EXPORTS["dot"](t))
+        assert len(chunks) > 1
+        assert all(c.isascii() and c.endswith(b"\n") for c in chunks)
+        assert max(c.count(b"\n") for c in chunks) <= _BLOCK
+        dot = b"".join(chunks)
+        assert dot == serialize_topology(t, "dot")
+        edges = re.findall(
+            rb'grp(\d+) -> awg(\d+) \[.*, taillabel="p(\d+)", headlabel="in(\d+)"\];', dot)
+        assert [tuple(map(int, e)) for e in edges] == [
+            (c.from_group, c.to_awg, c.from_port, c.to_input) for c in t.cables
+        ]
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (3, 345, 1)])
+def test_export_and_parse_build_no_cable(shape, monkeypatch):
+    def outcomes():
+        t = build_network(*shape)  # a fresh value, with no cables cached
+        doc = serialize_topology(t, "json")
+        tampered = _off_by_one(doc, _entry_spans(doc, "cables")[-1], b"to_input")
+        return doc, serialize_topology(t, "dot"), _outcome(doc), _outcome(tampered)
+
+    want = outcomes()
+    assert want[2] == build_network(*shape) and want[3][0] is IntegrityError
+
+    def no_cable(self):
+        raise AssertionError("a Cable was built")
+
+    monkeypatch.setattr(Cable, "__post_init__", no_cable)
+    with pytest.raises(AssertionError, match="a Cable was built"):
+        build_network(*shape).cables
+    assert outcomes() == want
 
 
 class TestReportAndCsv:
