@@ -117,6 +117,65 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+TOP_HELP = """\
+usage: awgshuffle [-h] [--version] {synth,verify,trace,tradeoff,oracle} ...
+
+Synthesize wavelength-routed shuffle fabrics, verify them against the
+classical perfect shuffle, and tabulate resource tradeoffs.
+
+positional arguments:
+  {synth,verify,trace,tradeoff,oracle}
+    synth               build W(g,m,n) and write it to a file
+    verify              check W(g,m,n) against the perfect-shuffle oracle
+    trace               trace one (group, port, wavelength) channel
+    tradeoff            tabulate every m*n factorization of a fixed fanout l
+    oracle              print the classical shuffle S(g,l) as a decimal
+                        permutation
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+SYNTH_USAGE = "usage: awgshuffle synth [-h] --g G --m M --n N --out OUT [--format {json,dot}]\n"
+
+SYNTH_HELP = SYNTH_USAGE + """
+options:
+  -h, --help           show this help message and exit
+  --g G                input group count
+  --m M                ports per group / router count
+  --n N                wavelengths per fiber
+  --out OUT            output file path
+  --format {json,dot}  output format
+"""
+
+
+class TestGoldenUsage:
+    """The help texts and the bad-format usage error, byte for byte, at 80 columns."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_top_level_help(self, capsys):
+        assert run(capsys, "--help") == (0, TOP_HELP, "")
+
+    def test_synth_help(self, capsys):
+        assert run(capsys, "synth", "--help") == (0, SYNTH_HELP, "")
+
+    def test_synth_bad_format(self, capsys):
+        code, out, err = run(
+            capsys, "synth", "--g", "1", "--m", "1", "--n", "1", "--out", "x", "--format", "xml"
+        )
+        # later argparse releases print the choices with str() instead of repr()
+        assert (code, out) == (2, "")
+        assert err in {
+            SYNTH_USAGE + "awgshuffle synth: error: argument --format: invalid choice: "
+            f"'xml' (choose from {choices})\n"
+            for choices in ("'json', 'dot'", "json, dot")
+        }
+
+
 class TestTraceCommand:
     def test_worked_example(self, capsys):
         code, out, _ = run(
