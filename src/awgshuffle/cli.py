@@ -2,6 +2,11 @@
 
 Exit codes: 0 success (verification passed when verifying), 1
 verification failure, 2 usage, capacity, or I/O errors.
+
+Each command imports what it calls inside its handler, so a process
+loads only the modules of the command it runs: ``oracle`` the shuffle
+alone, ``trace`` the router model without the checks or the exporters,
+and ``serialize`` only when there is a file to write.
 """
 
 from __future__ import annotations
@@ -10,11 +15,7 @@ import argparse
 import sys
 
 from ._version import __version__
-from .analysis import tradeoff_table, verify_shuffle_equivalence
-from .errors import ShuffleNetError
-from .serialize import _EXPORTS, serialize_report, tradeoff_csv, write_bytes
-from .shuffle import ShuffleSpec, shuffle_perm_decimal
-from .topology import NetworkParams, build_network, trace_channel
+from .errors import EXPORT_FORMATS, ShuffleNetError
 
 __all__ = ["cli_main", "main"]
 
@@ -34,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_gmn(synth)
     synth.add_argument("--out", required=True, help="output file path")
     synth.add_argument(
-        "--format", choices=tuple(_EXPORTS), default="json", help="output format"
+        "--format", choices=EXPORT_FORMATS, default="json", help="output format"
     )
     synth.set_defaults(handler=_cmd_synth)
 
@@ -82,6 +83,9 @@ def _add_gmn(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .serialize import _EXPORTS, write_bytes
+    from .topology import build_network
+
     topology = build_network(args.g, args.m, args.n)
     # streamed: the output is never whole in memory
     write_bytes(args.out, _EXPORTS[args.format](topology))
@@ -93,6 +97,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .analysis import verify_shuffle_equivalence
+
     report = verify_shuffle_equivalence(args.g, args.m, args.n)
     print(
         f"{report.matched}/{report.permutation_size} channels match "
@@ -105,11 +111,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(line)
     print(f"result: {'PASS' if report.passed else 'FAIL'}")
     if args.report:
+        from .serialize import serialize_report, write_bytes
+
         write_bytes(args.report, serialize_report(report))
     return 0 if report.passed else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .topology import NetworkParams, trace_channel
+
     params = NetworkParams(args.g, args.m, args.n)
     tr = trace_channel(params, args.group, args.port, args.wavelength)
     w = tr.wavelength
@@ -130,6 +140,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_tradeoff(args: argparse.Namespace) -> int:
+    from .analysis import tradeoff_table
+
     rows = tradeoff_table(args.g, args.l)
     header = ("n", "m", "wavelengths", "awg_size", "cables", "channels", "note")
     table = [header]
@@ -150,11 +162,15 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
     for line in table:
         print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
     if args.csv:
+        from .serialize import tradeoff_csv, write_bytes
+
         write_bytes(args.csv, tradeoff_csv(rows))
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .shuffle import ShuffleSpec, shuffle_perm_decimal
+
     perm = shuffle_perm_decimal(ShuffleSpec(args.g, args.l))
     print(" ".join(str(value) for value in perm))
     return 0

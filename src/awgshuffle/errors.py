@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the size cap they enforce."""
+"""Exception types shared across the package, the size cap they enforce, and
+the export format names, which the CLI reads without loading the exporters."""
 
 DEFAULT_CHANNEL_CAP = 1_000_000
+
+EXPORT_FORMATS = ("json", "dot")
 
 
 class ShuffleNetError(Exception):

@@ -47,13 +47,19 @@ import re
 import tempfile
 from functools import lru_cache
 from itertools import islice, product
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from ._version import __version__
 from .addressing import digit_separator
-from .analysis import VerificationReport, ResourceMetrics
 from .awg import AwgSpec
-from .errors import CapacityError, DomainError, IntegrityError, ParseError, ShuffleNetError
+from .errors import (
+    EXPORT_FORMATS,
+    CapacityError,
+    DomainError,
+    IntegrityError,
+    ParseError,
+    ShuffleNetError,
+)
 from .topology import (
     DEFAULT_CHANNEL_CAP,
     NetworkParams,
@@ -61,6 +67,9 @@ from .topology import (
     build_network,
     fiber_wavelengths,
 )
+
+if TYPE_CHECKING:  # annotations only: writing a fabric never loads the checks
+    from .analysis import ResourceMetrics, VerificationReport
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -279,11 +288,13 @@ def _dot_chunks(topology: Topology) -> Iterator[bytes]:
         yield ("\n".join(block) + "\n").encode()
 
 
-# Each export format and the generator of its chunks; ``synth`` offers them in this order.
-_EXPORTS = {
-    "json": lambda topology: (chunk for *_, chunk in _labelled_chunks(topology)),
-    "dot": _dot_chunks,
-}
+def _json_chunks(topology: Topology) -> Iterator[bytes]:
+    """The canonical JSON of ``topology``, in order, as ASCII chunks."""
+    return (chunk for *_, chunk in _labelled_chunks(topology))
+
+
+# Each export format and the generator of its chunks, in the order ``synth`` offers them.
+_EXPORTS = dict(zip(EXPORT_FORMATS, (_json_chunks, _dot_chunks), strict=True))
 
 
 def topology_document(topology: Topology) -> dict[str, Any]:

@@ -19,6 +19,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """The environment of a child interpreter that imports this awgshuffle."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(awgshuffle.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    return env
+
+
 class TestVerifyCommand:
     def test_pass_summary_and_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--g", "3", "--m", "2", "--n", "3")
@@ -318,9 +326,7 @@ class TestSynthCommand:
         path = tmp_path / "w.dot"
         argv = ["synth", "--g", "1000", "--m", "1000", "--n", "1", "--format", "dot",
                 "--out", str(path)]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(awgshuffle.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        env = child_env()
 
         def peak_kb(statement):
             # each child reports its own RUSAGE_SELF peak on its last line
@@ -382,3 +388,53 @@ class TestDeterminism:
         run(capsys, "synth", "--g", "4", "--m", "3", "--n", "2", "--out", str(a))
         run(capsys, "synth", "--g", "4", "--m", "3", "--n", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+# Run one command as ``python -m awgshuffle`` does, then print the exit code
+# and the package's submodules it loaded on the last line.
+_IMPORT_PROBE = """\
+import json, runpy, sys
+sys.argv = ["awgshuffle", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("awgshuffle", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("awgshuffle."))
+print(json.dumps([code, loaded]))
+"""
+
+GMN = ["--g", "3", "--m", "2", "--n", "3"]
+
+
+class TestImportSets:
+    """Each command, in a fresh interpreter, loads only the modules it calls."""
+
+    def loaded(self, *argv):
+        done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+                              env=child_env(), capture_output=True, text=True, check=True)
+        code, modules = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0, done.stderr
+        return set(modules)
+
+    def test_oracle_loads_no_router_model(self):
+        loaded = self.loaded("oracle", "--g", "3", "--l", "6")
+        assert "shuffle" in loaded
+        assert loaded.isdisjoint({"topology", "awg", "analysis", "serialize"})
+
+    def test_trace_loads_neither_analysis_nor_serialize(self):
+        loaded = self.loaded("trace", *GMN, "--group", "1", "--port", "0", "--lambda", "0")
+        assert "topology" in loaded
+        assert loaded.isdisjoint({"analysis", "serialize"})
+
+    def test_verify_loads_serialize_only_for_a_report(self, tmp_path):
+        assert "serialize" not in self.loaded("verify", *GMN)
+        assert "serialize" in self.loaded("verify", *GMN, "--report", str(tmp_path / "r.json"))
+
+    def test_tradeoff_loads_serialize_only_for_csv(self, tmp_path):
+        assert "serialize" not in self.loaded("tradeoff", "--g", "2", "--l", "12")
+        assert "serialize" in self.loaded("tradeoff", "--g", "2", "--l", "12",
+                                          "--csv", str(tmp_path / "t.csv"))
+
+    def test_synth_loads_no_analysis(self, tmp_path):
+        loaded = self.loaded("synth", *GMN, "--out", str(tmp_path / "w.json"))
+        assert "serialize" in loaded and "analysis" not in loaded

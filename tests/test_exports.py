@@ -1,12 +1,15 @@
 """Every name the package and its modules advertise in ``__all__`` exists,
-every package export has a caller outside the unit tests, and every name
-a module imports is used there or re-exported."""
+every package export has a caller outside the unit tests, every name a
+module imports is used there or re-exported, and the package, which
+imports its modules lazily, returns what an eager one would."""
 
 import ast
 import importlib
 import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import awgshuffle
 
@@ -78,3 +81,45 @@ def test_every_package_export_has_a_caller_outside_the_unit_tests():
     for path in (repo / "perfbench").glob("*.py"):
         used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     assert sorted(set(awgshuffle.__all__) - used) == []
+
+
+class TestLazyPackage:
+    """The package resolves each export in its module on access, as an eager one would."""
+
+    def test_dir_lists_every_export(self):
+        assert set(awgshuffle.__all__) <= set(dir(awgshuffle))
+
+    def test_star_import_binds_each_module_attribute(self):
+        bound = {}
+        exec("from awgshuffle import *", bound)
+        assert sorted(set(bound) - {"__builtins__"}) == sorted(awgshuffle.__all__)
+        assert len(awgshuffle.__all__) == 56
+        modules = [vars(importlib.import_module(f"awgshuffle.{name}"))
+                   for name in MODULES + ["_version"]]
+        for name in awgshuffle.__all__:
+            held = [module[name] for module in modules if name in module]
+            assert held and all(value is bound[name] for value in held), name
+
+    def test_submodules_resolve_as_attributes(self):
+        for name in MODULES:
+            assert awgshuffle.__getattr__(name) is importlib.import_module(f"awgshuffle.{name}")
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError) as caught:
+            awgshuffle.no_such_name
+        assert str(caught.value) == "module 'awgshuffle' has no attribute 'no_such_name'"
+        assert not hasattr(awgshuffle, "no_such_name")
+
+    def test_a_name_rebound_in_its_module_is_not_cached(self, monkeypatch):
+        topology = importlib.import_module("awgshuffle.topology")
+        original = topology.build_network
+        assert awgshuffle.build_network is original
+
+        def fake(*args):
+            raise AssertionError("unused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, "build_network", fake)
+            assert awgshuffle.build_network is fake
+        assert awgshuffle.build_network is original
+        assert "build_network" not in vars(awgshuffle)
