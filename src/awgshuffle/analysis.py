@@ -7,11 +7,17 @@ bijectivity and per-fiber wavelength-distinctness checks. The oracle's
 digit form, the left cyclic shift (a, b, c) -> (b, c, a), words an
 oracle counterexample.
 The checks are passes over the fabric's integer tuples: each first
-runs a whole-array test (tuple equality, set sizes), and only when
-that fails does an ordered scan look for the first counterexample in
-ascending address order and stop there, which keeps reports
-deterministic and compact. Addresses are built only to word a
-counterexample.
+runs a whole-sequence test, and only when that fails does an ordered
+scan look for the first counterexample in ascending address order and
+stop there, which keeps reports deterministic and compact. The oracle
+check compares the tuples, bijectivity counts distinct outputs, and
+the wavelength check reads the fibers off the fabric's structure: a
+group's m input fibers are one slice of ``wavelengths``, checked once
+when it repeats its first fiber, and when ``outputs`` is the oracle the
+router output fibers are the columns of those slices, checked once per
+router block that differs from router 0's. A fabric with other
+outputs has its output fibers keyed per channel instead. Addresses are
+built only to word a counterexample.
 
 The resource side tabulates the wavelength-versus-cabling tradeoff
 across every factorization l = m*n of a fixed fanout: growing n grows
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import prod
 from operator import add, eq, floordiv, mul
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .addressing import ChannelAddress, mixed_radix_decode
 from .errors import CapacityError, DomainError
@@ -196,27 +202,76 @@ def _check_topology_bijectivity(topology: Topology) -> CheckResult:
     )
 
 
+def _distinct(fibers: Iterable[tuple[int, ...]], width: int) -> bool:
+    """Whether each of ``fibers`` carries ``width`` distinct wavelengths."""
+    return all(map(width.__eq__, map(len, map(set, fibers))))
+
+
+def _input_fibers_clean(topology: Topology) -> bool:
+    """No input fiber (group, port) carries one wavelength twice.
+
+    Group a's m fibers are the slice ``wavelengths[a*l:(a+1)*l]`` with
+    l = m*n. When that slice is its first n-wide fiber repeated m times,
+    one tuple comparison shows the group's fibers are equal and only the
+    first needs a set check; otherwise every fiber of the group gets one.
+    """
+    p = topology.params
+    m, n = p.m, p.n
+    for group in zip(*[iter(topology.wavelengths)] * (m * n)):
+        first = group[:n]
+        fibers = (first,) if group == first * m else zip(*[iter(group)] * n)
+        if not _distinct(fibers, n):
+            return False
+    return True
+
+
+def _output_fibers_clean(topology: Topology) -> bool:
+    """No router output fiber (router, output) carries one wavelength twice.
+
+    Output fiber j of output channel o is o // g. When ``outputs`` is the
+    oracle S(g, l), fiber j holds inputs {a*l + j}, so the fibers are the
+    columns of the g group slices of ``wavelengths``: router 0's n
+    columns get a set check each, and a later router's block only where
+    its columns differ from router 0's. Any other ``outputs`` keys each
+    channel by fiber * lambda_count + wavelength (sparse, so memory
+    follows the channel count, not fibers x wavelengths) and requires
+    the keys to be distinct.
+    """
+    p = topology.params
+    g, n, l = p.g, p.n, p.m * p.n
+    wavelengths = topology.wavelengths
+    if topology.outputs != tuple(shuffle_perm_decimal(ShuffleSpec(g, l))):
+        output_fibers = map(floordiv, topology.outputs, repeat(g))
+        keys = map(add, map(mul, output_fibers, repeat(p.lambda_count)), wavelengths)
+        return len(set(keys)) == p.channel_count
+    columns = list(zip(*zip(*[iter(wavelengths)] * l)))  # column j: fiber j
+    head = columns[:n]
+    if not _distinct(head, g):
+        return False
+    for start in range(n, l, n):
+        block = columns[start : start + n]
+        if block != head and not _distinct(
+            (column for column, twin in zip(block, head) if column != twin), g
+        ):
+            return False
+    return True
+
+
 def _conflicts(topology: Topology) -> Iterator[WavelengthConflict]:
     """Every wavelength carried twice on one fiber, in channel address order.
 
-    Input fiber (group, port) of channel i is i // n, so its channels
-    are the n-wide slices of ``wavelengths``; router output fiber
-    (router, output) of output channel o is o // g, keyed sparsely by
-    fiber * lambda_count + wavelength so that memory follows the channel
-    count, not fibers x wavelengths. A fabric whose slices hold n
-    distinct wavelengths and whose output keys are all distinct has no
-    conflict and is not scanned in order.
+    A fabric whose input fibers and router output fibers are all clean
+    (:func:`_input_fibers_clean`, :func:`_output_fibers_clean`) has no
+    conflict and is not scanned in order. Otherwise input fiber
+    (group, port) of channel i is i // n and router output fiber
+    (router, output) of output channel o is o // g, and an ordered scan
+    over both keys yields each repeat.
     """
+    if _input_fibers_clean(topology) and _output_fibers_clean(topology):
+        return
     p = topology.params
     lambdas, n, g = p.lambda_count, p.n, p.g
     wavelengths = topology.wavelengths
-    per_fiber = zip(*[iter(wavelengths)] * n)  # consecutive n-wide chunks
-    output_fibers = map(floordiv, topology.outputs, repeat(g))
-    output_keys = map(add, map(mul, output_fibers, repeat(lambdas)), wavelengths)
-    if all(map(n.__eq__, map(len, map(set, per_fiber)))) and (
-        len(set(output_keys)) == p.channel_count
-    ):
-        return
     on_group = [i // n * lambdas + w for i, w in enumerate(wavelengths)]
     on_output = [o // g * lambdas + w for o, w in zip(topology.outputs, wavelengths)]
     first_on_group: dict[int, int] = {}

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 
 from .addressing import ChannelAddress
 from .awg import (
@@ -298,12 +299,13 @@ def build_network(
     output c (:func:`awg_wavelength`) on port b of group a; the wiring law
     takes that fiber to input a of router b. The m routers are copies of
     one device, so :func:`awg_route` routes the n carried wavelengths of
-    each router input once, and the wiring law places that row of
-    router outputs at every router. Raises DomainError for non-positive
-    dimensions, InvalidChannelError (through the router's labeling laws)
-    when the router law leaves a carried wavelength dark or without an
-    originating input, and CapacityError when g*m*n exceeds
-    ``max_channels`` (default one million channels).
+    each router input once, and one ``map`` adds that row of router
+    outputs, repeated m times, to the m*n router offsets of the wiring
+    law, placing the row at every router. Raises DomainError for
+    non-positive dimensions, InvalidChannelError (through the router's
+    labeling laws) when the router law leaves a carried wavelength dark
+    or without an originating input, and CapacityError when g*m*n
+    exceeds ``max_channels`` (default one million channels).
     """
     params = NetworkParams(g, m, n)
     if params.channel_count > max_channels:
@@ -313,6 +315,9 @@ def build_network(
         )
     awg_spec = params.awg_spec
     lambdas = params.lambda_count
+    # the wiring law: port b of group a feeds input a of router b, whose
+    # outputs start at b*n*g, so channel (a, b, c) lands at b*n*g + row[c]
+    offsets = [b * n * g for b in range(m) for _ in range(n)]
     outputs: list[int] = []
     wavelengths: list[int] = []
     for a in range(g):
@@ -326,8 +331,7 @@ def build_network(
                 label_input_channel(awg_spec, a, w)
                 label_output_channel(awg_spec, q, w)
             row.append(q * g + origin)
-        for b in range(m):  # the wiring law: port b of group a feeds input a of router b
-            outputs.extend(map((b * n * g).__add__, row))
+        outputs.extend(map(add, offsets, row * m))
         wavelengths.extend(carried * m)
     return Topology(params, tuple(outputs), tuple(wavelengths))
 

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import product
 
@@ -5,12 +6,14 @@ import pytest
 
 from awgshuffle import (
     CHECK_NAMES,
+    CHECK_WAVELENGTH_CONFLICTS,
     DEFAULT_CHANNEL_CAP,
     CapacityError,
     ChannelAddress,
     DomainError,
     NetworkParams,
     ResourceMetrics,
+    ShuffleSpec,
     build_network,
     check_bijectivity,
     check_oracle_equivalence,
@@ -18,6 +21,7 @@ from awgshuffle import (
     resource_metrics,
     run_named_check,
     serialize_topology,
+    shuffle_perm_decimal,
     tradeoff_table,
     verify_shuffle_equivalence,
 )
@@ -345,3 +349,138 @@ class TestFaultInjection:
             replace(w323, outputs=(18,) + w323.outputs[1:])
         with pytest.raises(DomainError):
             replace(w323, wavelengths=(-1,) + w323.wavelengths[1:])
+
+
+def scanned_conflicts(topology):
+    """Every (fiber, wavelength) met twice, one channel at a time, in input order."""
+    g, m, n = topology.params.g, topology.params.m, topology.params.n
+    first_on = {}
+    found = []
+    for i, (o, w) in enumerate(zip(topology.outputs, topology.wavelengths)):
+        a, b, c = i // (m * n), i // n % m, i % n
+        router, q, origin = o // (n * g), o // g % n, o % g
+        for fiber, address in ((f"group{a}/port{b}", ChannelAddress((a, b, c), (g, m, n))),
+                               (f"awg-out{router}/port{q}",
+                                ChannelAddress((router, q, origin), (m, n, g)))):
+            if (fiber, w) in first_on:
+                found.append((fiber, w, first_on[fiber, w], address))
+            else:
+                first_on[fiber, w] = address
+    return found
+
+
+def fast_path_routes(topology):
+    """The passes of the conflict check that decide ``topology``, read off its structure.
+
+    The input fibers are decided first, group by group; the router output
+    fibers only when no input fiber conflicts.
+    """
+    g, m, n = topology.params.g, topology.params.m, topology.params.n
+    l = m * n
+    groups = [topology.wavelengths[a * l:(a + 1) * l] for a in range(g)]
+    for group in groups:
+        if any(len(set(group[b * n:(b + 1) * n])) < n for b in range(m)):
+            return {"input slice rejects" if group == group[:n] * m else "input fibers reject"}
+    repeats = all(group == group[:n] * m for group in groups)
+    routes = {"input slices pass" if repeats else "input fibers pass"}
+    verdict = "reject" if scanned_conflicts(topology) else "pass"
+    columns = list(zip(*groups))
+    if topology.outputs != tuple(shuffle_perm_decimal(ShuffleSpec(g, l))):
+        routes.add(f"output keys {verdict}")
+    elif any(len(set(column)) < g for column in columns[:n]):
+        routes.add("router 0 columns reject")
+    elif columns[n:] == columns[:n] * (m - 1):
+        routes.add("columns pass")
+    else:
+        routes.add(f"differing columns {verdict}")
+    return routes
+
+
+def mutants(topology, rng):
+    """Seeded mis-wirings of ``topology``, each with the name of its kind."""
+    g, m, n = topology.params.g, topology.params.m, topology.params.n
+    size, lambdas = topology.params.channel_count, topology.params.lambda_count
+    outputs, wavelengths = list(topology.outputs), list(topology.wavelengths)
+
+    def swapped(values, i, j):
+        values = list(values)
+        values[i], values[j] = values[j], values[i]
+        return values
+
+    def two_in_one_fiber(fiber):
+        c, d = rng.sample(range(n), 2)
+        return fiber * n + c, fiber * n + d
+
+    if size >= 2:
+        i, j = rng.sample(range(size), 2)
+        yield "swap two outputs", replace(topology, outputs=swapped(outputs, i, j))
+    if lambdas >= 2:
+        i = rng.randrange(size)
+        edited = list(wavelengths)
+        edited[i] = rng.choice([w for w in range(lambdas) if w != wavelengths[i]])
+        yield "edit one wavelength", replace(topology, wavelengths=edited)
+        # the same edit on every fiber of the group keeps its fibers equal
+        a, c = i // (m * n), i % n
+        for b in range(m):
+            edited[(a * m + b) * n + c] = edited[i]
+        yield "edit one wavelength on every fiber of a group", replace(
+            topology, wavelengths=edited)
+    if n >= 2:
+        i, j = two_in_one_fiber(rng.randrange(g * m))
+        yield "swap wavelengths within a fiber", replace(
+            topology, wavelengths=swapped(wavelengths, i, j))
+        i, j = two_in_one_fiber(rng.randrange(g * m))
+        yield "swap two channels of a fiber", replace(
+            topology, outputs=swapped(outputs, i, j), wavelengths=swapped(wavelengths, i, j))
+    if n >= 2 and m >= 2:
+        a, b = rng.randrange(g), rng.randrange(1, m)  # port b feeds router b
+        i, j = two_in_one_fiber(a * m + b)
+        yield "swap wavelengths within a fiber of router r >= 1", replace(
+            topology, wavelengths=swapped(wavelengths, i, j))
+
+
+class TestConflictCheckDifferential:
+    """The conflict check's fast paths end as a plain per-channel scan does."""
+
+    # g > n, g < n, g = n, m = 1, g = 1 and n = 1
+    SHAPES = [(3, 2, 3), (5, 2, 3), (6, 3, 2), (2, 3, 5), (2, 2, 6), (4, 1, 5), (1, 4, 3),
+              (4, 3, 1), (3, 3, 3), (1, 1, 1)]
+
+    def test_mutants_end_as_the_scan_does(self):
+        routes = set()
+        for shape, seed in product(self.SHAPES, range(12)):
+            for kind, mutant in mutants(build_network(*shape), random.Random(seed)):
+                expected = scanned_conflicts(mutant)
+                found = check_wavelength_conflicts(mutant)
+                assert [(c.fiber, c.wavelength, c.first, c.second) for c in found] == (
+                    expected), (shape, seed, kind)
+                result = run_named_check(CHECK_WAVELENGTH_CONFLICTS, mutant)
+                assert result.passed == (not expected), (shape, seed, kind)
+                if expected:
+                    fiber, w, first, second = expected[0]
+                    assert result.counterexample == (
+                        f"{fiber} carries wavelength {w} twice: {first} and {second}")
+                routes |= fast_path_routes(mutant)
+        assert routes >= {
+            "input slice rejects",  # one edit on every fiber of a group
+            "router 0 columns reject",
+            "differing columns reject",  # a change confined to router r >= 1
+            "input fibers pass",  # a fiber of a group changed, conflict-free
+            "output keys pass",  # two channels of a fiber swapped
+            "differing columns pass",  # g < n leaves each column room
+        }, routes
+
+    def test_unmutated_fabrics_pass_through_the_fast_paths(self):
+        for shape in self.SHAPES:
+            topology = build_network(*shape)
+            assert fast_path_routes(topology) == {"input slices pass", "columns pass"}
+            assert check_wavelength_conflicts(topology) == scanned_conflicts(topology) == []
+
+
+class TestMemoryAtTheCap:
+    def test_verify_at_the_cap_peaks_near_the_build(self, peak_kb):
+        # W(100,100,100), one million channels: the checks' transients stay
+        # within 80% of what the built fabric itself takes
+        build = peak_kb("awgshuffle.build_network(100, 100, 100)")
+        verify = peak_kb("assert awgshuffle.verify_shuffle_equivalence(100, 100, 100).passed")
+        assert verify <= 1.8 * build

@@ -3,11 +3,9 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-import awgshuffle
 import awgshuffle.analysis as analysis
 from awgshuffle import build_network, cli_main, parse_topology, serialize_topology
 from awgshuffle.serialize import _BLOCK
@@ -17,14 +15,6 @@ def run(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def child_env():
-    """The environment of a child interpreter that imports this awgshuffle."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(awgshuffle.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    return env
 
 
 class TestVerifyCommand:
@@ -321,21 +311,11 @@ class TestSynthCommand:
     def test_streamed_shape_spans_blocks(self):
         assert 9 * 9 * 30 > 2 * _BLOCK and (9 * 9 * 30) % _BLOCK
 
-    def test_dot_at_the_cap_peaks_near_the_build(self, tmp_path):
+    def test_dot_at_the_cap_peaks_near_the_build(self, tmp_path, peak_kb):
         # W(1000,1000,1): one million cables, 85 MB of DOT text
         path = tmp_path / "w.dot"
         argv = ["synth", "--g", "1000", "--m", "1000", "--n", "1", "--format", "dot",
                 "--out", str(path)]
-        env = child_env()
-
-        def peak_kb(statement):
-            # each child reports its own RUSAGE_SELF peak on its last line
-            script = (f"import resource, awgshuffle\n{statement}\n"
-                      "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-            done = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, check=True)
-            return int(done.stdout.split()[-1])
-
         build = peak_kb("awgshuffle.build_network(1000, 1000, 1)")
         synth = peak_kb(f"assert awgshuffle.cli_main({argv!r}) == 0")
         assert synth <= 1.15 * build
@@ -409,32 +389,36 @@ GMN = ["--g", "3", "--m", "2", "--n", "3"]
 class TestImportSets:
     """Each command, in a fresh interpreter, loads only the modules it calls."""
 
-    def loaded(self, *argv):
-        done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
-                              env=child_env(), capture_output=True, text=True, check=True)
-        code, modules = json.loads(done.stdout.splitlines()[-1])
-        assert code == 0, done.stderr
-        return set(modules)
+    @pytest.fixture
+    def imports_of(self, child_env):
+        def probe(*argv):
+            done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+                                  env=child_env, capture_output=True, text=True, check=True)
+            code, modules = json.loads(done.stdout.splitlines()[-1])
+            assert code == 0, done.stderr
+            return set(modules)
 
-    def test_oracle_loads_no_router_model(self):
-        loaded = self.loaded("oracle", "--g", "3", "--l", "6")
+        return probe
+
+    def test_oracle_loads_no_router_model(self, imports_of):
+        loaded = imports_of("oracle", "--g", "3", "--l", "6")
         assert "shuffle" in loaded
         assert loaded.isdisjoint({"topology", "awg", "analysis", "serialize"})
 
-    def test_trace_loads_neither_analysis_nor_serialize(self):
-        loaded = self.loaded("trace", *GMN, "--group", "1", "--port", "0", "--lambda", "0")
+    def test_trace_loads_neither_analysis_nor_serialize(self, imports_of):
+        loaded = imports_of("trace", *GMN, "--group", "1", "--port", "0", "--lambda", "0")
         assert "topology" in loaded
         assert loaded.isdisjoint({"analysis", "serialize"})
 
-    def test_verify_loads_serialize_only_for_a_report(self, tmp_path):
-        assert "serialize" not in self.loaded("verify", *GMN)
-        assert "serialize" in self.loaded("verify", *GMN, "--report", str(tmp_path / "r.json"))
+    def test_verify_loads_serialize_only_for_a_report(self, tmp_path, imports_of):
+        assert "serialize" not in imports_of("verify", *GMN)
+        assert "serialize" in imports_of("verify", *GMN, "--report", str(tmp_path / "r.json"))
 
-    def test_tradeoff_loads_serialize_only_for_csv(self, tmp_path):
-        assert "serialize" not in self.loaded("tradeoff", "--g", "2", "--l", "12")
-        assert "serialize" in self.loaded("tradeoff", "--g", "2", "--l", "12",
-                                          "--csv", str(tmp_path / "t.csv"))
+    def test_tradeoff_loads_serialize_only_for_csv(self, tmp_path, imports_of):
+        assert "serialize" not in imports_of("tradeoff", "--g", "2", "--l", "12")
+        assert "serialize" in imports_of("tradeoff", "--g", "2", "--l", "12",
+                                         "--csv", str(tmp_path / "t.csv"))
 
-    def test_synth_loads_no_analysis(self, tmp_path):
-        loaded = self.loaded("synth", *GMN, "--out", str(tmp_path / "w.json"))
+    def test_synth_loads_no_analysis(self, tmp_path, imports_of):
+        loaded = imports_of("synth", *GMN, "--out", str(tmp_path / "w.json"))
         assert "serialize" in loaded and "analysis" not in loaded
