@@ -10,14 +10,13 @@ The checks are passes over the fabric's integer tuples: each first
 runs a whole-sequence test, and only when that fails does an ordered
 scan look for the first counterexample in ascending address order and
 stop there, which keeps reports deterministic and compact. The oracle
-check compares the tuples, bijectivity counts distinct outputs, and
-the wavelength check reads the fibers off the fabric's structure: a
-group's m input fibers are one slice of ``wavelengths``, checked once
-when it repeats its first fiber, and when ``outputs`` is the oracle the
-router output fibers are the columns of those slices, checked once per
-router block that differs from router 0's. A fabric with other
-outputs has its output fibers keyed per channel instead. Addresses are
-built only to word a counterexample.
+check compares the tuples and bijectivity counts distinct outputs. The
+wavelength check has three stages: a structural proof for a fabric
+whose groups repeat their first fiber and whose outputs are the
+oracle, where the g first fibers and router 0's n columns decide every
+fiber; distinct key sets, fiber * lambda_count + wavelength, for any
+other fabric; and the ordered scan over the same keys when either
+fails. Addresses are built only to word a counterexample.
 
 The resource side tabulates the wavelength-versus-cabling tradeoff
 across every factorization l = m*n of a fixed fanout: growing n grows
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import prod
 from operator import add, eq, floordiv, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .addressing import ChannelAddress, mixed_radix_decode
 from .errors import CapacityError, DomainError
@@ -202,86 +201,66 @@ def _check_topology_bijectivity(topology: Topology) -> CheckResult:
     )
 
 
-def _distinct(fibers: Iterable[tuple[int, ...]], width: int) -> bool:
-    """Whether each of ``fibers`` carries ``width`` distinct wavelengths."""
-    return all(map(width.__eq__, map(len, map(set, fibers))))
+def _fiber_keys(topology: Topology) -> Iterator[Iterator[int]]:
+    """The input-fiber keys of the channels, then their output-fiber keys.
 
-
-def _input_fibers_clean(topology: Topology) -> bool:
-    """No input fiber (group, port) carries one wavelength twice.
-
-    Group a's m fibers are the slice ``wavelengths[a*l:(a+1)*l]`` with
-    l = m*n. When that slice is its first n-wide fiber repeated m times,
-    one tuple comparison shows the group's fibers are equal and only the
-    first needs a set check; otherwise every fiber of the group gets one.
+    A key is fiber * lambda_count + wavelength, so two channels share one
+    when they share a wavelength on one fiber. Channel i is on input
+    fiber (group, port) i // n and output channel o on router output
+    fiber (router, output) o // g. Each chain is lazy, in input order.
     """
     p = topology.params
-    m, n = p.m, p.n
-    for group in zip(*[iter(topology.wavelengths)] * (m * n)):
-        first = group[:n]
-        fibers = (first,) if group == first * m else zip(*[iter(group)] * n)
-        if not _distinct(fibers, n):
-            return False
-    return True
+    for fibers in (map(floordiv, range(p.channel_count), repeat(p.n)),
+                   map(floordiv, topology.outputs, repeat(p.g))):
+        yield map(add, map(mul, fibers, repeat(p.lambda_count)), topology.wavelengths)
 
 
-def _output_fibers_clean(topology: Topology) -> bool:
-    """No router output fiber (router, output) carries one wavelength twice.
+def _fibers_clean(topology: Topology) -> bool:
+    """No input fiber and no router output fiber carries one wavelength twice.
 
-    Output fiber j of output channel o is o // g. When ``outputs`` is the
-    oracle S(g, l), fiber j holds inputs {a*l + j}, so the fibers are the
-    columns of the g group slices of ``wavelengths``: router 0's n
-    columns get a set check each, and a later router's block only where
-    its columns differ from router 0's. Any other ``outputs`` keys each
-    channel by fiber * lambda_count + wavelength (sparse, so memory
-    follows the channel count, not fibers x wavelengths) and requires
-    the keys to be distinct.
+    Group a's m input fibers are the slice ``wavelengths[a*l:(a+1)*l]``
+    with l = m*n. When every slice is its first n-wide fiber repeated m
+    times and ``outputs`` is the oracle S(g, l), output fiber j holds
+    inputs {a*l + j}, the column ``wavelengths[j::l]``, which carries
+    what column j % n does. The g first fibers and the n columns of
+    router 0 then decide every fiber. Any other fabric needs distinct
+    :func:`_fiber_keys` on both fiber populations.
     """
     p = topology.params
-    g, n, l = p.g, p.n, p.m * p.n
+    g, m, n, l = p.g, p.m, p.n, p.m * p.n
     wavelengths = topology.wavelengths
-    if topology.outputs != tuple(shuffle_perm_decimal(ShuffleSpec(g, l))):
-        output_fibers = map(floordiv, topology.outputs, repeat(g))
-        keys = map(add, map(mul, output_fibers, repeat(p.lambda_count)), wavelengths)
-        return len(set(keys)) == p.channel_count
-    columns = list(zip(*zip(*[iter(wavelengths)] * l)))  # column j: fiber j
-    head = columns[:n]
-    if not _distinct(head, g):
-        return False
-    for start in range(n, l, n):
-        block = columns[start : start + n]
-        if block != head and not _distinct(
-            (column for column, twin in zip(block, head) if column != twin), g
-        ):
-            return False
-    return True
+    firsts = [wavelengths[start : start + n] for start in range(0, p.channel_count, l)]
+    if all(
+        wavelengths[a * l : (a + 1) * l] == first * m for a, first in enumerate(firsts)
+    ) and topology.outputs == tuple(shuffle_perm_decimal(ShuffleSpec(g, l))):
+        fibers = firsts + [wavelengths[c::l] for c in range(n)]
+        return all(len(set(fiber)) == len(fiber) for fiber in fibers)
+    return all(len(set(keys)) == p.channel_count for keys in _fiber_keys(topology))
 
 
 def _conflicts(topology: Topology) -> Iterator[WavelengthConflict]:
     """Every wavelength carried twice on one fiber, in channel address order.
 
-    A fabric whose input fibers and router output fibers are all clean
-    (:func:`_input_fibers_clean`, :func:`_output_fibers_clean`) has no
-    conflict and is not scanned in order. Otherwise input fiber
-    (group, port) of channel i is i // n and router output fiber
-    (router, output) of output channel o is o // g, and an ordered scan
-    over both keys yields each repeat.
+    Three stages decide it. A fabric with the shuffle's structure is
+    proven clean or not from its g first fibers and n router-0 columns;
+    any other fabric is clean when its two sets of fiber keys are
+    distinct (:func:`_fibers_clean`). A clean fabric yields nothing;
+    otherwise an ordered scan walks the same key chains
+    (:func:`_fiber_keys`) and yields each repeat, input fiber before
+    output fiber within a channel.
     """
-    if _input_fibers_clean(topology) and _output_fibers_clean(topology):
+    if _fibers_clean(topology):
         return
     p = topology.params
-    lambdas, n, g = p.lambda_count, p.n, p.g
-    wavelengths = topology.wavelengths
-    on_group = [i // n * lambdas + w for i, w in enumerate(wavelengths)]
-    on_output = [o // g * lambdas + w for o, w in zip(topology.outputs, wavelengths)]
+    lambdas, m, n = p.lambda_count, p.m, p.n
     first_on_group: dict[int, int] = {}
     first_on_output: dict[int, int] = {}
-    for i, (group_key, output_key) in enumerate(zip(on_group, on_output)):
+    for i, (group_key, output_key) in enumerate(zip(*_fiber_keys(topology))):
         first = first_on_group.setdefault(group_key, i)
         if first != i:
             fiber, w = divmod(group_key, lambdas)
             yield WavelengthConflict(
-                fiber="group%d/port%d" % divmod(fiber, p.m),
+                fiber="group%d/port%d" % divmod(fiber, m),
                 wavelength=w,
                 first=topology.channel(first).input_addr,
                 second=topology.channel(i).input_addr,

@@ -369,31 +369,24 @@ def scanned_conflicts(topology):
     return found
 
 
-def fast_path_routes(topology):
-    """The passes of the conflict check that decide ``topology``, read off its structure.
+def deciding_stage(topology):
+    """The stage of the conflict check that decides ``topology``, read off its structure.
 
-    The input fibers are decided first, group by group; the router output
-    fibers only when no input fiber conflicts.
+    A fabric whose group slices repeat their first fiber and whose
+    outputs are the oracle is decided by its first fibers, then by router
+    0's columns; any other fabric by its keyed sets.
     """
     g, m, n = topology.params.g, topology.params.m, topology.params.n
     l = m * n
     groups = [topology.wavelengths[a * l:(a + 1) * l] for a in range(g)]
-    for group in groups:
-        if any(len(set(group[b * n:(b + 1) * n])) < n for b in range(m)):
-            return {"input slice rejects" if group == group[:n] * m else "input fibers reject"}
-    repeats = all(group == group[:n] * m for group in groups)
-    routes = {"input slices pass" if repeats else "input fibers pass"}
-    verdict = "reject" if scanned_conflicts(topology) else "pass"
-    columns = list(zip(*groups))
-    if topology.outputs != tuple(shuffle_perm_decimal(ShuffleSpec(g, l))):
-        routes.add(f"output keys {verdict}")
-    elif any(len(set(column)) < g for column in columns[:n]):
-        routes.add("router 0 columns reject")
-    elif columns[n:] == columns[:n] * (m - 1):
-        routes.add("columns pass")
-    else:
-        routes.add(f"differing columns {verdict}")
-    return routes
+    if (all(group == group[:n] * m for group in groups)
+            and topology.outputs == tuple(shuffle_perm_decimal(ShuffleSpec(g, l)))):
+        if any(len(set(group[:n])) < n for group in groups):
+            return "structure rejects a first fiber"
+        if any(len({group[c] for group in groups}) < g for c in range(n)):
+            return "structure rejects a router-0 column"
+        return "structure passes"
+    return "keys reject" if scanned_conflicts(topology) else "keys pass"
 
 
 def mutants(topology, rng):
@@ -437,17 +430,25 @@ def mutants(topology, rng):
         i, j = two_in_one_fiber(a * m + b)
         yield "swap wavelengths within a fiber of router r >= 1", replace(
             topology, wavelengths=swapped(wavelengths, i, j))
+    if n >= 2:
+        # the same swap on every fiber of a group keeps its fibers equal
+        a, (c, d) = rng.randrange(g), rng.sample(range(n), 2)
+        edited = list(wavelengths)
+        for fiber in range(a * m, (a + 1) * m):
+            edited = swapped(edited, fiber * n + c, fiber * n + d)
+        yield "swap two wavelengths on every fiber of a group", replace(
+            topology, wavelengths=edited)
 
 
 class TestConflictCheckDifferential:
-    """The conflict check's fast paths end as a plain per-channel scan does."""
+    """The conflict check's stages end as a plain per-channel scan does."""
 
     # g > n, g < n, g = n, m = 1, g = 1 and n = 1
     SHAPES = [(3, 2, 3), (5, 2, 3), (6, 3, 2), (2, 3, 5), (2, 2, 6), (4, 1, 5), (1, 4, 3),
               (4, 3, 1), (3, 3, 3), (1, 1, 1)]
 
     def test_mutants_end_as_the_scan_does(self):
-        routes = set()
+        reached = set()
         for shape, seed in product(self.SHAPES, range(12)):
             for kind, mutant in mutants(build_network(*shape), random.Random(seed)):
                 expected = scanned_conflicts(mutant)
@@ -460,20 +461,21 @@ class TestConflictCheckDifferential:
                     fiber, w, first, second = expected[0]
                     assert result.counterexample == (
                         f"{fiber} carries wavelength {w} twice: {first} and {second}")
-                routes |= fast_path_routes(mutant)
-        assert routes >= {
-            "input slice rejects",  # one edit on every fiber of a group
-            "router 0 columns reject",
-            "differing columns reject",  # a change confined to router r >= 1
-            "input fibers pass",  # a fiber of a group changed, conflict-free
-            "output keys pass",  # two channels of a fiber swapped
-            "differing columns pass",  # g < n leaves each column room
-        }, routes
+                reached.add((deciding_stage(mutant), kind))
+        assert reached >= {
+            ("structure passes", "swap two wavelengths on every fiber of a group"),
+            ("structure rejects a first fiber", "edit one wavelength on every fiber of a group"),
+            ("structure rejects a router-0 column",
+             "edit one wavelength on every fiber of a group"),
+            ("keys pass", "swap two channels of a fiber"),
+            ("keys pass", "swap wavelengths within a fiber"),  # one fiber of a group edited
+            ("keys reject", "swap wavelengths within a fiber of router r >= 1"),
+        }, reached
 
     def test_unmutated_fabrics_pass_through_the_fast_paths(self):
         for shape in self.SHAPES:
             topology = build_network(*shape)
-            assert fast_path_routes(topology) == {"input slices pass", "columns pass"}
+            assert deciding_stage(topology) == "structure passes"
             assert check_wavelength_conflicts(topology) == scanned_conflicts(topology) == []
 
 
@@ -484,3 +486,21 @@ class TestMemoryAtTheCap:
         build = peak_kb("awgshuffle.build_network(100, 100, 100)")
         verify = peak_kb("assert awgshuffle.verify_shuffle_equivalence(100, 100, 100).passed")
         assert verify <= 1.8 * build
+
+    def test_keyed_conflict_check_at_the_cap_peaks_near_the_build(self, peak_kb):
+        # channels 0 and 10099 of W(100,100,100) both carry wavelength 0:
+        # trading their outputs breaks the oracle but keeps every fiber
+        # clean, so the conflict check decides by its keyed sets
+        mutant = ("from dataclasses import replace\n"
+                  "t = awgshuffle.build_network(100, 100, 100)\n"
+                  "assert t.wavelengths[0] == t.wavelengths[10099] == 0\n"
+                  "o = list(t.outputs)\n"
+                  "o[0], o[10099] = o[10099], o[0]\n"
+                  "t = replace(t, outputs=o)\n"
+                  "del o\n")
+        build = peak_kb(mutant)
+        check = peak_kb(mutant + "assert awgshuffle.run_named_check("
+                        "awgshuffle.CHECK_WAVELENGTH_CONFLICTS, t).passed")
+        peak_kb(mutant + "assert [awgshuffle.run_named_check(name, t).passed"
+                " for name in awgshuffle.CHECK_NAMES] == [False, True, True]")
+        assert check <= 2.3 * build, check / build

@@ -1,6 +1,7 @@
 """Every name the package and its modules advertise in ``__all__`` exists,
 every package export has a caller outside the unit tests, every name a
-module imports is used there or re-exported, and the package, which
+module imports is used there or re-exported, every private helper a
+module defines is read somewhere in the package, and the package, which
 imports its modules lazily, returns what an eager one would."""
 
 import ast
@@ -64,6 +65,15 @@ def test_every_import_is_used_or_exported():
     assert unused == {}
 
 
+def loaded_names(tree):
+    """Every name ``tree`` reads, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def test_every_package_export_has_a_caller_outside_the_unit_tests():
     # A caller is a use in a package module (not an import, a definition
     # or an ``__all__`` entry), an import of the acceptance tests, or the
@@ -71,16 +81,34 @@ def test_every_package_export_has_a_caller_outside_the_unit_tests():
     repo = Path(__file__).resolve().parents[1]
     used = set()
     for path in Path(awgshuffle.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used.update(loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
     acceptance = repo / "tests" / "test_acceptance.py"
     used.update(imported_names(ast.parse(acceptance.read_text(encoding="utf-8"))))
     for path in (repo / "perfbench").glob("*.py"):
         used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     assert sorted(set(awgshuffle.__all__) - used) == []
+
+
+def defined_names(tree):
+    """The names a module's own top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_every_private_helper_is_loaded_in_the_package():
+    # a helper a refactor left behind is defined but never read
+    loaded, private = set(), set()
+    for path in Path(awgshuffle.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded.update(loaded_names(tree))
+        private.update((path.name, name) for name in defined_names(tree) if name.startswith("_")
+                       and not (name.startswith("__") and name.endswith("__")))
+    assert ("analysis.py", "_fiber_keys") in private
+    assert sorted(entry for entry in private if entry[1] not in loaded) == []
 
 
 class TestLazyPackage:
