@@ -9,14 +9,18 @@ oracle counterexample.
 The checks are passes over the fabric's integer tuples: each first
 runs a whole-sequence test, and only when that fails does an ordered
 scan look for the first counterexample in ascending address order and
-stop there, which keeps reports deterministic and compact. The oracle
-check compares the tuples and bijectivity counts distinct outputs. The
-wavelength check has three stages: a structural proof for a fabric
-whose groups repeat their first fiber and whose outputs are the
-oracle, where the g first fibers and router 0's n columns decide every
-fiber; distinct key sets, fiber * lambda_count + wavelength, for any
-other fabric; and the ordered scan over the same keys when either
-fails. Addresses are built only to word a counterexample.
+stop there, which keeps reports deterministic and compact. Verify
+builds the oracle array once and compares the outputs with it once;
+that verdict serves all three checks and the match count. The oracle
+exchanges two digits, so it is a permutation of range(N): a fabric
+equal to it is bijective without a test of its own, and any other
+fabric has its distinct outputs counted. The wavelength check decides
+input and output fibers apart. Groups that repeat their first fiber
+are proven by their g first fibers whatever the outputs are, and with
+the oracle's outputs router 0's n columns decide every output fiber;
+any other fiber population needs distinct keys, fiber * lambda_count +
+wavelength, and an ordered scan over the same keys words a conflict
+when one is found. Addresses are built only to word a counterexample.
 
 The resource side tabulates the wavelength-versus-cabling tradeoff
 across every factorization l = m*n of a fixed fanout: growing n grows
@@ -103,16 +107,16 @@ class VerificationReport:
     matched: int  # channels whose output equals the oracle's
 
 
-def check_oracle_equivalence(topology: Topology) -> CheckResult:
-    """Compare the routed permutation against the oracle S(g, m*n).
+def _oracle(params: NetworkParams) -> tuple[int, ...]:
+    """The oracle S(g, m*n) as a tuple of decimal outputs, in input order."""
+    return tuple(shuffle_perm_decimal(ShuffleSpec(params.g, params.m * params.n)))
 
-    The oracle is the decimal array of the perfect shuffle S(g, m*n);
-    the first channel that disagrees is worded through its digit form,
-    the left cyclic shift of the input address.
-    """
-    p = topology.params
-    expected = shuffle_perm_decimal(ShuffleSpec(p.g, p.m * p.n))
-    if topology.outputs == tuple(expected):
+
+def _oracle_check(
+    topology: Topology, expected: tuple[int, ...], is_oracle: bool
+) -> CheckResult:
+    """The oracle check, given the oracle and whether ``outputs`` equals it."""
+    if is_oracle:
         return CheckResult(CHECK_ORACLE, True)
     index = next(i for i, want in enumerate(expected) if topology.outputs[i] != want)
     tr = topology.channel(index)
@@ -124,11 +128,15 @@ def check_oracle_equivalence(topology: Topology) -> CheckResult:
     )
 
 
-def _oracle_matches(topology: Topology) -> int:
-    """How many channels reach the output the oracle S(g, m*n) expects."""
-    p = topology.params
-    expected = shuffle_perm_decimal(ShuffleSpec(p.g, p.m * p.n))
-    return sum(map(eq, topology.outputs, expected))
+def check_oracle_equivalence(topology: Topology) -> CheckResult:
+    """Compare the routed permutation against the oracle S(g, m*n).
+
+    The oracle is the decimal array of the perfect shuffle S(g, m*n);
+    the first channel that disagrees is worded through its digit form,
+    the left cyclic shift of the input address.
+    """
+    expected = _oracle(topology.params)
+    return _oracle_check(topology, expected, topology.outputs == expected)
 
 
 def _check_images(
@@ -189,7 +197,14 @@ def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckRes
     )
 
 
-def _check_topology_bijectivity(topology: Topology) -> CheckResult:
+def _check_topology_bijectivity(topology: Topology, is_oracle: bool) -> CheckResult:
+    """Bijectivity of ``outputs``; ``is_oracle`` says they are known to equal the oracle.
+
+    The oracle S(g, m*n) exchanges two digits, so it is a permutation of
+    range(N) and a fabric equal to it passes without a test of its own.
+    """
+    if is_oracle:
+        return CheckResult(CHECK_BIJECTIVITY, True)
     p = topology.params
     return _check_images(
         topology.outputs,
@@ -215,41 +230,41 @@ def _fiber_keys(topology: Topology) -> Iterator[Iterator[int]]:
         yield map(add, map(mul, fibers, repeat(p.lambda_count)), topology.wavelengths)
 
 
-def _fibers_clean(topology: Topology) -> bool:
+def _fibers_clean(topology: Topology, is_oracle: bool) -> bool:
     """No input fiber and no router output fiber carries one wavelength twice.
 
     Group a's m input fibers are the slice ``wavelengths[a*l:(a+1)*l]``
     with l = m*n. When every slice is its first n-wide fiber repeated m
-    times and ``outputs`` is the oracle S(g, l), output fiber j holds
-    inputs {a*l + j}, the column ``wavelengths[j::l]``, which carries
-    what column j % n does. The g first fibers and the n columns of
-    router 0 then decide every fiber. Any other fabric needs distinct
-    :func:`_fiber_keys` on both fiber populations.
+    times, the g first fibers decide the input fibers, whatever the
+    outputs are. When moreover ``is_oracle`` (``outputs`` equals the
+    oracle S(g, l)), output fiber j holds inputs {a*l + j}, the column
+    ``wavelengths[j::l]``, which carries what column j % n does, so the n
+    columns of router 0 decide the output fibers. Any other fiber
+    population needs distinct :func:`_fiber_keys`.
     """
     p = topology.params
     g, m, n, l = p.g, p.m, p.n, p.m * p.n
     wavelengths = topology.wavelengths
+    on_group, on_output = _fiber_keys(topology)
     firsts = [wavelengths[start : start + n] for start in range(0, p.channel_count, l)]
-    if all(
-        wavelengths[a * l : (a + 1) * l] == first * m for a, first in enumerate(firsts)
-    ) and topology.outputs == tuple(shuffle_perm_decimal(ShuffleSpec(g, l))):
-        fibers = firsts + [wavelengths[c::l] for c in range(n)]
-        return all(len(set(fiber)) == len(fiber) for fiber in fibers)
-    return all(len(set(keys)) == p.channel_count for keys in _fiber_keys(topology))
+    if all(wavelengths[a * l : (a + 1) * l] == first * m for a, first in enumerate(firsts)):
+        if not all(len(set(first)) == n for first in firsts):
+            return False
+        if is_oracle:
+            return all(len(set(wavelengths[c::l])) == g for c in range(n))
+    elif len(set(on_group)) != p.channel_count:
+        return False
+    return len(set(on_output)) == p.channel_count
 
 
-def _conflicts(topology: Topology) -> Iterator[WavelengthConflict]:
+def _conflicts(topology: Topology, is_oracle: bool) -> Iterator[WavelengthConflict]:
     """Every wavelength carried twice on one fiber, in channel address order.
 
-    Three stages decide it. A fabric with the shuffle's structure is
-    proven clean or not from its g first fibers and n router-0 columns;
-    any other fabric is clean when its two sets of fiber keys are
-    distinct (:func:`_fibers_clean`). A clean fabric yields nothing;
-    otherwise an ordered scan walks the same key chains
-    (:func:`_fiber_keys`) and yields each repeat, input fiber before
-    output fiber within a channel.
+    A fabric :func:`_fibers_clean` proves clean yields nothing; otherwise
+    an ordered scan walks the key chains (:func:`_fiber_keys`) and yields
+    each repeat, input fiber before output fiber within a channel.
     """
-    if _fibers_clean(topology):
+    if _fibers_clean(topology, is_oracle):
         return
     p = topology.params
     lambdas, m, n = p.lambda_count, p.m, p.n
@@ -276,6 +291,19 @@ def _conflicts(topology: Topology) -> Iterator[WavelengthConflict]:
             )
 
 
+def _conflict_check(topology: Topology, is_oracle: bool) -> CheckResult:
+    """The wavelength-conflict check, worded by its first conflict."""
+    first = next(_conflicts(topology, is_oracle), None)
+    if first is not None:
+        return CheckResult(
+            CHECK_WAVELENGTH_CONFLICTS,
+            False,
+            f"{first.fiber} carries wavelength {first.wavelength} twice: "
+            f"{first.first} and {first.second}",
+        )
+    return CheckResult(CHECK_WAVELENGTH_CONFLICTS, True)
+
+
 def check_wavelength_conflicts(topology: Topology) -> list[WavelengthConflict]:
     """List every fiber that carries one wavelength twice (empty when sound).
 
@@ -283,7 +311,7 @@ def check_wavelength_conflicts(topology: Topology) -> list[WavelengthConflict]:
     router output fibers (router, output). Conflicts appear in channel
     address order.
     """
-    return list(_conflicts(topology))
+    return list(_conflicts(topology, topology.outputs == _oracle(topology.params)))
 
 
 def run_named_check(name: str, topology: Topology) -> CheckResult:
@@ -291,17 +319,9 @@ def run_named_check(name: str, topology: Topology) -> CheckResult:
     if name == CHECK_ORACLE:
         return check_oracle_equivalence(topology)
     if name == CHECK_BIJECTIVITY:
-        return _check_topology_bijectivity(topology)
+        return _check_topology_bijectivity(topology, False)
     if name == CHECK_WAVELENGTH_CONFLICTS:
-        first = next(_conflicts(topology), None)
-        if first is not None:
-            return CheckResult(
-                CHECK_WAVELENGTH_CONFLICTS,
-                False,
-                f"{first.fiber} carries wavelength {first.wavelength} twice: "
-                f"{first.first} and {first.second}",
-            )
-        return CheckResult(CHECK_WAVELENGTH_CONFLICTS, True)
+        return _conflict_check(topology, topology.outputs == _oracle(topology.params))
     raise DomainError(f"unknown check {name!r}")
 
 
@@ -309,19 +329,30 @@ def verify_shuffle_equivalence(g: int, m: int, n: int) -> VerificationReport:
     """Build W(g, m, n) and verify it behaves as the N = g*m*n shuffle.
 
     Runs the oracle-equivalence, bijectivity, and wavelength-conflict
-    checks over all channels. CapacityError propagates before any report
-    is produced for a fabric over the default channel cap.
+    checks over all channels. The oracle array is built and compared
+    once; its verdict settles bijectivity and the output fibers of the
+    conflict check, and on a failing fabric it counts the matches before
+    it is dropped. CapacityError propagates before any report is
+    produced for a fabric over the default channel cap.
     """
     topology = build_network(g, m, n)
-    checks = tuple(run_named_check(name, topology) for name in CHECK_NAMES)
     size = topology.params.channel_count
-    oracle_passed = next(c.passed for c in checks if c.name == CHECK_ORACLE)
+    expected = _oracle(topology.params)
+    is_oracle = topology.outputs == expected
+    oracle = _oracle_check(topology, expected, is_oracle)
+    matched = size if is_oracle else sum(map(eq, topology.outputs, expected))
+    del expected
+    checks = (
+        oracle,
+        _check_topology_bijectivity(topology, is_oracle),
+        _conflict_check(topology, is_oracle),
+    )
     return VerificationReport(
         params=topology.params,
         passed=all(check.passed for check in checks),
         checks=checks,
         permutation_size=size,
-        matched=size if oracle_passed else _oracle_matches(topology),
+        matched=matched,
     )
 
 

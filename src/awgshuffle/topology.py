@@ -195,6 +195,8 @@ class Topology:
             values = getattr(self, name)
             if len(values) != size:
                 raise DomainError(f"{name} has {len(values)} entries for {size} channels")
+            if name == "wavelengths":
+                values = set(values)  # few distinct values: the same range, read faster
             if min(values) < 0 or max(values) >= bound:
                 raise DomainError(f"{name} entries must lie in [0, {bound})")
 

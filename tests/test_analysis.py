@@ -1,9 +1,11 @@
 import random
 from dataclasses import replace
 from itertools import product
+from operator import eq
 
 import pytest
 
+import awgshuffle.analysis as analysis
 from awgshuffle import (
     CHECK_NAMES,
     CHECK_WAVELENGTH_CONFLICTS,
@@ -226,29 +228,72 @@ def _run_checks(topology):
     return {name: run_named_check(name, topology) for name in CHECK_NAMES}
 
 
+def swapped(values, i, j):
+    values = list(values)
+    values[i], values[j] = values[j], values[i]
+    return values
+
+
+def rerouted(topology, law):
+    """``topology`` with channel (group, port, wavelength) sent to ``law``'s (router, q)."""
+    g, m, n = topology.params.g, topology.params.m, topology.params.n
+    lambdas = topology.params.lambda_count
+    outputs = []
+    for i, w in enumerate(topology.wavelengths):
+        group, port = divmod(i // n, m)
+        router, q = law(group, port, w)
+        outputs.append((router * n + q) * g + (w - q) % lambdas)
+    return replace(topology, outputs=outputs)
+
+
+def faults(w323):
+    """The mis-wired fabrics of :class:`TestFaultInjection`, by the fault each carries."""
+    duplicated = list(w323.outputs)
+    duplicated[5] = duplicated[2]
+    shared = list(w323.wavelengths)
+    shared[7] = shared[6]
+    return {
+        "swapped outputs": replace(w323, outputs=swapped(w323.outputs, 4, 13)),
+        "duplicated output": replace(w323, outputs=duplicated),
+        "shared wavelength on one fiber": replace(w323, wavelengths=shared),
+        # channels 000 (wavelength 0) and 001 (wavelength 1) trade router
+        # outputs: still a bijection, and every input fiber keeps its
+        # wavelengths, but each of the two router-output fibers now
+        # carries one wavelength twice
+        "shared wavelength on output fibers only": replace(
+            w323, outputs=swapped(w323.outputs, 0, 1)),
+        # g > n: the router law must wrap at max(g, n) = 5; wrapping at n
+        # first goes wrong at input (3, 0, 2), wavelength (3 + 2) mod 5 = 0
+        "router modulus n": rerouted(
+            build_network(5, 2, 3), lambda group, port, w: (port, (w - group) % 3)),
+        # port b of group a plugged into input b of router a (needs g = m):
+        # still a bijection with one wavelength per fiber, so only the
+        # oracle sees it; the first channel off the diagonal goes wrong
+        "swapped wiring": rerouted(
+            build_network(3, 3, 3), lambda group, port, w: (group, (w - port) % 3)),
+        # router law (i - p + 1) mod L: every channel lands one output
+        # late, so the very first channel is already wrong
+        "off-by-one routing": rerouted(w323, lambda group, port, w: (port, (w - group + 1) % 3)),
+    }
+
+
 class TestFaultInjection:
     """Each check rejects a mis-wired fabric with its first counterexample."""
 
     def test_swapped_outputs_fail_the_oracle_only_as_a_permutation(self, w323):
-        outputs = list(w323.outputs)
-        outputs[4], outputs[13] = outputs[13], outputs[4]
-        results = _run_checks(replace(w323, outputs=outputs))
+        results = _run_checks(faults(w323)["swapped outputs"])
         assert results["oracle-equivalence"].counterexample == (
             "input 011 reaches 012, oracle expects 110"
         )
         assert results["bijectivity"].passed
 
     def test_duplicated_output_names_the_second_input(self, w323):
-        outputs = list(w323.outputs)
-        outputs[5] = outputs[2]
-        results = _run_checks(replace(w323, outputs=outputs))
+        results = _run_checks(faults(w323)["duplicated output"])
         assert not results["bijectivity"].passed
         assert results["bijectivity"].counterexample == "inputs 002 and 012 both map to 020"
 
     def test_shared_wavelength_on_one_fiber(self, w323):
-        wavelengths = list(w323.wavelengths)
-        wavelengths[7] = wavelengths[6]
-        mutant = replace(w323, wavelengths=wavelengths)
+        mutant = faults(w323)["shared wavelength on one fiber"]
         results = _run_checks(mutant)
         assert results["oracle-equivalence"].passed
         assert results["bijectivity"].passed
@@ -261,13 +306,7 @@ class TestFaultInjection:
         assert first.second == addr((1, 0, 1), (3, 2, 3))
 
     def test_shared_wavelength_on_one_output_fiber_only(self, w323):
-        # channels 000 (wavelength 0) and 001 (wavelength 1) trade router
-        # outputs: still a bijection, and every input fiber keeps its
-        # wavelengths, but each of the two router-output fibers now
-        # carries one wavelength twice
-        outputs = list(w323.outputs)
-        outputs[0], outputs[1] = outputs[1], outputs[0]
-        mutant = replace(w323, outputs=outputs)
+        mutant = faults(w323)["shared wavelength on output fibers only"]
         results = _run_checks(mutant)
         assert not results["oracle-equivalence"].passed
         assert results["bijectivity"].passed
@@ -283,18 +322,8 @@ class TestFaultInjection:
             ("awg-out0/port1", 0, addr((0, 1, 0), out), addr((0, 1, 2), out)),
         ]
 
-    def test_router_modulus_n_instead_of_max_g_n(self):
-        # g > n: the router law must wrap at max(g, n) = 5; wrapping at n
-        # first goes wrong at input (3, 0, 2), wavelength (3 + 2) mod 5 = 0
-        g, m, n = 5, 2, 3
-        topology = build_network(g, m, n)
-        lambdas = topology.params.lambda_count
-        outputs = []
-        for i, w in enumerate(topology.wavelengths):
-            group, port = divmod(i // n, m)
-            q = (w - group) % n
-            outputs.append((port * n + q) * g + (w - q) % lambdas)
-        mutant = replace(topology, outputs=outputs)
+    def test_router_modulus_n_instead_of_max_g_n(self, w323):
+        mutant = faults(w323)["router modulus n"]
         assert check_oracle_equivalence(mutant).counterexample == (
             "input 302 reaches 000, oracle expects 023"
         )
@@ -304,20 +333,8 @@ class TestFaultInjection:
             "awg-out0/port0 carries wavelength 0 twice: 000 and 000"
         )
 
-    def test_swapped_wiring_fails_the_oracle_only(self):
-        # port b of group a plugged into input b of router a (needs g = m):
-        # still a bijection with one wavelength per fiber, so only the
-        # oracle sees it; the first channel off the diagonal goes wrong
-        g = m = n = 3
-        topology = build_network(g, m, n)
-        lambdas = topology.params.lambda_count
-        outputs = []
-        for i, w in enumerate(topology.wavelengths):
-            group, port = divmod(i // n, m)
-            router, awg_input = group, port
-            q = (w - awg_input) % lambdas
-            outputs.append((router * n + q) * g + (w - q) % lambdas)
-        results = _run_checks(replace(topology, outputs=outputs))
+    def test_swapped_wiring_fails_the_oracle_only(self, w323):
+        results = _run_checks(faults(w323)["swapped wiring"])
         assert results["oracle-equivalence"].counterexample == (
             "input 010 reaches 021, oracle expects 100"
         )
@@ -325,17 +342,7 @@ class TestFaultInjection:
         assert results["wavelength-conflicts"].passed
 
     def test_off_by_one_routing_fails_the_oracle_only(self, w323):
-        # router law (i - p + 1) mod L: every channel lands one output
-        # late, so the very first channel is already wrong
-        g, m, n = 3, 2, 3
-        lambdas = w323.params.lambda_count
-        outputs = []
-        for i, w in enumerate(w323.wavelengths):
-            group, port = divmod(i // n, m)
-            router, awg_input = port, group
-            q = (w - awg_input + 1) % lambdas
-            outputs.append((router * n + q) * g + (w - q) % lambdas)
-        results = _run_checks(replace(w323, outputs=outputs))
+        results = _run_checks(faults(w323)["off-by-one routing"])
         assert results["oracle-equivalence"].counterexample == (
             "input 000 reaches 012, oracle expects 000"
         )
@@ -349,6 +356,11 @@ class TestFaultInjection:
             replace(w323, outputs=(18,) + w323.outputs[1:])
         with pytest.raises(DomainError):
             replace(w323, wavelengths=(-1,) + w323.wavelengths[1:])
+        # both ends of both ranges, with the constructor's messages
+        with pytest.raises(DomainError, match=r"^outputs entries must lie in \[0, 18\)$"):
+            replace(w323, outputs=w323.outputs[:9] + (-1,) + w323.outputs[10:])
+        with pytest.raises(DomainError, match=r"^wavelengths entries must lie in \[0, 3\)$"):
+            replace(w323, wavelengths=w323.wavelengths[:9] + (3,) + w323.wavelengths[10:])
 
 
 def scanned_conflicts(topology):
@@ -372,21 +384,23 @@ def scanned_conflicts(topology):
 def deciding_stage(topology):
     """The stage of the conflict check that decides ``topology``, read off its structure.
 
-    A fabric whose group slices repeat their first fiber and whose
-    outputs are the oracle is decided by its first fibers, then by router
-    0's columns; any other fabric by its keyed sets.
+    Group slices that repeat their first fiber are decided by their first
+    fibers; with the oracle's outputs the output fibers then are decided
+    by router 0's columns, and with any other outputs by their keyed set.
+    Slices that do not repeat leave every fiber to the keyed sets.
     """
     g, m, n = topology.params.g, topology.params.m, topology.params.n
     l = m * n
     groups = [topology.wavelengths[a * l:(a + 1) * l] for a in range(g)]
-    if (all(group == group[:n] * m for group in groups)
-            and topology.outputs == tuple(shuffle_perm_decimal(ShuffleSpec(g, l)))):
-        if any(len(set(group[:n])) < n for group in groups):
-            return "structure rejects a first fiber"
-        if any(len({group[c] for group in groups}) < g for c in range(n)):
-            return "structure rejects a router-0 column"
-        return "structure passes"
-    return "keys reject" if scanned_conflicts(topology) else "keys pass"
+    if not all(group == group[:n] * m for group in groups):
+        return "keys reject" if scanned_conflicts(topology) else "keys pass"
+    if any(len(set(group[:n])) < n for group in groups):
+        return "structure rejects a first fiber"
+    if topology.outputs != tuple(shuffle_perm_decimal(ShuffleSpec(g, l))):
+        return "output keys reject" if scanned_conflicts(topology) else "output keys pass"
+    if any(len({group[c] for group in groups}) < g for c in range(n)):
+        return "structure rejects a router-0 column"
+    return "structure passes"
 
 
 def mutants(topology, rng):
@@ -394,11 +408,6 @@ def mutants(topology, rng):
     g, m, n = topology.params.g, topology.params.m, topology.params.n
     size, lambdas = topology.params.channel_count, topology.params.lambda_count
     outputs, wavelengths = list(topology.outputs), list(topology.wavelengths)
-
-    def swapped(values, i, j):
-        values = list(values)
-        values[i], values[j] = values[j], values[i]
-        return values
 
     def two_in_one_fiber(fiber):
         c, d = rng.sample(range(n), 2)
@@ -470,6 +479,9 @@ class TestConflictCheckDifferential:
             ("keys pass", "swap two channels of a fiber"),
             ("keys pass", "swap wavelengths within a fiber"),  # one fiber of a group edited
             ("keys reject", "swap wavelengths within a fiber of router r >= 1"),
+            # first fibers decide the input fibers, the keyed set the output fibers
+            ("output keys pass", "swap two outputs"),
+            ("output keys reject", "swap two outputs"),
         }, reached
 
     def test_unmutated_fabrics_pass_through_the_fast_paths(self):
@@ -479,13 +491,54 @@ class TestConflictCheckDifferential:
             assert check_wavelength_conflicts(topology) == scanned_conflicts(topology) == []
 
 
+class TestVerifyOnMutants:
+    """Verify's one oracle verdict ends as three separate checks do."""
+
+    def mutant_fabrics(self, w323):
+        for shape, seed in product(TestConflictCheckDifferential.SHAPES, range(12)):
+            for kind, mutant in mutants(build_network(*shape), random.Random(seed)):
+                yield (shape, seed, kind), mutant
+        for name, mutant in faults(w323).items():
+            yield name, mutant
+
+    def test_report_equals_the_named_checks(self, w323, monkeypatch):
+        for label, mutant in self.mutant_fabrics(w323):
+            monkeypatch.setattr(analysis, "build_network", lambda *shape: mutant)
+            p = mutant.params
+            report = verify_shuffle_equivalence(p.g, p.m, p.n)
+            checks = tuple(run_named_check(name, mutant) for name in CHECK_NAMES)
+            assert report.checks == checks, label
+            assert report.passed == all(check.passed for check in checks), label
+            assert report.matched == sum(map(
+                eq, mutant.outputs, shuffle_perm_decimal(ShuffleSpec(p.g, p.m * p.n)))), label
+
+    def test_a_passing_verify_builds_the_oracle_once_and_no_output_set(self, monkeypatch):
+        oracles, sets = [], []
+        real_oracle = analysis.shuffle_perm_decimal
+
+        def counted_oracle(spec):
+            oracles.append(spec)
+            return real_oracle(spec)
+
+        def counted_set(*args):
+            sets.append(len(args[0]) if args else 0)
+            return set(*args)
+
+        monkeypatch.setattr(analysis, "shuffle_perm_decimal", counted_oracle)
+        monkeypatch.setattr(analysis, "set", counted_set, raising=False)
+        report = verify_shuffle_equivalence(4, 3, 2)
+        assert report.passed and report.matched == 24
+        assert oracles == [ShuffleSpec(4, 6)]
+        assert sets and max(sets) < 24  # first fibers and router-0 columns only
+
+
 class TestMemoryAtTheCap:
     def test_verify_at_the_cap_peaks_near_the_build(self, peak_kb):
         # W(100,100,100), one million channels: the checks' transients stay
-        # within 80% of what the built fabric itself takes
+        # within 50% of what the built fabric itself takes
         build = peak_kb("awgshuffle.build_network(100, 100, 100)")
         verify = peak_kb("assert awgshuffle.verify_shuffle_equivalence(100, 100, 100).passed")
-        assert verify <= 1.8 * build
+        assert verify <= 1.5 * build, verify / build
 
     def test_keyed_conflict_check_at_the_cap_peaks_near_the_build(self, peak_kb):
         # channels 0 and 10099 of W(100,100,100) both carry wavelength 0:

@@ -1,4 +1,5 @@
 import ast
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -70,13 +71,22 @@ class TestDecimalView:
         assert shuffle_perm_decimal(ShuffleSpec(2, 2)) == [0, 2, 1, 3]
 
     def test_is_bijection_with_end_fixed_points(self):
-        for g in range(1, 7):
-            for l in range(1, 7):
-                perm = shuffle_perm_decimal(ShuffleSpec(g, l))
-                n = g * l
-                assert sorted(perm) == list(range(n))
-                assert perm[0] == 0
-                assert perm[n - 1] == n - 1
+        # verify passes bijectivity on the oracle's word, so the oracle must
+        # be a permutation on every S(g, m*n) verified: the 6 x 6 grid, the
+        # tier-1 sweep of g, m, n <= 6, the benchmark's verify ladder, the
+        # cap W(100,100,100), g = 1, l = 1 and g > l
+        grid = product(range(1, 7), repeat=2)
+        sweep = ((g, m * n) for g, m, n in product(range(1, 7), repeat=3))
+        ladder = [(8, 64), (10, 100), (12, 144), (16, 256), (24, 576), (32, 1024),
+                  (8, 128), (2, 256), (12, 1152), (64, 128), (32, 32), (16, 32),
+                  (48, 12), (1, 1024)]  # (8, 64, 1) repeats (8, 64)
+        edges = [(100, 10000), (1, 1), (1, 97), (97, 1), (7, 2), (100, 3)]
+        for g, l in {*grid, *sweep, *ladder, *edges}:
+            perm = shuffle_perm_decimal(ShuffleSpec(g, l))
+            n = g * l
+            assert sorted(perm) == list(range(n)), (g, l)
+            assert perm[0] == 0
+            assert perm[n - 1] == n - 1
 
     def test_agrees_with_digit_view(self):
         for g in range(1, 7):
