@@ -15,10 +15,17 @@ channel labeled (p, q) on the input side leaves on the channel labeled
 (q, p) on the output side. That exchange is exactly the perfect-shuffle
 permutation, which is what the analysis module verifies at scale.
 
-This module is the one statement of the routing law. The two-stage
-fabric's trace and its build guard label through this module: a trace
-takes the routed output from the input label and the originating input
-from the output label, and the guard raises through both.
+This module is the one statement of the routing law. Each of its two
+laws is written once, over a row: the wavelength law ``(p + q) mod
+lambda_count`` over the outputs q of an input p, and the routing law
+``(i - p) mod lambda_count`` over the wavelengths i entering p. The
+scalar operations are the one-element case of a row, after validating
+each index; :func:`awg_route_row` validates p once and then applies both
+laws to the whole row, which is how the two-stage fabric's build routes
+each router input. The fabric's trace and its build guard label through
+this module: a trace takes the routed output from the input label and
+the originating input from the output label, and the guard raises
+through both.
 
 Everything here is a pure function over immutable values and safe for
 concurrent use.
@@ -79,6 +86,21 @@ def _check_wavelength(spec: AwgSpec, i: int) -> None:
         )
 
 
+def _wavelength_row(lambda_count: int, p: int, outputs) -> list[int]:
+    """The wavelength law: input ``p`` reaches output ``q`` on ``(p + q) mod lambda_count``."""
+    return [(p + q) % lambda_count for q in outputs]
+
+
+def _route_row(lambda_count: int, p: int, wavelengths) -> list[int]:
+    """The routing law: wavelength ``i`` entering input ``p`` exits ``(i - p) mod lambda_count``.
+
+    The law is symmetric in its two ports, since ``i = p + q`` modulo
+    ``lambda_count``, so the same row read at output ``p`` gives the
+    input each wavelength originates from.
+    """
+    return [(i - p) % lambda_count for i in wavelengths]
+
+
 def awg_route(spec: AwgSpec, p: int, i: int) -> int:
     """Output index reached by wavelength ``i`` entering input ``p``.
 
@@ -89,20 +111,33 @@ def awg_route(spec: AwgSpec, p: int, i: int) -> int:
     """
     _check_input_port(spec, p)
     _check_wavelength(spec, i)
-    return (i - p) % spec.lambda_count
+    return _route_row(spec.lambda_count, p, (i,))[0]
 
 
 def awg_wavelength(spec: AwgSpec, p: int, q: int) -> int:
     """The unique wavelength that connects input ``p`` to output ``q``."""
     _check_input_port(spec, p)
     _check_output_port(spec, q)
-    return (p + q) % spec.lambda_count
+    return _wavelength_row(spec.lambda_count, p, (q,))[0]
+
+
+def awg_route_row(spec: AwgSpec, p: int) -> tuple[list[int], list[int]]:
+    """Wavelength and routed output of every output q of input ``p``, in q order.
+
+    Validates ``p`` once, then returns ``(carried, routed)``: ``carried[q]``
+    is :func:`awg_wavelength` of (p, q) and ``routed[q]`` is
+    :func:`awg_route` of that wavelength at ``p``, which the law brings
+    back to ``q``. Both lists are new and belong to the caller.
+    """
+    _check_input_port(spec, p)
+    carried = _wavelength_row(spec.lambda_count, p, range(spec.outputs))
+    return carried, _route_row(spec.lambda_count, p, carried)
 
 
 def valid_input_wavelengths(spec: AwgSpec, p: int) -> tuple[int, ...]:
     """The ``outputs`` wavelengths that are live at input ``p``, ascending."""
     _check_input_port(spec, p)
-    return tuple(sorted((p + q) % spec.lambda_count for q in range(spec.outputs)))
+    return tuple(sorted(_wavelength_row(spec.lambda_count, p, range(spec.outputs))))
 
 
 def label_input_channel(spec: AwgSpec, p: int, i: int) -> ChannelAddress:
@@ -120,7 +155,7 @@ def label_output_channel(spec: AwgSpec, q: int, k: int) -> ChannelAddress:
     """Two-digit address (port, originating input) of wavelength ``k`` at output ``q``."""
     _check_output_port(spec, q)
     _check_wavelength(spec, k)
-    low = (k - q) % spec.lambda_count
+    low = _route_row(spec.lambda_count, q, (k,))[0]  # read back from output q
     if low >= spec.inputs:
         raise InvalidChannelError(
             f"wavelength {k} at output {q} has no originating input: it would "

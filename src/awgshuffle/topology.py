@@ -6,17 +6,21 @@ routers. The wiring law is fixed: port b of group a plugs into input a
 of router b. Routing every (fiber, wavelength) through its cable and
 router yields the fabric's permutation over the N = g*m*n wavelength
 channels. The routers are identical, so the build routes the carried
-wavelengths of each router input once and places that row of outputs
-at every router by the wiring law. A built fabric is its shape plus
-two flat integer tuples indexed by decimal input channel: the decimal
-output channel and the wavelength. Everything else follows from those:
-the router spec from the shape, the cables from the wiring law, and
-each channel's loci from its addresses. The per-channel objects
-(addresses, traces) are a view derived from the tuples on first use,
-for callers that want objects and for counterexamples; the checks and
-the exporters read the tuples directly. A single channel can also be
-traced from the shape alone with :func:`trace_channel`, without
-building the fabric.
+wavelengths of each router input once, with one row-level route
+(:func:`~awgshuffle.awg.awg_route_row`) per input, checks that row's
+range, and places it at every router by the wiring law. A fabric built
+that way is in range by construction, so the build skips the
+constructor's O(N) length, type and range checks, which every other
+construction, ``dataclasses.replace`` included, still runs. A built
+fabric is its shape plus two flat integer tuples indexed by decimal
+input channel: the decimal output channel and the wavelength.
+Everything else follows from those: the router spec from the shape,
+the cables from the wiring law, and each channel's loci from its
+addresses. The per-channel objects (addresses, traces) are a view
+derived from the tuples on first use, for callers that want objects
+and for counterexamples; the checks and the exporters read the tuples
+directly. A single channel can also be traced from the shape alone
+with :func:`trace_channel`, without building the fabric.
 
 Three-digit addresses use a different radix order at each stage:
 (g, m, n) on input fibers, (m, g, n) between the stages, (m, n, g) on
@@ -46,8 +50,7 @@ from operator import add
 from .addressing import ChannelAddress
 from .awg import (
     AwgSpec,
-    awg_route,
-    awg_wavelength,
+    awg_route_row,
     label_input_channel,
     label_output_channel,
     valid_input_wavelengths,
@@ -180,7 +183,9 @@ class Topology:
     one trace per wavelength channel, ordered by ascending input
     address, and ``channel_perm`` is the input-to-output mapping over
     all of them; ``cables``, ``channels`` and ``channel_perm`` are built
-    on first use and then kept.
+    on first use and then kept. The constructor checks that each tuple
+    holds N entries of type ``int`` in range and raises DomainError
+    otherwise.
     """
 
     params: NetworkParams
@@ -195,6 +200,9 @@ class Topology:
             values = getattr(self, name)
             if len(values) != size:
                 raise DomainError(f"{name} has {len(values)} entries for {size} channels")
+            if set(map(type, values)) != {int}:  # 0.5, True and '1' are no channel index
+                odd = next(v for v in values if type(v) is not int)
+                raise DomainError(f"{name} entries must be integers, got {odd!r}")
             if name == "wavelengths":
                 values = set(values)  # few distinct values: the same range, read faster
             if min(values) < 0 or max(values) >= bound:
@@ -237,6 +245,25 @@ class Topology:
         """Wavelength set carried by the fiber at (group, port), ascending."""
         _check_fiber(self.params, group, port)
         return fiber_wavelengths(self.params, group)
+
+
+def _built(
+    params: NetworkParams, outputs: tuple[int, ...], wavelengths: tuple[int, ...]
+) -> Topology:
+    """The Topology of tuples :func:`build_network` produced, without the
+    constructor's length, type and range checks.
+
+    The tuples are in range by construction: the build checks each row
+    before placing it, so every row entry q*g + origin is below n*g,
+    every wiring-law offset is at most N - n*g, and every wavelength is
+    below lambda_count; and it places g*m rows of n ints each. Every
+    other construction, ``dataclasses.replace`` included, runs the checks.
+    """
+    topology = object.__new__(Topology)
+    object.__setattr__(topology, "params", params)
+    object.__setattr__(topology, "outputs", outputs)
+    object.__setattr__(topology, "wavelengths", wavelengths)
+    return topology
 
 
 def fiber_wavelengths(params: NetworkParams, group: int) -> tuple[int, ...]:
@@ -298,15 +325,21 @@ def build_network(
     """Construct the fabric W(g, m, n) with its full channel permutation.
 
     Channel (a, b, c) is the wavelength that router input a connects to
-    output c (:func:`awg_wavelength`) on port b of group a; the wiring law
-    takes that fiber to input a of router b. The m routers are copies of
-    one device, so :func:`awg_route` routes the n carried wavelengths of
-    each router input once, and one ``map`` adds that row of router
-    outputs, repeated m times, to the m*n router offsets of the wiring
-    law, placing the row at every router. Raises DomainError for
-    non-positive dimensions, InvalidChannelError (through the router's
-    labeling laws) when the router law leaves a carried wavelength dark
-    or without an originating input, and CapacityError when g*m*n
+    output c on port b of group a; the wiring law takes that fiber to
+    input a of router b. The m routers are copies of one device, so one
+    :func:`~awgshuffle.awg.awg_route_row` call per router input gives
+    the n carried wavelengths and the outputs they route to, g calls in
+    all, and one ``map`` adds that row of router outputs, repeated m
+    times, to the m*n router offsets of the wiring law, placing the row
+    at every router. Before a row is placed, its routed outputs are
+    checked to lie in [0, n), the inputs they lead back to in [0, g) and
+    its wavelengths in [0, lambda_count); that check, O(g*n) in all,
+    puts every entry of the two tuples in range, so the fabric is made
+    without the constructor's O(N) range checks. Raises DomainError for
+    non-positive dimensions, InvalidChannelError or DomainError (through
+    the router's labeling laws, at the first offending wavelength) when
+    the router law leaves a carried wavelength dark, without an
+    originating input or out of range, and CapacityError when g*m*n
     exceeds ``max_channels`` (default one million channels).
     """
     params = NetworkParams(g, m, n)
@@ -323,19 +356,20 @@ def build_network(
     outputs: list[int] = []
     wavelengths: list[int] = []
     for a in range(g):
-        carried = [awg_wavelength(awg_spec, a, c) for c in range(n)]
-        row = []  # router-local output channel q*g + origin of each carried wavelength
-        for w in carried:
-            q = awg_route(awg_spec, a, w)
-            origin = (w - q) % lambdas
-            if q >= n or origin >= g:
-                # dark wavelength or no origin: the router's labels raise
-                label_input_channel(awg_spec, a, w)
-                label_output_channel(awg_spec, q, w)
-            row.append(q * g + origin)
+        carried, routed = awg_route_row(awg_spec, a)
+        origins = [(w - q) % lambdas for w, q in zip(carried, routed)]
+        if (min(routed) < 0 or max(routed) >= n or max(origins) >= g
+                or min(carried) < 0 or max(carried) >= lambdas):
+            for w, q, origin in zip(carried, routed, origins):
+                if not (0 <= q < n and origin < g and 0 <= w < lambdas):
+                    # the router's labels raise for a wavelength out of
+                    # range, dark, or routed past the outputs or inputs
+                    label_input_channel(awg_spec, a, w)
+                    label_output_channel(awg_spec, q, w)
+        row = [q * g + origin for q, origin in zip(routed, origins)]
         outputs.extend(map(add, offsets, row * m))
         wavelengths.extend(carried * m)
-    return Topology(params, tuple(outputs), tuple(wavelengths))
+    return _built(params, tuple(outputs), tuple(wavelengths))
 
 
 def trace(topology: Topology, group: int, port: int, wavelength: int) -> RouteTrace:

@@ -362,6 +362,17 @@ class TestFaultInjection:
         with pytest.raises(DomainError, match=r"^wavelengths entries must lie in \[0, 3\)$"):
             replace(w323, wavelengths=w323.wavelengths[:9] + (3,) + w323.wavelengths[10:])
 
+    @pytest.mark.parametrize("odd", [0.5, True, "1"])
+    @pytest.mark.parametrize("field", ["outputs", "wavelengths"])
+    def test_mutants_keep_integer_entries(self, w323, field, odd):
+        # 0.5 would pass bijectivity while output 4 is never produced, and
+        # the JSON export would write it as 0
+        values = list(getattr(w323, field))
+        values[4] = odd
+        with pytest.raises(DomainError) as err:
+            replace(w323, **{field: values})
+        assert str(err.value) == f"{field} entries must be integers, got {odd!r}"
+
 
 def scanned_conflicts(topology):
     """Every (fiber, wavelength) met twice, one channel at a time, in input order."""

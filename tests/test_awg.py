@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import awgshuffle.awg as awg_module
@@ -17,6 +17,7 @@ from awgshuffle import (
     shuffle_perm_decimal,
     valid_input_wavelengths,
 )
+from awgshuffle.awg import awg_route_row
 
 specs = st.builds(
     AwgSpec, st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8)
@@ -89,6 +90,27 @@ class TestWavelengthLookup:
             awg_wavelength(awg36, 3, 0)
         with pytest.raises(DomainError):
             awg_wavelength(awg36, 0, 6)
+
+
+class TestRouteRow:
+    @given(specs)
+    @example(AwgSpec(5, 3))  # inputs > outputs: some wavelengths are dark at each input
+    @example(AwgSpec(3, 5))  # inputs < outputs
+    @example(AwgSpec(1, 1))
+    def test_row_is_the_scalar_calls(self, spec):
+        for p in range(spec.inputs):
+            carried = [awg_wavelength(spec, p, q) for q in range(spec.outputs)]
+            assert awg_route_row(spec, p) == (carried, [awg_route(spec, p, w) for w in carried])
+
+    def test_rejects_out_of_range_input_with_the_scalar_message(self, awg36):
+        for p in (3, -1):
+            with pytest.raises(DomainError) as row_err:
+                awg_route_row(awg36, p)
+            with pytest.raises(DomainError) as scalar_err:
+                awg_route(awg36, p, 0)
+            assert str(row_err.value) == str(scalar_err.value) == (
+                f"input port {p} out of range for 3-input device"
+            )
 
 
 class TestLabeling:

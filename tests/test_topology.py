@@ -14,6 +14,7 @@ from awgshuffle import (
     Locus,
     NetworkParams,
     ShuffleSpec,
+    Topology,
     awg_permutation,
     awg_route,
     awg_wavelength,
@@ -27,6 +28,7 @@ from awgshuffle import (
     trace,
     trace_channel,
 )
+from awgshuffle.awg import awg_route_row
 
 P323 = NetworkParams(3, 2, 3)
 
@@ -59,6 +61,15 @@ def reference_arrays(g, m, n):
                 outputs.append((awg * n + q) * g + origin)
             wavelengths.extend(carried)
     return tuple(outputs), tuple(wavelengths)
+
+
+def row_with_route(route):
+    """:func:`awg_route_row` with its routing law replaced by ``route(spec, p, i)``."""
+    def row(spec, p):
+        carried, _ = awg_route_row(spec, p)
+        return carried, [route(spec, p, i) for i in carried]
+
+    return row
 
 
 class TestBuild:
@@ -101,7 +112,9 @@ class TestBuild:
             Cable(from_group=1, from_port=0, to_awg=1, to_input=1)
 
     def test_rejects_a_router_that_routes_past_its_outputs(self, monkeypatch):
-        monkeypatch.setattr(topology, "awg_route", lambda spec, p, i: spec.outputs)
+        monkeypatch.setattr(
+            topology, "awg_route_row", row_with_route(lambda spec, p, i: spec.outputs)
+        )
         with pytest.raises(DomainError, match="output port 3 out of range for 3-output device"):
             build_network(3, 2, 3)
 
@@ -109,7 +122,9 @@ class TestBuild:
         # n > g: a router law one output early leaves wavelength 1 at input
         # 1 on output 2, which only virtual input 2 of a 2-input router could feed
         monkeypatch.setattr(
-            topology, "awg_route", lambda spec, p, i: (i - p - 1) % spec.lambda_count
+            topology,
+            "awg_route_row",
+            row_with_route(lambda spec, p, i: (i - p - 1) % spec.lambda_count),
         )
         with pytest.raises(InvalidChannelError, match="has no originating input") as err:
             build_network(2, 2, 3)
@@ -117,6 +132,21 @@ class TestBuild:
             "wavelength 1 at output 2 has no originating input: "
             "it would need virtual input 2 of a 2-input device"
         )
+
+    @pytest.mark.parametrize("row, message", [
+        (row_with_route(lambda spec, p, i: -1), "output port -1 out of range for 3-output device"),
+        (lambda spec, p: ([w + 3 for w in awg_route_row(spec, p)[0]], list(range(3))),
+         "wavelength index 3 out of range for 3 wavelengths"),
+        (lambda spec, p: ([w - 3 for w in awg_route_row(spec, p)[0]], list(range(3))),
+         "wavelength index -3 out of range for 3 wavelengths"),
+    ])
+    def test_rejects_a_router_row_out_of_range(self, monkeypatch, row, message):
+        # the build makes the fabric without the constructor's range
+        # checks, so its own row check must catch both ends
+        monkeypatch.setattr(topology, "awg_route_row", row)
+        with pytest.raises(DomainError) as err:
+            build_network(3, 2, 3)
+        assert str(err.value) == message
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
@@ -127,6 +157,38 @@ class TestBuild:
     def test_arrays_equal_the_per_channel_reference(self, g, m, n):
         t = build_network(g, m, n)
         assert (t.outputs, t.wavelengths) == reference_arrays(g, m, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
+    @example(9, 2, 4)  # g > n
+    @example(5, 1, 7)  # m = 1
+    @example(1, 6, 8)  # g = 1
+    @example(7, 3, 1)  # n = 1
+    def test_the_built_value_equals_its_checked_construction(self, g, m, n):
+        # the build skips the constructor's checks; the checked
+        # constructor accepts its tuples and makes an equal value
+        t = build_network(g, m, n)
+        again = Topology(t.params, t.outputs, t.wavelengths)
+        assert again == t
+        assert hash(again) == hash(t)
+
+    def test_routes_one_row_per_router_input(self, monkeypatch):
+        calls = {"awg_route_row": 0, "awg_route": 0, "awg_wavelength": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(topology, "awg_route_row")
+        counted(awg_module, "awg_route")
+        counted(awg_module, "awg_wavelength")
+        build_network(5, 3, 4)
+        assert calls == {"awg_route_row": 5, "awg_route": 0, "awg_wavelength": 0}
 
 
 class TestChannelLabels:
