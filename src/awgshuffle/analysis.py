@@ -37,7 +37,7 @@ from operator import add, eq, floordiv, mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .addressing import ChannelAddress, mixed_radix_decode
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, check_positive
 from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
 from .topology import DEFAULT_CHANNEL_CAP, NetworkParams, Topology, build_network
 
@@ -381,10 +381,8 @@ def tradeoff_table(g: int, l: int) -> list[ResourceMetrics]:
     cables at all. Raises CapacityError when l exceeds the default
     channel cap.
     """
-    if g < 1:
-        raise DomainError(f"g must be >= 1, got {g}")
-    if l < 1:
-        raise DomainError(f"l must be >= 1, got {l}")
+    check_positive("g", g)
+    check_positive("l", l)
     if l > DEFAULT_CHANNEL_CAP:
         raise CapacityError(f"fanout l = {l} is over the cap of {DEFAULT_CHANNEL_CAP}")
     return [

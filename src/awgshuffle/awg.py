@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .addressing import ChannelAddress
-from .errors import DomainError, InvalidChannelError
+from .errors import DomainError, InvalidChannelError, check_positive
 
 __all__ = [
     "AwgSpec",
@@ -62,10 +62,8 @@ class AwgSpec:
     lambda_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.inputs < 1:
-            raise DomainError(f"inputs must be >= 1, got {self.inputs}")
-        if self.outputs < 1:
-            raise DomainError(f"outputs must be >= 1, got {self.outputs}")
+        check_positive("inputs", self.inputs)
+        check_positive("outputs", self.outputs)
         object.__setattr__(self, "lambda_count", max(self.inputs, self.outputs))
 
 

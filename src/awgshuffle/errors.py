@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the size cap they enforce, and
-the export format names, which the CLI reads without loading the exporters."""
+"""Exception types shared across the package, the size cap they enforce, the
+dimension check they word, and the export format names, which the CLI reads
+without loading the exporters."""
 
 DEFAULT_CHANNEL_CAP = 1_000_000
 
@@ -28,3 +29,14 @@ class ParseError(ShuffleNetError, ValueError):
 
 class IntegrityError(ShuffleNetError):
     """A parsed document is well-formed but inconsistent with its own parameters."""
+
+
+def check_positive(name: str, value: object) -> None:
+    """Raise DomainError unless ``value``, the dimension ``name``, is an int of at least 1.
+
+    The type must be int exactly: a bool or a float that compares >= 1 is no dimension.
+    """
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")

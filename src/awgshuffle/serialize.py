@@ -14,28 +14,22 @@ and ``synth`` streams them to the file. Cables come from the wiring law
 (port b of group a lands on input a of router b), not from
 ``Topology.cables``, a view nothing in the package reads.
 
-Parsing takes (g, m, n) from the fixed tail of a canonical document,
-builds that fabric and compares the input with its chunks byte for
-byte, from the front and then from the back. Input has one of three
-outcomes. Input equal to the chunks, to the last byte, is accepted
-without being decoded. Input equal to them except for one run of
-entries of one list has only that run decoded, validated and compared,
-with the outcome the decoding path would reach. Any other input takes
-the decoding path: it is decoded, its header validated, and the rebuilt
-arrays rendered through the same templates in compact layout and
-compared with the compact json.dumps of the parsed sections, so the
-comparison is type-strict (``true`` or ``1.0`` never stand in for
-``1``) while key order, whitespace and metadata may differ. A document
-that differs is validated in full first, so a structural problem
-anywhere is a ParseError; only then is the first disagreeing section or
-entry an IntegrityError.
+Parsing walks the input text once, in document order. Top-level values
+are decoded whole, except the cable and channel lists: those are walked
+one entry at a time against the fabric that the fixed tail of a
+canonical document names (input without one is walked first to find its
+params). An entry whose text is the fabric's canonical entry is passed
+undecoded; any other is decoded alone, validated and compared with the
+fabric's, so the comparison is type-strict (``true`` or ``1.0`` never
+stand in for ``1``) while key order, whitespace and metadata may differ.
+The outcome is decided at the end: a structural problem anywhere is a
+ParseError; only then is the first disagreeing section or entry an
+IntegrityError. Text the decoder rejects stops the walk where json.loads
+stops, and json.loads words the error.
 
 The skeletons the renderer fills also state the schema that validation
 checks: it walks them in their own key order, which fixes which of
-several structural problems is named first. One entry check serves
-both parse paths: it counts a list's entries and compares their compact
-JSON with the fabric's compact rows, for a whole list on the decoding
-path and for the run in place on the other.
+several structural problems is named first.
 """
 
 from __future__ import annotations
@@ -47,7 +41,8 @@ import re
 import tempfile
 from functools import lru_cache
 from itertools import islice, product
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from json.decoder import scanstring
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 from ._version import __version__
 from .addressing import digit_separator
@@ -96,7 +91,6 @@ _CABLE_COUNT_NOTE = (
 _PORT_ORDER_NOTE = "decimal channel indices are group-major (row-major) over the digits"
 
 _PRETTY = {"sort_keys": True, "indent": 2}
-_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 _BLOCK = 1024  # list entries per chunk of a canonical document (about 1 MB of channels)
 
@@ -129,30 +123,29 @@ def _channel_skeleton(p: NetworkParams) -> dict[str, Any]:
     }
 
 
-def _template(skeleton: dict[str, Any], layout: dict[str, Any]) -> str:
-    """%-template of one list entry: json.dumps's own text for ``skeleton``."""
-    text = json.dumps(skeleton, **layout)
-    if layout is _PRETTY:  # entries sit at the second indent level
-        text = "    " + text.replace("\n", "\n    ")
+def _template(skeleton: dict[str, Any]) -> str:
+    """%-template of one list entry: json.dumps's own pretty text for ``skeleton``."""
+    text = json.dumps(skeleton, **_PRETTY)
+    text = "    " + text.replace("\n", "\n    ")  # entries sit at the second indent level
     return text.replace(f'"{_SLOT}"', _SLOT)
 
 
-def _cable_rows(topology: Topology, first: int) -> Iterator[tuple[int, ...]]:
-    """Cable slot values from ``first`` on: port b of group a lands on input a of router b."""
+def _cable_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
+    """Cable slot values: port b of group a lands on input a of router b."""
     p = topology.params
-    for a, b in islice(product(range(p.g), range(p.m)), first, None):
+    for a, b in product(range(p.g), range(p.m)):
         yield a, b, b, a
 
 
-def _channel_rows(topology: Topology, first: int) -> Iterator[tuple[int, ...]]:
-    """Slot values of the channel entries from ``first`` on, derived from the integer tuples."""
+def _channel_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
+    """Slot values of the channel entries, derived from the integer tuples."""
     p = topology.params
     g, m, n = p.g, p.m, p.n
     outputs, wavelengths = topology.outputs, topology.wavelengths
-    i = first
-    for a, b in islice(product(range(g), range(m)), first // n, None):
+    i = 0
+    for a, b in product(range(g), range(m)):
         middle = (b * g + a) * n
-        for c in range(i % n, n):  # i % n is 0 after the first (group, port)
+        for c in range(n):
             out, w = outputs[i], wavelengths[i]
             router_output, origin = divmod(out, g)
             router, q = divmod(router_output, n)
@@ -168,21 +161,14 @@ def _channel_rows(topology: Topology, first: int) -> Iterator[tuple[int, ...]]:
             i += 1
 
 
-def _list_chunks(
-    skeleton: dict[str, Any], rows: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[int, bytes]]:
-    """A pretty list section of one or more entries, like json.dumps, _BLOCK entries a chunk.
-
-    Each chunk comes with the index of its first entry; the closing
-    chunk has none, and comes with the entry count.
-    """
-    template = _template(skeleton, _PRETTY)
-    rows = iter(rows)
-    opening, first = "[\n", 0
+def _list_chunks(skeleton: dict[str, Any], rows: Iterator[tuple[int, ...]]) -> Iterator[bytes]:
+    """A pretty list section of one or more entries, like json.dumps, _BLOCK entries a chunk."""
+    template = _template(skeleton)
+    opening = "[\n"
     while block := list(islice(rows, _BLOCK)):
-        yield first, (opening + ",\n".join([template % row for row in block])).encode()
-        opening, first = ",\n", first + len(block)
-    yield first, b"\n  ]"
+        yield (opening + ",\n".join([template % row for row in block])).encode()
+        opening = ",\n"
+    yield b"\n  ]"
 
 
 def _params_json(p: NetworkParams) -> dict[str, int]:
@@ -225,32 +211,27 @@ def _frame(params: NetworkParams) -> tuple[str, str, str]:
     return head, between, tail
 
 
-def _lists(
-    topology: Topology, first: int = 0
-) -> dict[str, tuple[dict[str, Any], Iterator[tuple[int, ...]]]]:
-    """Skeleton and slot rows, from entry ``first`` on, of the cable and the channel list."""
+def _lists(topology: Topology) -> dict[str, tuple[dict[str, Any], Iterator[tuple[int, ...]]]]:
+    """Skeleton and slot rows of the cable and the channel list."""
     return {
-        "cables": (_CABLE_SKELETON, _cable_rows(topology, first)),
-        "channels": (_channel_skeleton(topology.params), _channel_rows(topology, first)),
+        "cables": (_CABLE_SKELETON, _cable_rows(topology)),
+        "channels": (_channel_skeleton(topology.params), _channel_rows(topology)),
     }
 
 
-def _labelled_chunks(topology: Topology) -> Iterator[tuple[str | None, int, bytes]]:
+def _json_chunks(topology: Topology) -> Iterator[bytes]:
     """The canonical JSON of ``topology``, in order, as ASCII chunks.
 
     Sorted keys put ``awg_bank`` before the two lists and ``metadata``,
     ``params`` and ``schema_version`` after them, so the document is its
     head, the cable list, the text between the lists, the channel list
     and its tail. Each list comes in chunks of at most _BLOCK entries.
-    Each chunk comes with its list (None around the lists) and the index
-    of its first entry.
     """
     head, *after = _frame(topology.params)
-    yield None, 0, head.encode()
-    for (section, (skeleton, rows)), text in zip(_lists(topology).items(), after):
-        for first, chunk in _list_chunks(skeleton, rows):
-            yield section, first, chunk
-        yield None, 0, text.encode()
+    yield head.encode()
+    for (skeleton, rows), text in zip(_lists(topology).values(), after):
+        yield from _list_chunks(skeleton, rows)
+        yield text.encode()
 
 
 def _dot_lines(p: NetworkParams) -> Iterator[str]:
@@ -286,11 +267,6 @@ def _dot_chunks(topology: Topology) -> Iterator[bytes]:
     lines = _dot_lines(topology.params)
     while block := list(islice(lines, _BLOCK)):
         yield ("\n".join(block) + "\n").encode()
-
-
-def _json_chunks(topology: Topology) -> Iterator[bytes]:
-    """The canonical JSON of ``topology``, in order, as ASCII chunks."""
-    return (chunk for *_, chunk in _labelled_chunks(topology))
 
 
 # Each export format and the generator of its chunks, in the order ``synth`` offers them.
@@ -427,14 +403,6 @@ def _validate_header(doc: Any) -> None:
     _validate(doc, _HEADER_SKELETON, "$")
 
 
-def _validate_document(doc: Any) -> None:
-    _validate_header(doc)
-    for section, skeleton in _ENTRY_SKELETONS.items():
-        for pos, entry in enumerate(_require(doc, section, list, "$")):
-            _validate(entry, skeleton, f"$.{section}[{pos}]")
-    _require(doc, "metadata", dict, "$")
-
-
 @lru_cache
 def _document_budget(max_channels: int) -> int:
     """Bytes that no canonical document of a fabric within the cap exceeds.
@@ -445,157 +413,158 @@ def _document_budget(max_channels: int) -> int:
     """
     widest = int("9" * len(str(max_channels)))
     params = NetworkParams(widest, widest, widest)
-    cable = len(_template(_CABLE_SKELETON, _PRETTY) % ((widest,) * 4))
-    channel = len(_template(_channel_skeleton(params), _PRETTY) % ((widest,) * 31))
+    cable = len(_template(_CABLE_SKELETON) % ((widest,) * 4))
+    channel = len(_template(_channel_skeleton(params)) % ((widest,) * 31))
     # each list adds "[\n" and "\n  ]", and at most one ",\n" per entry
     frame = sum(map(len, _frame(params))) + 2 * (len("[\n") + len("\n  ]"))
     return frame + max_channels * (cable + channel + 2 * len(",\n"))
 
 
-def _compact(value: Any) -> str:
-    return json.dumps(value, **_COMPACT)
-
-
-def _common_prefix(a: bytes | str, b: bytes | str) -> int:
-    """Length of the longest common prefix of two strings, or of two bytes values."""
-    start, size = 0, min(len(a), len(b))
-    for step in (4096, 64, 1):
-        while start < size and a[start:start + step] == b[start:start + step]:
-            start += step
-    return min(start, size)
-
-
-def _check_entries(
-    topology: Topology, section: str, entries: list[Any], first: int = 0, end: int | None = None
-) -> None:
-    """Raise IntegrityError unless ``entries`` in place of first..end-1 make ``topology``'s list.
-
-    ``end`` defaults to the list's end. The error names the list when
-    its entry count would be wrong, else the first entry that differs in
-    compact layout, which is meaningful for valid entries only.
-    """
-    p = topology.params
-    expected = {"cables": p.g * p.m, "channels": p.channel_count}[section]
-    end = expected if end is None else end
-    skeleton, rows = _lists(topology, first)[section]
-    template = _template(skeleton, _COMPACT)
-    got = _compact(entries)
-    want = "[" + ",".join([template % row for row in islice(rows, end - first)]) + "]"
-    if got == want:
-        return
-    count = expected - (end - first) + len(entries)
-    if count != expected:
-        raise IntegrityError(f"$.{section} has {count} entries, expected {expected}")
-    # entries are objects, and "},{" occurs only between two of them
-    pos = first + want.count("},{", 0, _common_prefix(got, want))
-    raise IntegrityError(
-        f"$.{section}[{pos}] is inconsistent with the fabric derived from its own parameters"
-    )
-
-
 # The canonical tail: sorted keys put params and schema_version last.
 _CANONICAL_TAIL = re.compile(
-    rb'\n  "params": \{\n    "channel_count": [0-9]+,\n    "g": ([0-9]+),\n'
-    rb'    "lambda_count": [0-9]+,\n    "m": ([0-9]+),\n    "n": ([0-9]+)\n'
-    rb'  \},\n  "schema_version": "1"\n\}\n\Z'
+    r'\n  "params": \{\n    "channel_count": [0-9]+,\n    "g": ([0-9]+),\n'
+    r'    "lambda_count": [0-9]+,\n    "m": ([0-9]+),\n    "n": ([0-9]+)\n'
+    r'  \},\n  "schema_version": "1"\n\}\n\Z'
 )
-_TAIL_SPAN = 256  # bytes of input searched for the canonical tail
+_TAIL_SPAN = 256  # characters of input searched for the canonical tail
+
+_SPACE = re.compile(r"[ \t\n\r]*").match  # what the decoder skips between tokens
+_DECODE = json.JSONDecoder().raw_decode  # one value at an offset, as json.loads decodes it
 
 
-# In a list chunk an entry's own braces, and nothing else, start a line
-# at the second indent level (see _template).
-_ENTRY_START = b"\n    {"
-_ENTRY_END = b"\n    }"
-_RUN_BRACKETS = 256  # a run decoded alone nests far below any recursion limit
+class _Survey(NamedTuple):
+    """What a walk over one cable or channel list found."""
+
+    start: int  # the offset of its "["
+    count: int  # its entries
+    problem: ParseError | None  # its first structural error
+    mismatch: int | None  # its first entry that differs from the fabric's
 
 
-def _settle_run(
-    data: bytes, start: int, held: list[tuple[str | None, int, bytes]], topology: Topology
-) -> bool:
-    """Settle ``data`` without the decoding path if it differs from its document in one run.
+def _survey(
+    text: str, start: int, section: str, topology: Topology | None
+) -> tuple[_Survey, int]:
+    """Walk the list at ``start`` one entry at a time; return what it holds and where it ends.
 
-    ``held`` is the canonical rendering, as _labelled_chunks yields it,
-    from the first chunk that ``data`` does not match, which starts at
-    byte ``start`` of both. If every byte outside entries j..l of one
-    list is canonical, and the input's text R in their place is ASCII
-    and decodes as ``[R]`` to one or more entries, then JSON's list
-    grammar makes R decode in place of j..l too, and only those entries
-    are validated and compared. The outcome is the decoding path's: True
-    to accept, or its ParseError or IntegrityError. Otherwise the result
-    is False, for that path.
+    An entry that is the fabric's canonical text is passed without being
+    decoded. Any other entry is decoded alone, validated, compared with
+    the fabric's and dropped; without a fabric it is only validated.
     """
-    section, first, chunk = held[0]
-    prefix = start + _common_prefix(chunk, data[start:start + len(chunk)])
-    # the run starts at the last entry start at or before the first difference
-    opening = chunk.rfind(_ENTRY_START, 0, prefix - start + len(_ENTRY_START) - 1)
-    if section is None or (opening < 0 and first == 0):
-        return False
-    if opening < 0:  # at the list's entry before this chunk, whose text data shares
-        j, run_start = first - 1, data.rfind(_ENTRY_START, 0, start) + 1
-    else:
-        j, run_start = first + chunk.count(_ENTRY_START, 0, opening), start + opening + 1
-    end = start + sum(len(c) for *_, c in held)
-    shift = len(data) - end  # from the back, the input is the canonical text shifted by this
-    for last_section, last_first, chunk in reversed(held):
-        begin = end - len(chunk)
-        if min(begin, begin + shift) < prefix or not data.endswith(chunk, 0, end + shift):
-            suffix = _common_prefix(chunk[::-1], data[max(begin + shift, 0):end + shift][::-1])
-            end -= min(suffix, end - prefix, end + shift - prefix)
+    rows: Iterator[tuple[int, ...]] = iter(())
+    if topology is not None:
+        skeleton, rows = _lists(topology)[section]
+        pretty = "\n" + _template(skeleton)
+    count, problem, mismatch = 0, None, None
+    pos = start + 1  # past "[", and after that past each ","
+    while True:
+        row = next(rows, None)
+        if row is not None and text.startswith(piece := pretty % row, pos):
+            pos += len(piece)
+        else:
+            pos = _SPACE(text, pos).end()
+            if not count and text.startswith("]", pos):
+                break  # an empty list
+            entry, pos = _DECODE(text, pos)
+            if problem is None:
+                try:
+                    _validate(entry, _ENTRY_SKELETONS[section], f"$.{section}[{count}]")
+                except ParseError as exc:
+                    problem = exc
+                # once validated, an entry equal to the fabric's (its text is
+                # ``piece``) is the same JSON, integers as integers
+                if mismatch is None and row is not None and entry != json.loads(piece):
+                    mismatch = count
+        count += 1
+        if not text.startswith(",", pos):  # a canonical "," follows at once
+            pos = _SPACE(text, pos).end()
+            if text.startswith("]", pos):
+                break
+            if not text.startswith(",", pos):
+                raise ValueError  # out of place: json.loads words it
+        pos += 1
+    return _Survey(start, count, problem, mismatch), pos + 1
+
+
+def _walk(text: str, topology: Topology | None) -> Any:
+    """The value ``text`` holds, each cable or channel list in it surveyed in place.
+
+    The members of a top-level object are walked in order, and every
+    other value is decoded whole; a repeated key keeps its last value,
+    as json.loads does. Any other top-level value is decoded whole. The
+    walk raises at the first text the decoder rejects.
+    """
+    pos = _SPACE(text).end()
+    if not text.startswith("{", pos):
+        return json.loads(text)
+    doc: dict[str, Any] = {}
+    pos = _SPACE(text, pos + 1).end()
+    while doc or not text.startswith("}", pos):  # an empty object closes at once
+        if not text.startswith('"', pos):
+            raise ValueError  # out of place: json.loads words it
+        key, pos = scanstring(text, pos + 1)
+        pos = _SPACE(text, pos).end()
+        if not text.startswith(":", pos):
+            raise ValueError  # out of place: json.loads words it
+        pos = _SPACE(text, pos + 1).end()
+        if key in _ENTRY_SKELETONS and text.startswith("[", pos):
+            doc[key], pos = _survey(text, pos, key, topology)
+        else:
+            doc[key], pos = _DECODE(text, pos)
+        pos = _SPACE(text, pos).end()
+        if text.startswith("}", pos):
             break
-        end = begin
-    # the difference ends at ``end``, and the run at the first entry end at or after it
-    if last_section != section:
-        return False
-    if end == begin and last_first > 0:  # all held chunks match: text inserted at ``start``
-        l, run_end = last_first - 1, begin
-    else:
-        closing = chunk.find(_ENTRY_END, max(end - begin - len(_ENTRY_END), 0))
-        if closing < 0:
-            return False
-        l = last_first + chunk.count(_ENTRY_END, 0, closing)
-        run_end = begin + closing + len(_ENTRY_END)
-    run = data[run_start:run_end + shift]
-    if run.count(b"[") + run.count(b"{") > _RUN_BRACKETS:
-        return False
+        if not text.startswith(",", pos):
+            raise ValueError  # out of place: json.loads words it
+        pos = _SPACE(text, pos + 1).end()
+    if _SPACE(text, pos + 1).end() != len(text):
+        raise ValueError  # data after the document: json.loads words it
+    return doc
+
+
+def _build(
+    shape: tuple[int, ...], max_channels: int
+) -> tuple[Topology | None, ShuffleNetError | None]:
+    """The fabric of ``shape``, or the error a document with that shape ends in."""
     try:
-        entries = json.loads("[" + run.decode("ascii") + "]")
-    except (ValueError, RecursionError):  # non-ASCII and over-long integers are ValueErrors too
-        return False
-    if not entries:
-        return False
-    for pos, entry in enumerate(entries, j):
-        _validate(entry, _ENTRY_SKELETONS[section], f"$.{section}[{pos}]")
-    _check_entries(topology, section, entries, j, l + 1)
-    return True
+        return build_network(*shape, max_channels=max_channels), None
+    except DomainError as exc:
+        return None, ParseError(f"$.params invalid: {exc}")
+    except CapacityError as exc:
+        return None, exc
 
 
-def _canonical_match(data: bytes | str, max_channels: int) -> tuple[Topology | None, bool]:
-    """The fabric a canonical tail of ``data`` names, and whether ``data`` is accepted.
+def _settle(
+    doc: dict[str, Any], topology: Topology | None, failure: ShuffleNetError | None
+) -> Topology:
+    """The fabric a walked document with a valid header holds, or the error it ends in.
 
-    The fabric is None when ``data`` has no canonical tail or its shape
-    does not build. ``data`` is compared with the fabric's canonical
-    chunks in order. It is accepted when it equals them, to the last
-    byte; from the first chunk that differs on, _settle_run accepts it,
-    raises, or leaves it to the decoding path.
+    A structural problem anywhere comes first, then a shape that does
+    not build, then the first section that differs from the fabric.
     """
-    if isinstance(data, str):
-        if not data.isascii():
-            return None, False
-        data = data.encode("ascii")
-    match = _CANONICAL_TAIL.search(data[-_TAIL_SPAN:])
-    if match is None:
-        return None, False
-    try:
-        topology = build_network(*map(int, match.groups()), max_channels=max_channels)
-    except ShuffleNetError:
-        return None, False
-    offset = 0
-    pieces = _labelled_chunks(topology)
-    for piece in pieces:
-        if not data.startswith(piece[2], offset):
-            return topology, _settle_run(data, offset, [piece, *pieces], topology)
-        offset += len(piece[2])
-    return topology, offset == len(data)
+    for section in _ENTRY_SKELETONS:
+        survey = doc.get(section)
+        if not isinstance(survey, _Survey):
+            _require(doc, section, list, "$")  # raises: missing, or not a list
+        if survey.problem is not None:
+            raise survey.problem
+    _require(doc, "metadata", dict, "$")
+    if failure is not None:
+        raise failure
+    p = topology.params
+    header = {"params": _params_json(p), "awg_bank": _awg_bank_json(p.m, topology.awg_spec)}
+    for section, want in header.items():  # validated, so equal means the same JSON
+        if doc[section] != want:
+            raise IntegrityError(f"$.{section} is inconsistent with (g,m,n)=({p.g},{p.m},{p.n})")
+    for section, expected in zip(_ENTRY_SKELETONS, (p.g * p.m, p.channel_count)):
+        survey = doc[section]
+        if survey.count != expected:
+            raise IntegrityError(f"$.{section} has {survey.count} entries, expected {expected}")
+        if survey.mismatch is not None:
+            raise IntegrityError(
+                f"$.{section}[{survey.mismatch}] is inconsistent with the fabric derived "
+                "from its own parameters"
+            )
+    return topology
 
 
 def parse_topology(
@@ -613,15 +582,11 @@ def parse_topology(
     disagree with its own parameters raises IntegrityError naming the
     first differing section or entry.
 
-    Input with a canonical tail is compared with the canonical chunks of
-    the fabric that tail names, and ends in one of three ways. A
-    canonical document, equal to the chunks to its last byte, is
-    accepted without being decoded. A document equal to them except for
-    one run of cable or channel entries, such as a tampered field, has
-    only that run decoded, validated and compared, and ends as the
-    decoding path would. Any other input, canonical tail or not, is
-    decoded and checked section by section, reusing any fabric already
-    built.
+    The input is walked once against the fabric its canonical tail
+    names, one list entry at a time: canonical entries are passed
+    undecoded, so a tampered field costs one entry decoded. Input
+    without that tail is walked once to find its params, and its lists
+    again against the fabric they name.
     """
     budget = _document_budget(max_channels)
     if len(data) > budget:
@@ -629,48 +594,29 @@ def parse_topology(
             f"input of {len(data)} bytes is over the budget of {budget} bytes "
             f"for the cap of {max_channels} channels"
         )
-    topology, canonical = _canonical_match(data, max_channels)
-    if canonical:
-        return topology
-    if isinstance(data, bytes):
+    text = data
+    if isinstance(text, bytes):
         try:
-            data = data.decode("utf-8")
+            text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid UTF-8: {exc}") from None
-    if not data.strip():
+    if not text or text.isspace():  # what text.strip() leaves empty, without a copy
         raise ParseError("empty input")
+    tail = _CANONICAL_TAIL.search(text, max(len(text) - _TAIL_SPAN, 0))
+    shape = tail and tuple(map(int, tail.groups()))
+    topology, failure = _build(shape, max_channels) if shape else (None, None)
     try:
-        doc = json.loads(data)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an over-long integer
+        doc = _walk(text, topology)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError or an over-long integer too
+        try:  # the walk stopped where json.loads stops, which words the error in its context
+            json.loads(text)
+        except (ValueError, RecursionError) as error:
+            exc = error
         raise ParseError(f"invalid JSON: {exc}") from None
-    del data  # the decoded text is not needed again
     _validate_header(doc)
-
-    params = doc["params"]
-    shape = (params["g"], params["m"], params["n"])
-    if topology is None or shape != (topology.params.g, topology.params.m, topology.params.n):
-        try:
-            topology = build_network(*shape, max_channels=max_channels)
-        except DomainError as exc:
-            _validate_document(doc)
-            raise ParseError(f"$.params invalid: {exc}") from None
-        except CapacityError:
-            _validate_document(doc)
-            raise
-
-    p = topology.params
-    header = {"params": _params_json(p), "awg_bank": _awg_bank_json(p.m, topology.awg_spec)}
-    try:
-        for section, want in header.items():
-            if _compact(doc[section]) != _compact(want):
-                raise IntegrityError(
-                    f"$.{section} is inconsistent with (g,m,n)=({p.g},{p.m},{p.n})"
-                )
-        for section in _ENTRY_SKELETONS:
-            # what validation would name first, with the header and any earlier list equal
-            _check_entries(topology, section, _require(doc, section, list, "$"))
-    except IntegrityError:
-        _validate_document(doc)  # a structural problem anywhere outranks a disagreement
-        raise
-    _require(doc, "metadata", dict, "$")
-    return topology
+    if (params := tuple(doc["params"][key] for key in "gmn")) != shape:
+        topology, failure = _build(params, max_channels)
+        for key, value in doc.items() if topology is not None else ():
+            if isinstance(value, _Survey):  # walked without the fabric: walk it against it
+                doc[key] = _survey(text, value.start, key, topology)[0]
+    return _settle(doc, topology, failure)

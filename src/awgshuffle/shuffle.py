@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .addressing import ChannelAddress
-from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError
+from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError, check_positive
 
 __all__ = [
     "ShuffleSpec",
@@ -35,10 +35,8 @@ class ShuffleSpec:
     l: int
 
     def __post_init__(self) -> None:
-        if self.g < 1:
-            raise DomainError(f"g must be >= 1, got {self.g}")
-        if self.l < 1:
-            raise DomainError(f"l must be >= 1, got {self.l}")
+        check_positive("g", self.g)
+        check_positive("l", self.l)
 
     @property
     def port_count(self) -> int:

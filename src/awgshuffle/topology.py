@@ -55,7 +55,13 @@ from .awg import (
     label_output_channel,
     valid_input_wavelengths,
 )
-from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError, InvalidChannelError
+from .errors import (
+    DEFAULT_CHANNEL_CAP,
+    CapacityError,
+    DomainError,
+    InvalidChannelError,
+    check_positive,
+)
 
 __all__ = [
     "DEFAULT_CHANNEL_CAP",
@@ -81,9 +87,7 @@ class NetworkParams:
 
     def __post_init__(self) -> None:
         for name in ("g", "m", "n"):
-            value = getattr(self, name)
-            if value < 1:
-                raise DomainError(f"{name} must be >= 1, got {value}")
+            check_positive(name, getattr(self, name))
 
     @property
     def channel_count(self) -> int:

@@ -1,13 +1,16 @@
+import functools
 import hashlib
 import json
 import os
 import random
 import re
 import stat
+import tracemalloc
 
 import pytest
 
 from awgshuffle import (
+    DEFAULT_CHANNEL_CAP,
     Cable,
     CapacityError,
     DomainError,
@@ -46,7 +49,7 @@ class TestJsonDocument:
 
     def test_round_trip_is_lossless_and_byte_identical(self, w323):
         first = serialize_topology(w323, "json")
-        parsed = parse_topology(first)
+        parsed = _outcome(first)
         assert parsed == w323
         assert serialize_topology(parsed, "json") == first
 
@@ -54,7 +57,7 @@ class TestJsonDocument:
         for g, m, n in [(1, 1, 1), (2, 1, 2), (4, 3, 2), (5, 1, 2), (2, 4, 3)]:
             t = build_network(g, m, n)
             data = serialize_topology(t, "json")
-            assert parse_topology(data) == t
+            assert _outcome(data) == t
 
     def test_unsupported_format(self, w323):
         with pytest.raises(DomainError):
@@ -100,82 +103,68 @@ class TestJsonDocument:
 
 class TestParseErrors:
     def test_empty_input(self):
-        with pytest.raises(ParseError, match="empty input"):
-            parse_topology(b"")
+        _fails(b"", ParseError, "empty input")
 
     def test_invalid_json(self):
-        with pytest.raises(ParseError, match="invalid JSON"):
-            parse_topology(b"{nope")
+        _fails(b"{nope", ParseError, "invalid JSON")
 
     def test_invalid_utf8(self):
-        with pytest.raises(ParseError, match="invalid UTF-8"):
-            parse_topology(b'{"schema_version": "\xff"}')
+        _fails(b'{"schema_version": "\xff"}', ParseError, "invalid UTF-8")
 
     def test_nesting_too_deep_for_the_decoder(self):
-        with pytest.raises(ParseError, match="invalid JSON"):
-            parse_topology(b"[" * 100_000)
+        _fails(b"[" * 100_000, ParseError, "invalid JSON")
 
     def test_wrong_schema_version(self, w323):
         doc = topology_document(w323)
         doc["schema_version"] = "2"
-        with pytest.raises(ParseError, match="schema_version"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), ParseError, "schema_version")
 
     def test_missing_key_names_json_path(self, w323):
         doc = topology_document(w323)
         del doc["channels"][3]["output"]
-        with pytest.raises(ParseError, match=r"\$\.channels\[3\]\.output"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), ParseError, r"\$\.channels\[3\]\.output")
 
     def test_wrong_type_names_json_path(self, w323):
         doc = topology_document(w323)
         doc["params"]["g"] = "three"
-        with pytest.raises(ParseError, match=r"\$\.params\.g"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), ParseError, r"\$\.params\.g")
 
     def test_bool_port_names_json_path(self, w323):
         doc = topology_document(w323)
         assert doc["channels"][3]["input_locus"]["port"] == 1
         doc["channels"][3]["input_locus"]["port"] = True  # == 1 in Python
-        with pytest.raises(ParseError, match=r"\$\.channels\[3\]\.input_locus\.port"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), ParseError, r"\$\.channels\[3\]\.input_locus\.port")
 
     def test_float_decimal_names_json_path(self, w323):
         doc = topology_document(w323)
         doc["channels"][5]["input"]["decimal"] = 5.0  # == 5 in Python
-        with pytest.raises(ParseError, match=r"\$\.channels\[5\]\.input\.decimal"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), ParseError, r"\$\.channels\[5\]\.input\.decimal")
 
     def test_later_parse_error_outranks_earlier_integrity_error(self, w323):
         doc = topology_document(w323)
         doc["channels"][1]["output"]["decimal"] += 1
         del doc["channels"][10]["wavelength"]
-        with pytest.raises(ParseError, match=r"\$\.channels\[10\]\.wavelength"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), ParseError, r"\$\.channels\[10\]\.wavelength")
 
     def test_parse_error_outranks_invalid_params(self, w323):
         doc = topology_document(w323)
         doc["params"]["g"] = 0
         del doc["channels"][7]["middle"]
-        with pytest.raises(ParseError, match=r"\$\.channels\[7\]\.middle"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), ParseError, r"\$\.channels\[7\]\.middle")
 
     def test_non_positive_params(self, w323):
         doc = topology_document(w323)
         doc["params"]["g"] = 0
-        with pytest.raises(ParseError, match=r"\$\.params invalid"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), ParseError, r"\$\.params invalid")
 
     def test_integer_too_long_to_decode(self):
-        with pytest.raises(ParseError, match="^invalid JSON: "):
-            parse_topology(b'{"a": ' + b"1" * 5000 + b"}")
+        _fails(b'{"a": ' + b"1" * 5000 + b"}", ParseError, "^invalid JSON: ")
 
     def test_integer_too_long_to_decode_in_one_entry(self, w323):
         doc = serialize_topology(w323, "json")
         edited = re.sub(rb'"wavelength": \d+', b'"wavelength": ' + b"1" * 5000, doc, count=1)
         got = _outcome(edited)
         assert got[0] is ParseError and got[1].startswith("invalid JSON: ")
-        assert got == _full_path_outcome(edited)
 
 
 _DELETED = object()
@@ -184,10 +173,9 @@ _DELETED = object()
 class TestParseErrorMatrix:
     """Each field of the header, of one cable and of one channel, edited one way at a time.
 
-    Each edited document is rendered in the canonical layout, where an
-    edit inside one entry is settled without the decoding path, and in
-    the compact layout, which always takes it; both end in the same
-    exact outcome.
+    Each edited document is rendered in the canonical layout, where the
+    walk passes every other entry undecoded, and in the compact layout,
+    where it decodes them all; both end in the same exact outcome.
     """
 
     EDITS = [_DELETED, True, "x", 1.0, [], {}]
@@ -246,16 +234,7 @@ class TestParseErrorMatrix:
                 yield keys, edited, want
 
     @pytest.mark.parametrize("layout", ["canonical", "compact"])
-    def test_every_field_every_edit(self, w323, layout, monkeypatch):
-        settled = []
-
-        def settle_run(*args):
-            settled.append(None)  # raised: settled
-            settled[-1] = real(*args)
-            return settled[-1]
-
-        real = serialize._settle_run
-        monkeypatch.setattr(serialize, "_settle_run", settle_run)
+    def test_every_field_every_edit(self, w323, layout):
         doc = topology_document(w323)
         wrong, count = [], 0
         for keys, edited, want in self.cases(doc):
@@ -263,12 +242,9 @@ class TestParseErrorMatrix:
                 data = (json.dumps(edited, sort_keys=True, indent=2) + "\n").encode()
             else:
                 data = json.dumps(edited, sort_keys=True, separators=(",", ":")).encode()
-            del settled[:]
             got = _outcome(data)
-            in_entry = keys[0] in ("cables", "channels")
-            ran = (settled == [None]) == (layout == "canonical" and in_entry)
-            if got != want or not ran:
-                wrong.append((keys, got, want, settled[:]))
+            if got != want:
+                wrong.append((keys, got, want))
             count += 1
         assert not wrong
         assert count == 282  # 44 fields, six edits each, three bad elements in six lists
@@ -279,8 +255,7 @@ class TestParseErrorMatrix:
         doc["channels"][4]["middle"]["decimal"] = "x"
         doc["channels"][4]["input_locus"]["port"] = "x"
         data = json.dumps(doc, sort_keys=True, **layout) + "\n"
-        with pytest.raises(ParseError, match=r"^\$\.channels\[4\]\.middle\.decimal must be int$"):
-            parse_topology(data)
+        _fails(data, ParseError, r"^\$\.channels\[4\]\.middle\.decimal must be int$")
 
 
 def _reordered(value):
@@ -296,46 +271,40 @@ class TestIntegrity:
     def test_duplicated_output_address(self, w323):
         doc = topology_document(w323)
         doc["channels"][1]["output"] = doc["channels"][0]["output"]
-        with pytest.raises(IntegrityError, match=r"channels\[1\]"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), IntegrityError, r"channels\[1\]")
 
     def test_tampered_cable(self, w323):
         doc = topology_document(w323)
         doc["cables"][2]["to_awg"] = 1
-        with pytest.raises(IntegrityError, match=r"cables\[2\]"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), IntegrityError, r"cables\[2\]")
 
     def test_dropped_channel(self, w323):
         doc = topology_document(w323)
         del doc["channels"][5]
-        with pytest.raises(IntegrityError, match="17 entries, expected 18"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), IntegrityError, "17 entries, expected 18")
 
     def test_first_bad_channel_is_named(self, w323):
         doc = topology_document(w323)
         doc["channels"][4]["middle_locus"]["wavelength"] += 1
         doc["channels"][9]["output"]["text"] = "x"
-        with pytest.raises(IntegrityError, match=r"channels\[4\] is inconsistent"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), IntegrityError, r"channels\[4\] is inconsistent")
 
     def test_extra_key_is_an_integrity_error(self, w323):
         doc = topology_document(w323)
         doc["channels"][17]["input"]["note"] = 1
-        with pytest.raises(IntegrityError, match=r"channels\[17\] is inconsistent"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), IntegrityError, r"channels\[17\] is inconsistent")
 
     def test_non_canonical_equal_document_is_accepted(self, w323):
         doc = _reordered(topology_document(w323))
         doc["metadata"]["generator"] = "another writer 0.1"
         data = json.dumps(doc)
         assert data.encode() != serialize_topology(w323, "json")
-        assert parse_topology(data) == w323
+        assert _outcome(data) == w323
 
     def test_inconsistent_declared_counts(self, w323):
         doc = topology_document(w323)
         doc["params"]["channel_count"] = 99
-        with pytest.raises(IntegrityError, match=r"\$\.params"):
-            parse_topology(json.dumps(doc))
+        _fails(json.dumps(doc), IntegrityError, r"\$\.params")
 
 
 class TestInputBudget:
@@ -343,34 +312,117 @@ class TestInputBudget:
         for g, m, n in [(3, 2, 3), (1, 1, 1), (11, 3, 12), (4, 3, 2), (2, 40, 1), (12, 1, 12)]:
             t = build_network(g, m, n)
             data = serialize_topology(t, "json")
-            assert parse_topology(data, max_channels=g * m * n) == t
+            assert _outcome(data, max_channels=g * m * n) == t
 
     def test_oversize_document_is_refused(self, w323):
         data = serialize_topology(w323, "json")
         padded = data + b" " * (20 * len(data))
-        assert parse_topology(padded) == w323
-        with pytest.raises(CapacityError, match="over the budget"):
-            parse_topology(padded, max_channels=18)
+        assert _outcome(padded) == w323
+        _fails(padded, CapacityError, "over the budget", max_channels=18)
+
+    @pytest.mark.parametrize("layout", [{"indent": 1}, {"separators": (",", ":")}])
+    def test_re_laid_document_peaks_near_its_own_size(self, layout):
+        # json.loads of the whole document peaked at 4.7x (indent=1) and 8.3x (compact)
+        t = build_network(16, 32, 16)
+        data = json.dumps(topology_document(t), **layout).encode()
+        tracemalloc.start()
+        try:
+            assert parse_topology(data) == t
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(data)
 
     def test_refused_before_decoding(self):
-        with pytest.raises(CapacityError):
-            parse_topology(b"\xff" * 1_000_000, max_channels=18)
+        _fails(b"\xff" * 1_000_000, CapacityError, max_channels=18)
 
 
-def _outcome(data):
+def _reference(data, max_channels=DEFAULT_CHANNEL_CAP):
+    """How reading ``data`` must end, from json.loads of the whole document.
+
+    The header is validated, the fabric its params name is built, and
+    every section is compared with that fabric's document in compact
+    layout. A document that differs is validated whole before the
+    difference is named, so a structural problem anywhere outranks it.
+    """
+    budget = serialize._document_budget(max_channels)
+    if len(data) > budget:
+        raise CapacityError(f"input of {len(data)} bytes is over the budget of {budget} bytes "
+                            f"for the cap of {max_channels} channels")
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc}") from None
+    if not data.strip():
+        raise ParseError("empty input")
     try:
-        return parse_topology(data)
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    serialize._validate_header(doc)
+    shape = g, m, n = doc["params"]["g"], doc["params"]["m"], doc["params"]["n"]
+    failure = None
+    try:
+        t, want = _canonical(shape, max_channels)
+    except DomainError as exc:
+        failure = ParseError(f"$.params invalid: {exc}")
+    except CapacityError as exc:
+        failure = exc
+    differs = failure or [s for s, text in want.items() if _compact(doc.get(s)) != text]
+    if differs:
+        for section, skeleton in serialize._ENTRY_SKELETONS.items():
+            for pos, entry in enumerate(serialize._require(doc, section, list, "$")):
+                serialize._validate(entry, skeleton, f"$.{section}[{pos}]")
+        serialize._require(doc, "metadata", dict, "$")
+    if failure:
+        raise failure
+    for section in differs:
+        if section in ("params", "awg_bank"):
+            raise IntegrityError(f"$.{section} is inconsistent with (g,m,n)=({g},{m},{n})")
+        got, expected = doc[section], topology_document(t)[section]
+        if len(got) != len(expected):
+            raise IntegrityError(f"$.{section} has {len(got)} entries, expected {len(expected)}")
+        pos = next(k for k, (a, b) in enumerate(zip(got, expected)) if _compact(a) != _compact(b))
+        raise IntegrityError(
+            f"$.{section}[{pos}] is inconsistent with the fabric derived from its own parameters")
+    serialize._require(doc, "metadata", dict, "$")
+    return t
+
+
+@functools.lru_cache
+def _canonical(shape, max_channels):
+    """The fabric of ``shape``, and the compact JSON of each section its document compares."""
+    t = build_network(*shape, max_channels=max_channels)
+    doc = topology_document(t)
+    return t, {s: _compact(doc[s]) for s in ("params", "awg_bank", "cables", "channels")}
+
+
+def _compact(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _ending(read, data, **options):
+    try:
+        return read(data, **options)
     except ShuffleNetError as exc:
         return type(exc), str(exc)
 
 
-def _full_path_outcome(data):
-    """Outcome of the decoding path: one more newline never matches a canonical document."""
-    return _outcome(data + (b"\n" if isinstance(data, bytes) else "\n"))
+def _outcome(data, **options):
+    """How parse_topology ends on ``data``, once it is seen to end as the reference does."""
+    got = _ending(parse_topology, data, **options)
+    assert got == _ending(_reference, data, **options)
+    return got
+
+
+def _fails(data, kind, pattern="", **options):
+    got = _outcome(data, **options)
+    assert isinstance(got, tuple) and got[0] is kind and re.search(pattern, got[1]), got
 
 
 class TestCanonicalFastPath:
-    """Single edits of canonical documents end as they do on the decoding path."""
+    """Single edits of canonical documents end as the reference reading does."""
 
     # W(5,5,41): 1,025 channels, one whole block and a partial one;
     # W(3,345,1): 1,035 cables and channels, so the cable list spans blocks too
@@ -401,20 +453,15 @@ class TestCanonicalFastPath:
             for edited in edits:
                 got = _outcome(edited)
                 assert not isinstance(got, tuple) or got[0] in (ParseError, IntegrityError)
-                assert got == _full_path_outcome(edited)
             start = end
         assert start == len(doc)
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_truncated(self, shape, monkeypatch):
+    def test_truncated(self, shape):
         rng = random.Random(sum(shape))
         doc = serialize_topology(build_network(*shape), "json")
         cuts = [0, 1, len(doc) - 2, len(doc) - 1] + rng.sample(range(len(doc)), 5)
         got = [_outcome(doc[:cut]) for cut in cuts]
-        # a newline after a cut string or number changes the decoder's error,
-        # so the reference here is the decoding path with the fast path off
-        monkeypatch.setattr(serialize, "_canonical_match", lambda data, cap: (None, False))
-        assert got == [_outcome(doc[:cut]) for cut in cuts]
         assert got[3] == build_network(*shape)
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -425,15 +472,14 @@ class TestCanonicalFastPath:
         for extra in (b"x", tail):  # a repeated tail still ends like a canonical document
             got = _outcome(doc + extra)
             assert got[0] is ParseError and got[1].startswith("invalid JSON")
-            assert got == _full_path_outcome(doc + extra)
-        assert _outcome(doc + b" \t\n") == _full_path_outcome(doc + b" \t\n") == t
+        assert _outcome(doc + b" \t\n") == t
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_other_generator_is_accepted(self, shape):
         t = build_network(*shape)
         doc = serialize_topology(t, "json").replace(
             b'"generator": "awgshuffle ', b'"generator": "another writer ')
-        assert _outcome(doc) == _full_path_outcome(doc) == t
+        assert _outcome(doc) == t
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_tail_names_another_shape(self, shape):
@@ -443,17 +489,15 @@ class TestCanonicalFastPath:
         assert edited != doc
         got = _outcome(edited)
         assert got[0] is IntegrityError and "$.params" in got[1]
-        assert got == _full_path_outcome(edited)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_str_input(self, shape):
         t = build_network(*shape)
         text = serialize_topology(t, "json").decode()
-        assert _outcome(text) == _full_path_outcome(text) == t
+        assert _outcome(text) == t
         edited = text.replace('"wavelength": 0', '"wavelength": 1', 1)
         got = _outcome(edited)
         assert got[0] is IntegrityError
-        assert got == _full_path_outcome(edited)
 
 
 def _entry_spans(doc, section):
@@ -485,10 +529,10 @@ def _reformatted(doc, span):
 
 
 class TestLocalizedEdits:
-    """Edits of canonical documents end as on the decoding path, most of them without it.
+    """Edits of canonical documents end as the reference reading does.
 
-    Each case names what it must end as, and whether it settles without
-    decoding the document (None: either way).
+    Each case names what it must end as: a fabric, or an error type and
+    words its message holds.
     """
 
     # g > n, m = 1, g = 1 and n = 1 after the first three shapes of
@@ -506,98 +550,177 @@ class TestLocalizedEdits:
         last, mid = n - 1, min(n // 2, _BLOCK)
         for k in sorted({0, mid, last}):
             at = f"$.channels[{k}]"
-            yield _off_by_one(doc, channels[k]), IntegrityError, at, True
-            yield _reformatted(doc, channels[k]), t, None, True
+            yield _off_by_one(doc, channels[k]), IntegrityError, at
+            yield _reformatted(doc, channels[k]), t, None
             yield _edit(doc, channels[k], rb'"decimal": \d+', b'"decimal": true'), \
-                ParseError, at + ".input.decimal", True
+                ParseError, at + ".input.decimal"
             yield _edit(doc, channels[k], rb'"decimal": (\d+)', rb'"decimal": \1.0'), \
-                ParseError, at + ".input.decimal", True
+                ParseError, at + ".input.decimal"
             s, e = channels[k]
             duplicated = doc[:e] + b",\n" + doc[s:e] + doc[e:]
-            yield duplicated, IntegrityError, f"{n + 1} entries, expected {n}", True
+            yield duplicated, IntegrityError, f"{n + 1} entries, expected {n}"
             # a run of whitespace or of nothing is no entry: invalid JSON
-            yield doc[:s] + b" " * (e - s) + doc[e:], ParseError, "invalid JSON", False
-            yield doc[:s] + doc[e:], ParseError, "invalid JSON", False
+            yield doc[:s] + b" " * (e - s) + doc[e:], ParseError, "invalid JSON"
+            yield doc[:s] + doc[e:], ParseError, "invalid JSON"
             yield _edit(doc, channels[k], rb'"text": "', '"text": "\u00e9'.encode()), \
-                IntegrityError, at, False
+                IntegrityError, at
             yield _edit(doc, channels[k], rb'"text": "', b'"text": "\xff'), \
-                ParseError, "invalid UTF-8", False
+                ParseError, "invalid UTF-8"
         # the first cable of the second block too, when there is one
         for k in sorted({0, min(len(cables) - 1, _BLOCK), len(cables) - 1}):
-            yield _off_by_one(doc, cables[k], b"to_input"), IntegrityError, f"$.cables[{k}]", True
+            yield _off_by_one(doc, cables[k], b"to_input"), IntegrityError, f"$.cables[{k}]"
         s, e = channels[1]
-        yield doc[:s - 2] + doc[e:], IntegrityError, f"{n - 1} entries, expected {n}", True
+        yield doc[:s - 2] + doc[e:], IntegrityError, f"{n - 1} entries, expected {n}"
         # two distant entries: one run when few entries lie between them
         two = _off_by_one(_off_by_one(doc, channels[last]), channels[0])
-        yield two, IntegrityError, "$.channels[0]", None
+        yield two, IntegrityError, "$.channels[0]"
         two = _off_by_one(_reformatted(doc, channels[last]), channels[0])
-        yield two, IntegrityError, "$.channels[0]", None
+        yield two, IntegrityError, "$.channels[0]"
         two = _off_by_one(_reformatted(doc, channels[0]), channels[last])
-        yield two, IntegrityError, f"$.channels[{last}]", None
+        yield two, IntegrityError, f"$.channels[{last}]"
         # two adjacent entries, one on each side of a block boundary when n > _BLOCK
         k = min(last, _BLOCK)
         two = _off_by_one(_off_by_one(doc, channels[k]), channels[k - 1])
-        yield two, IntegrityError, f"$.channels[{k - 1}]", True
+        yield two, IntegrityError, f"$.channels[{k - 1}]"
         e = channels[0][1]
         split = doc[:e] + b'\n  ],\n  "x": [\n' + doc[e + 2:]
-        yield split, IntegrityError, f"1 entries, expected {n}", False
+        yield split, IntegrityError, f"1 entries, expected {n}"
         # edits reaching into the end of the list or into the tail
         e = channels[last][1]
         closed = doc[:e] + b"\n ]" + doc[e + 4:]
-        yield _off_by_one(closed, channels[last]), IntegrityError, f"$.channels[{last}]", False
-        yield closed, t, None, False
+        yield _off_by_one(closed, channels[last]), IntegrityError, f"$.channels[{last}]"
+        yield closed, t, None
         tail = doc.replace(b'"generator": "awgshuffle ', b'"generator": "another ')
-        yield _off_by_one(tail, channels[mid]), IntegrityError, f"$.channels[{mid}]", False
+        yield _off_by_one(tail, channels[mid]), IntegrityError, f"$.channels[{mid}]"
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_each_edit_ends_as_on_the_decoding_path(self, shape, monkeypatch):
-        settled = []
-
-        def settle_run(*args):
-            settled.append(True)
-            if not real(*args):
-                settled[-1] = False
-                return False
-            return True
-
-        real = serialize._settle_run
-        monkeypatch.setattr(serialize, "_settle_run", settle_run)
+    def test_each_edit_ends_as_on_the_decoding_path(self, shape):
         t = build_network(*shape)
         doc = serialize_topology(t, "json")
-        for edited, want, words, localized in self.cases(t, doc):
-            del settled[:]
+        for edited, want, words in self.cases(t, doc):
             got = _outcome(edited)
             if isinstance(want, type):
                 assert got[0] is want and words in got[1]
             else:
                 assert got == want
-            assert got == _full_path_outcome(edited)
-            assert localized is None or settled == [localized]
 
     def test_str_input(self, w323):
         text = serialize_topology(w323, "json").decode()
         edited = _off_by_one(text.encode(), _entry_spans(text.encode(), "channels")[7]).decode()
         got = _outcome(edited)
         assert got[0] is IntegrityError and "$.channels[7] is" in got[1]
-        assert got == _full_path_outcome(edited)
 
     def test_one_field_tamper_decodes_no_more_than_one_entry(self, monkeypatch):
         t = build_network(5, 5, 41)
         doc = serialize_topology(t, "json")
         channels = _entry_spans(doc, "channels")
+        lists = doc.index(b'"cables": ['), doc.rindex(b"\n  ]")
         decoded = []
 
-        def loads(text, *args, **kwargs):
-            decoded.append(len(text))
-            return real(text, *args, **kwargs)
+        def decode(text, pos):
+            value, end = real(text, pos)
+            if lists[0] < pos < lists[1]:  # not a header or metadata value
+                decoded.append(end - pos)
+            return value, end
 
-        real = json.loads
-        monkeypatch.setattr(serialize.json, "loads", loads)
+        real = serialize._DECODE
+        monkeypatch.setattr(serialize, "_DECODE", decode)
+        assert _outcome(doc) == t and decoded == []
         for k in (0, 700, _BLOCK, len(channels) - 1):
-            with pytest.raises(IntegrityError, match=rf"\$\.channels\[{k}\] is"):
-                parse_topology(_off_by_one(doc, channels[k], b"wavelength"))
-        # "[" and "]" around the entry's own text
-        assert decoded and max(decoded) <= max(e - s for s, e in channels) + 2
+            del decoded[:]
+            _fails(_off_by_one(doc, channels[k], b"wavelength"), IntegrityError,
+                   rf"^\$\.channels\[{k}\] is")
+            # the entry's own text, without the indent before its "{"
+            assert decoded == [channels[k][1] - channels[k][0] - 4]
+
+
+_PALETTE = '0123456789 \t\n,:{}[]"\\-.eEx\u00e9'
+
+
+def _mutants(doc, render, rng, count, first):
+    """``count`` seeded mutations of ``doc`` rendered by ``render``, of each kind in turn."""
+    text = render(doc)
+    scalars = list(re.finditer(r'"\w+": ?(-?\d+|"[^"]*")', text))
+    keys = [m.start() for m in re.finditer(r'"\w+": ?', text)]
+    closers = [m.start() for m in re.finditer(r"[]}]", text)]
+    for i in range(count):
+        kind, pos = (first + i) % 11, rng.randrange(len(text) + 1)
+        if kind == 0:  # an edited character
+            yield text[:pos] + rng.choice(_PALETTE) + text[pos + 1:]
+        elif kind == 1:  # a dropped or an added one
+            added = text[:pos] + rng.choice(_PALETTE) + text[pos:]
+            yield rng.choice([text[:pos] + text[pos + 1:], added])
+        elif kind == 2:  # a repeated key: before its last occurrence, or after it
+            value = rng.choice(["0", "1", '"x"', "[]", "{}", "true"])
+            if rng.random() < 0.5:
+                at = rng.choice(keys)
+                key = text[at:text.index('"', at + 1) + 1]
+                yield f"{text[:at]}{key}: {value}, {text[at:]}"
+            else:
+                member = rng.choice(scalars)
+                yield f"{text[:member.end()]}, {member.group().split(':')[0]}: {value}" \
+                      f"{text[member.end():]}"
+        elif kind == 3:  # keys in another order, in one entry or in the whole document
+            section = rng.choice(["cables", "channels"])
+            entries = list(doc[section])
+            if rng.random() < 0.5:
+                k = rng.randrange(len(entries))
+                entries[k] = _reordered(entries[k])
+                yield render({**doc, section: entries})
+            else:
+                yield render(_reordered(doc))
+        elif kind == 4:  # truncated
+            yield text[:pos]
+        elif kind == 5:  # data after the document
+            yield text + rng.choice([" ", "\n", "x", "{}", "]", ",", "\u00e9", text[-40:]])
+        elif kind == 6:  # non-ASCII text, inside a string or out of one
+            at = rng.choice([m.end() - 1 for m in scalars if m.group().endswith('"')] + [pos])
+            yield text[:at] + rng.choice(["\u00e9", "\u2028", "\u00a0", "\ud800"]) + text[at:]
+        elif kind == 7:  # a byte order mark
+            yield "\ufeff" + text
+        elif kind == 8:  # nesting in place of a value: shallow, or deeper than any decoder goes
+            member = rng.choice(scalars)
+            depth = rng.choice([1, 40, 100_000])
+            yield text[:member.start(1)] + "[" * depth + "]" * depth + text[member.end(1):]
+        elif kind == 9:  # a comma before a closing bracket: the document's, or any other
+            at = rng.choice([closers[-1], rng.choice(closers)])
+            yield text[:at] + "," + text[at:]
+        else:  # an integer off by one
+            member = rng.choice([m for m in scalars if not m.group().endswith('"')])
+            value = str(int(member.group(1)) + 1)
+            yield text[:member.start(1)] + value + text[member.end(1):]
+
+
+class TestMutationCorpus:
+    """Seeded mutations of documents in three layouts end exactly as the reference reading does.
+
+    Each mutant is read as ``bytes`` and as ``str``: 6,000 documents in all.
+    """
+
+    # g > n, m = 1, g = 1 and n = 1, then two shapes whose lists span blocks
+    MUTANTS = {(3, 2, 2): 248, (2, 1, 3): 248, (1, 3, 2): 248, (3, 2, 1): 248,
+               (5, 5, 41): 4, (3, 345, 1): 4}
+    LAYOUTS = {
+        "canonical": lambda doc: json.dumps(doc, sort_keys=True, indent=2) + "\n",
+        "compact": lambda doc: json.dumps(doc, sort_keys=True, separators=(",", ":")),
+        "indent=1": lambda doc: json.dumps(doc, indent=1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(MUTANTS))
+    def test_every_mutant_ends_as_the_reference(self, shape):
+        assert sum(self.MUTANTS.values()) * len(self.LAYOUTS) * 2 == 6_000
+        t = build_network(*shape)
+        doc = topology_document(t)
+        assert self.LAYOUTS["canonical"](doc).encode() == serialize_topology(t, "json")
+        endings = set()
+        for seed, (layout, render) in enumerate(self.LAYOUTS.items()):
+            rng = random.Random(1000 * seed + sum(shape))
+            count = self.MUTANTS[shape]
+            for text in _mutants(doc, render, rng, count, seed * count):
+                for data in (text, text.encode("utf-8", "surrogatepass")):
+                    got = _outcome(data)
+                    endings.add(got[0].__name__ if isinstance(got, tuple) else "accepted")
+        assert endings == {"accepted", "ParseError", "IntegrityError"}
 
 
 class TestDot:

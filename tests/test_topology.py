@@ -27,6 +27,8 @@ from awgshuffle import (
     shuffle_perm_decimal,
     trace,
     trace_channel,
+    tradeoff_table,
+    verify_shuffle_equivalence,
 )
 from awgshuffle.awg import awg_route_row
 
@@ -70,6 +72,25 @@ def row_with_route(route):
         return carried, [route(spec, p, i) for i in carried]
 
     return row
+
+
+# Each of the four dimension checks, and the two entry points that reach one.
+NON_INTEGER_DIMENSIONS = {
+    "NetworkParams": (lambda: NetworkParams(2.5, 2, 2), "g must be an integer, got 2.5"),
+    "build_network": (lambda: build_network(True, 2, 2), "g must be an integer, got True"),
+    "verify": (lambda: verify_shuffle_equivalence(2.0, 2, 2), "g must be an integer, got 2.0"),
+    "AwgSpec": (lambda: AwgSpec(2.5, 2), "inputs must be an integer, got 2.5"),
+    "tradeoff_table": (lambda: tradeoff_table(2.0, 4), "g must be an integer, got 2.0"),
+    "ShuffleSpec": (lambda: ShuffleSpec(2, True), "l must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_DIMENSIONS))
+def test_a_dimension_that_is_no_int_is_a_domain_error(name):
+    call, message = NON_INTEGER_DIMENSIONS[name]
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 class TestBuild:
