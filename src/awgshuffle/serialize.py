@@ -5,27 +5,30 @@ integers, trailing newline) so serialized artifacts are diff-stable and
 belong in version control. A topology document is rendered straight
 from the fabric's integer tuples: json.dumps lays out one skeleton
 cable and one skeleton channel per fabric, with a ``%d`` slot for every
-per-entry integer, and each entry fills that template with plain ints.
-One generator renders the document in order, in chunks of a bounded
-number of list entries, and reading compares with them; another renders
-DOT in chunks of a bounded number of lines. One table maps each export
-format to its generator: ``serialize_topology`` joins a format's chunks
-and ``synth`` streams them to the file. Cables come from the wiring law
-(port b of group a lands on input a of router b), not from
-``Topology.cables``, a view nothing in the package reads.
+per-entry integer, and each entry fills that template, ASCII bytes,
+with plain ints. One generator renders the document in order, as bytes
+in chunks of a bounded number of list entries, and reading compares
+with blocks of the same entries; another renders DOT in chunks of a
+bounded number of lines. One table maps each export format to its
+generator: ``serialize_topology`` joins a format's chunks and ``synth``
+streams them to the file. Cables come from the wiring law (port b of
+group a lands on input a of router b), not from ``Topology.cables``, a
+view nothing in the package reads.
 
 Parsing walks the input text once, in document order. Top-level values
 are decoded whole, except the cable and channel lists: those are walked
-one entry at a time against the fabric that the fixed tail of a
-canonical document names (input without one is walked first to find its
-params). An entry whose text is the fabric's canonical entry is passed
-undecoded; any other is decoded alone, validated and compared with the
-fabric's, so the comparison is type-strict (``true`` or ``1.0`` never
-stand in for ``1``) while key order, whitespace and metadata may differ.
-The outcome is decided at the end: a structural problem anywhere is a
-ParseError; only then is the first disagreeing section or entry an
-IntegrityError. Text the decoder rejects stops the walk where json.loads
-stops, and json.loads words the error.
+against the fabric that the fixed tail of a canonical document names
+(input without one is walked first to find its params). The fabric's
+entries are rendered a block at a time, and a block that is the input's
+text is passed with one comparison. In any other block, an entry whose
+text is the fabric's canonical entry is passed undecoded; any other is
+decoded alone, validated and compared with the fabric's, so the
+comparison is type-strict (``true`` or ``1.0`` never stand in for
+``1``) while key order, whitespace and metadata may differ. The outcome
+is decided at the end: a structural problem anywhere is a ParseError;
+only then is the first disagreeing section or entry an IntegrityError.
+Text the decoder rejects stops the walk where json.loads stops, and
+json.loads words the error.
 
 The skeletons the renderer fills also state the schema that validation
 checks: it walks them in their own key order, which fixes which of
@@ -123,11 +126,11 @@ def _channel_skeleton(p: NetworkParams) -> dict[str, Any]:
     }
 
 
-def _template(skeleton: dict[str, Any]) -> str:
-    """%-template of one list entry: json.dumps's own pretty text for ``skeleton``."""
+def _template(skeleton: dict[str, Any]) -> bytes:
+    """ASCII %-template of one list entry: json.dumps's own pretty text for ``skeleton``."""
     text = json.dumps(skeleton, **_PRETTY)
     text = "    " + text.replace("\n", "\n    ")  # entries sit at the second indent level
-    return text.replace(f'"{_SLOT}"', _SLOT)
+    return text.replace(f'"{_SLOT}"', _SLOT).encode()
 
 
 def _cable_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
@@ -163,11 +166,12 @@ def _channel_rows(topology: Topology) -> Iterator[tuple[int, ...]]:
 
 def _list_chunks(skeleton: dict[str, Any], rows: Iterator[tuple[int, ...]]) -> Iterator[bytes]:
     """A pretty list section of one or more entries, like json.dumps, _BLOCK entries a chunk."""
-    template = _template(skeleton)
-    opening = "[\n"
-    while block := list(islice(rows, _BLOCK)):
-        yield (opening + ",\n".join([template % row for row in block])).encode()
-        opening = ",\n"
+    entry = b"\n" + _template(skeleton)
+    opening = b"["
+    while block := [entry % row for row in islice(rows, _BLOCK)]:
+        yield opening
+        yield b",".join(block)
+        opening = b","
     yield b"\n  ]"
 
 
@@ -220,7 +224,7 @@ def _lists(topology: Topology) -> dict[str, tuple[dict[str, Any], Iterator[tuple
 
 
 def _json_chunks(topology: Topology) -> Iterator[bytes]:
-    """The canonical JSON of ``topology``, in order, as ASCII chunks.
+    """The canonical JSON of ``topology``, in order, as chunks of ASCII bytes.
 
     Sorted keys put ``awg_bank`` before the two lists and ``metadata``,
     ``params`` and ``schema_version`` after them, so the document is its
@@ -442,37 +446,58 @@ class _Survey(NamedTuple):
 
 
 def _survey(
-    text: str, start: int, section: str, topology: Topology | None
+    text: str, source: str | bytes, start: int, section: str, topology: Topology | None,
+    validate: bool = True,
 ) -> tuple[_Survey, int]:
-    """Walk the list at ``start`` one entry at a time; return what it holds and where it ends.
+    """Walk the list at ``start`` in document order; return what it holds and where it ends.
 
-    An entry that is the fabric's canonical text is passed without being
-    decoded. Any other entry is decoded alone, validated, compared with
-    the fabric's and dropped; without a fabric it is only validated.
+    The fabric's entries are rendered one _BLOCK at a time, in the type
+    of ``source``: the input's own bytes when their offsets are those of
+    ``text`` (ASCII), else ``text``. When a block's first entry is the
+    text at hand, the whole block is compared with one ``startswith``
+    and, if it matches, passed in one step. Otherwise each entry that is
+    the fabric's canonical text is passed without being decoded. Any
+    other entry is decoded alone, validated unless ``validate`` is false
+    (an earlier walk did), compared with the fabric's and dropped;
+    without a fabric it is only validated.
     """
     rows: Iterator[tuple[int, ...]] = iter(())
     if topology is not None:
         skeleton, rows = _lists(topology)[section]
-        pretty = "\n" + _template(skeleton)
+        entry, comma = b"\n" + _template(skeleton), b","
+        if isinstance(source, str):
+            entry, comma = entry.decode(), ","
+    pieces: Iterator[str | bytes] = iter(())  # the fabric's entries ahead in this block
     count, problem, mismatch = 0, None, None
     pos = start + 1  # past "[", and after that past each ","
     while True:
-        row = next(rows, None)
-        if row is not None and text.startswith(piece := pretty % row, pos):
+        piece = next(pieces, None)
+        if piece is None and (row := next(rows, None)) is not None:  # the fabric's next block
+            piece, pieces = entry % row, (entry % row for row in islice(rows, _BLOCK - 1))
+            if source.startswith(piece, pos):  # a canonical first entry: compare the block whole
+                block = [piece, *pieces]
+                whole = comma.join(block)
+                if source.startswith(whole, pos):
+                    piece, count = whole, count + len(block) - 1  # passed as one entry
+                else:
+                    pieces = iter(block[1:])
+                del block, whole  # so that no two blocks are held at once
+        if piece is not None and source.startswith(piece, pos):
             pos += len(piece)
         else:
             pos = _SPACE(text, pos).end()
             if not count and text.startswith("]", pos):
                 break  # an empty list
-            entry, pos = _DECODE(text, pos)
-            if problem is None:
+            value, pos = _DECODE(text, pos)
+            if validate and problem is None:
                 try:
-                    _validate(entry, _ENTRY_SKELETONS[section], f"$.{section}[{count}]")
+                    _validate(value, _ENTRY_SKELETONS[section], f"$.{section}[{count}]")
                 except ParseError as exc:
                     problem = exc
-                # once validated, an entry equal to the fabric's (its text is
-                # ``piece``) is the same JSON, integers as integers
-                if mismatch is None and row is not None and entry != json.loads(piece):
+            # once validated, an entry equal to the fabric's (its text is
+            # ``piece``) is the same JSON, integers as integers
+            if piece is not None and problem is None and mismatch is None:
+                if value != json.loads(piece):
                     mismatch = count
         count += 1
         if not text.startswith(",", pos):  # a canonical "," follows at once
@@ -485,7 +510,7 @@ def _survey(
     return _Survey(start, count, problem, mismatch), pos + 1
 
 
-def _walk(text: str, topology: Topology | None) -> Any:
+def _walk(text: str, source: str | bytes, topology: Topology | None) -> Any:
     """The value ``text`` holds, each cable or channel list in it surveyed in place.
 
     The members of a top-level object are walked in order, and every
@@ -507,7 +532,7 @@ def _walk(text: str, topology: Topology | None) -> Any:
             raise ValueError  # out of place: json.loads words it
         pos = _SPACE(text, pos + 1).end()
         if key in _ENTRY_SKELETONS and text.startswith("[", pos):
-            doc[key], pos = _survey(text, pos, key, topology)
+            doc[key], pos = _survey(text, source, pos, key, topology)
         else:
             doc[key], pos = _DECODE(text, pos)
         pos = _SPACE(text, pos).end()
@@ -583,10 +608,13 @@ def parse_topology(
     first differing section or entry.
 
     The input is walked once against the fabric its canonical tail
-    names, one list entry at a time: canonical entries are passed
-    undecoded, so a tampered field costs one entry decoded. Input
-    without that tail is walked once to find its params, and its lists
-    again against the fabric they name.
+    names. The fabric's list entries are rendered as bytes one block at
+    a time, and a canonical block is passed with one comparison; in any
+    other block, canonical entries are passed undecoded, so a tampered
+    field costs one entry decoded. Input without that tail is walked
+    once to find its params and validate its lists, and then, unless
+    they hold a structural problem, its lists again against the fabric
+    they name without validating them again.
     """
     budget = _document_budget(max_channels)
     if len(data) > budget:
@@ -605,8 +633,9 @@ def parse_topology(
     tail = _CANONICAL_TAIL.search(text, max(len(text) - _TAIL_SPAN, 0))
     shape = tail and tuple(map(int, tail.groups()))
     topology, failure = _build(shape, max_channels) if shape else (None, None)
+    source = data if isinstance(data, bytes) and text.isascii() else text
     try:
-        doc = _walk(text, topology)
+        doc = _walk(text, source, topology)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError or an over-long integer too
         try:  # the walk stopped where json.loads stops, which words the error in its context
             json.loads(text)
@@ -616,7 +645,10 @@ def parse_topology(
     _validate_header(doc)
     if (params := tuple(doc["params"][key] for key in "gmn")) != shape:
         topology, failure = _build(params, max_channels)
-        for key, value in doc.items() if topology is not None else ():
-            if isinstance(value, _Survey):  # walked without the fabric: walk it against it
-                doc[key] = _survey(text, value.start, key, topology)[0]
+        surveys = {key: value for key, value in doc.items() if isinstance(value, _Survey)}
+        # the lists are validated already: compare them with the fabric they name,
+        # unless a structural problem in them settles the outcome first
+        if topology is not None and all(s.problem is None for s in surveys.values()):
+            for key, survey in surveys.items():
+                doc[key] = _survey(text, source, survey.start, key, topology, validate=False)[0]
     return _settle(doc, topology, failure)

@@ -333,6 +333,23 @@ class TestInputBudget:
             tracemalloc.stop()
         assert peak <= 1.5 * len(data)
 
+    def test_canonical_document_peaks_near_its_own_size(self):
+        # beside the input, reading holds its decoded text (bytes input only)
+        # and one block of the fabric's entries, rendered and joined: 2 MB here
+        t = build_network(16, 32, 16)
+        data = serialize_topology(t, "json")
+        tampered = _off_by_one(data, _entry_spans(data, "channels")[5000], b"wavelength")
+        cases = [(data, t, 1.5), (data.decode(), t, 0.5), (tampered, IntegrityError, 1.5)]
+        for doc, want, bound in cases:
+            tracemalloc.start()
+            try:
+                got = _ending(parse_topology, doc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (got[0] if isinstance(got, tuple) else got) == want
+            assert peak <= bound * len(doc), (type(doc), peak / len(doc))
+
     def test_refused_before_decoding(self):
         _fails(b"\xff" * 1_000_000, CapacityError, max_channels=18)
 
@@ -632,6 +649,35 @@ class TestLocalizedEdits:
                    rf"^\$\.channels\[{k}\] is")
             # the entry's own text, without the indent before its "{"
             assert decoded == [channels[k][1] - channels[k][0] - 4]
+
+    def test_tamper_at_a_block_boundary_decodes_that_entry_alone(self, monkeypatch):
+        # W(16,16,12): 3,072 channels in three whole blocks; a block's first
+        # entry fails the gate, and its last fails the whole-block comparison
+        t = build_network(16, 16, 12)
+        doc = serialize_topology(t, "json")
+        lists = doc.index(b'"cables": ['), doc.rindex(b"\n  ]")
+        decoded = []
+
+        def decode(text, pos):
+            value, end = real(text, pos)
+            if lists[0] < pos < lists[1]:  # not a header or metadata value
+                decoded.append(end - pos)
+            return value, end
+
+        real = serialize._DECODE
+        monkeypatch.setattr(serialize, "_DECODE", decode)
+        assert _outcome(doc) == t and decoded == []
+        channels, cables = _entry_spans(doc, "channels"), _entry_spans(doc, "cables")
+        assert len(channels) == 3 * _BLOCK
+        edits = [("channels", k, b"wavelength")
+                 for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, len(channels) - 1)]
+        edits.append(("cables", 100, b"to_input"))
+        for section, k, key in edits:
+            edited = _off_by_one(doc, (channels if section == "channels" else cables)[k], key)
+            del decoded[:]
+            _fails(edited, IntegrityError, rf"^\$\.{section}\[{k}\] is")
+            start, end = _entry_spans(edited, section)[k]
+            assert decoded == [end - start - 4]  # the entry's own text, without its indent
 
 
 _PALETTE = '0123456789 \t\n,:{}[]"\\-.eEx\u00e9'
