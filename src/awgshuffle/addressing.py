@@ -10,13 +10,17 @@ and silently mixing the three radix orders the network uses is the main
 bug risk, so an address always travels together with its radices and
 every transform checks them.
 
-All functions here are pure and all values immutable.
+All functions here are pure and all values immutable. The package's
+value types share this module's frozen-value base, which gives them
+dataclass-style equality, hashing, ``repr`` and immutability without
+importing ``dataclasses``, whose import and per-class code generation
+would dominate a command line's start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import DomainError
@@ -87,8 +91,54 @@ def render_digits(digits: Sequence[int], radices: Sequence[int]) -> str:
     return digit_separator(radices).join(str(digit) for digit in digits)
 
 
-@dataclass(frozen=True)
-class ChannelAddress:
+class _FrozenFieldError(AttributeError):
+    """Assignment to or deletion of a field of a frozen value."""
+
+
+# a frozen value's __init__ stores its fields with this; a module-level name is
+# the cheapest callable form of object.__setattr__
+_setattr = object.__setattr__
+
+
+class _FrozenValue:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as class annotations, in order. Its
+    ``__init__`` stores each one with ``_setattr`` and then, when the
+    class checks its values, calls ``self.__post_init__()``, looked up at
+    call time as a dataclass does. Instances equal only instances of the
+    same class with equal fields, hash and print their fields as
+    dataclasses do, and refuse assignment and deletion.
+    ``__match_args__`` defaults to the fields; a class with a derived
+    field sets it to its constructor's parameters.
+    """
+
+    def __init_subclass__(cls) -> None:
+        if cls.__annotations__:  # a subclass that declares no field keeps its base's
+            cls._fields = tuple(cls.__annotations__)
+            cls._values = property(attrgetter(*cls._fields))
+            cls.__match_args__ = cls.__dict__.get("__match_args__", cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _FrozenFieldError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise _FrozenFieldError(f"cannot delete field {name!r}")
+
+
+class ChannelAddress(_FrozenValue):
     """A validated digit vector naming one wavelength channel.
 
     ``digits`` and ``radices`` always have equal length: two entries for
@@ -100,9 +150,14 @@ class ChannelAddress:
     digits: tuple[int, ...]
     radices: tuple[int, ...]
 
+    def __init__(self, digits: Sequence[int], radices: Sequence[int]) -> None:
+        _setattr(self, "digits", digits)
+        _setattr(self, "radices", radices)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        object.__setattr__(self, "radices", tuple(self.radices))
+        _setattr(self, "digits", tuple(self.digits))
+        _setattr(self, "radices", tuple(self.radices))
         if len(self.digits) not in (2, 3):
             raise DomainError(
                 f"channel addresses have 2 or 3 digits, got {len(self.digits)}"

@@ -30,13 +30,12 @@ down to the single-router extreme where stage-1 cabling disappears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import prod
 from operator import add, eq, floordiv, mul
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .addressing import ChannelAddress, mixed_radix_decode
+from .addressing import ChannelAddress, _FrozenValue, _setattr, mixed_radix_decode
 from .errors import CapacityError, DomainError, check_positive
 from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
 from .topology import DEFAULT_CHANNEL_CAP, NetworkParams, Topology, build_network
@@ -65,17 +64,20 @@ CHECK_WAVELENGTH_CONFLICTS = "wavelength-conflicts"
 CHECK_NAMES = (CHECK_ORACLE, CHECK_BIJECTIVITY, CHECK_WAVELENGTH_CONFLICTS)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_FrozenValue):
     """Outcome of one named check; carries the first counterexample on failure."""
 
     name: str
     passed: bool
-    counterexample: str | None = None
+    counterexample: str | None
+
+    def __init__(self, name: str, passed: bool, counterexample: str | None = None) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "passed", passed)
+        _setattr(self, "counterexample", counterexample)
 
 
-@dataclass(frozen=True)
-class WavelengthConflict:
+class WavelengthConflict(_FrozenValue):
     """Two channels sharing one wavelength on one fiber."""
 
     fiber: str
@@ -83,9 +85,15 @@ class WavelengthConflict:
     first: ChannelAddress
     second: ChannelAddress
 
+    def __init__(self, fiber: str, wavelength: int, first: ChannelAddress,
+                 second: ChannelAddress) -> None:
+        _setattr(self, "fiber", fiber)
+        _setattr(self, "wavelength", wavelength)
+        _setattr(self, "first", first)
+        _setattr(self, "second", second)
 
-@dataclass(frozen=True)
-class ResourceMetrics:
+
+class ResourceMetrics(_FrozenValue):
     """Hardware bill for one fabric shape."""
 
     wavelength_count: int
@@ -95,9 +103,17 @@ class ResourceMetrics:
     cable_count: int
     channel_count: int
 
+    def __init__(self, wavelength_count: int, awg_count: int, awg_inputs: int,
+                 awg_outputs: int, cable_count: int, channel_count: int) -> None:
+        _setattr(self, "wavelength_count", wavelength_count)
+        _setattr(self, "awg_count", awg_count)
+        _setattr(self, "awg_inputs", awg_inputs)
+        _setattr(self, "awg_outputs", awg_outputs)
+        _setattr(self, "cable_count", cable_count)
+        _setattr(self, "channel_count", channel_count)
 
-@dataclass(frozen=True)
-class VerificationReport:
+
+class VerificationReport(_FrozenValue):
     """Result of a full equivalence verification run."""
 
     params: NetworkParams
@@ -105,6 +121,14 @@ class VerificationReport:
     checks: tuple[CheckResult, ...]
     permutation_size: int
     matched: int  # channels whose output equals the oracle's
+
+    def __init__(self, params: NetworkParams, passed: bool, checks: tuple[CheckResult, ...],
+                 permutation_size: int, matched: int) -> None:
+        _setattr(self, "params", params)
+        _setattr(self, "passed", passed)
+        _setattr(self, "checks", checks)
+        _setattr(self, "permutation_size", permutation_size)
+        _setattr(self, "matched", matched)
 
 
 def _oracle(params: NetworkParams) -> tuple[int, ...]:

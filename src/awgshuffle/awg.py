@@ -33,9 +33,7 @@ concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .addressing import ChannelAddress
+from .addressing import ChannelAddress, _FrozenValue, _setattr
 from .errors import DomainError, InvalidChannelError, check_positive
 
 __all__ = [
@@ -49,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AwgSpec:
+class AwgSpec(_FrozenValue):
     """Dimensions of one cyclic wavelength router.
 
     ``lambda_count`` is derived, never passed: the device is always
@@ -59,12 +56,18 @@ class AwgSpec:
 
     inputs: int
     outputs: int
-    lambda_count: int = field(init=False)
+    lambda_count: int
+    __match_args__ = ("inputs", "outputs")
+
+    def __init__(self, inputs: int, outputs: int) -> None:
+        _setattr(self, "inputs", inputs)
+        _setattr(self, "outputs", outputs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_positive("inputs", self.inputs)
         check_positive("outputs", self.outputs)
-        object.__setattr__(self, "lambda_count", max(self.inputs, self.outputs))
+        _setattr(self, "lambda_count", max(self.inputs, self.outputs))
 
 
 def _check_input_port(spec: AwgSpec, p: int) -> None:

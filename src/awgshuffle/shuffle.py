@@ -14,9 +14,7 @@ share no code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .addressing import ChannelAddress
+from .addressing import ChannelAddress, _FrozenValue, _setattr
 from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError, check_positive
 
 __all__ = [
@@ -27,12 +25,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShuffleSpec:
+class ShuffleSpec(_FrozenValue):
     """Shape of a classical shuffle: g groups of l ports (N = g*l)."""
 
     g: int
     l: int
+
+    def __init__(self, g: int, l: int) -> None:
+        _setattr(self, "g", g)
+        _setattr(self, "l", l)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_positive("g", self.g)

@@ -11,9 +11,9 @@ wavelengths of each router input once, with one row-level route
 range, and places it at every router by the wiring law. A fabric built
 that way is in range by construction, so the build skips the
 constructor's O(N) length, type and range checks, which every other
-construction, ``dataclasses.replace`` included, still runs. A built
-fabric is its shape plus two flat integer tuples indexed by decimal
-input channel: the decimal output channel and the wavelength.
+construction still runs. A built fabric is its shape plus two flat
+integer tuples indexed by decimal input channel: the decimal output
+channel and the wavelength.
 Everything else follows from those: the router spec from the shape,
 the cables from the wiring law, and each channel's loci from its
 addresses. The per-channel objects (addresses, traces) are a view
@@ -43,11 +43,11 @@ build it, to equal values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add
+from typing import Sequence
 
-from .addressing import ChannelAddress
+from .addressing import ChannelAddress, _FrozenValue, _setattr
 from .awg import (
     AwgSpec,
     awg_route_row,
@@ -77,13 +77,18 @@ __all__ = [
     "trace_channel",
 ]
 
-@dataclass(frozen=True)
-class NetworkParams:
+class NetworkParams(_FrozenValue):
     """Shape of a two-stage fabric: g groups, m fibers each, n wavelengths per fiber."""
 
     g: int
     m: int
     n: int
+
+    def __init__(self, g: int, m: int, n: int) -> None:
+        _setattr(self, "g", g)
+        _setattr(self, "m", m)
+        _setattr(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("g", "m", "n"):
@@ -114,8 +119,7 @@ class NetworkParams:
         return (self.m, self.n, self.g)
 
 
-@dataclass(frozen=True)
-class Cable:
+class Cable(_FrozenValue):
     """One stage-1 fiber: port ``from_port`` of group ``from_group`` into a router.
 
     The wiring law pins both router-side coordinates: a cable always
@@ -126,6 +130,13 @@ class Cable:
     from_port: int
     to_awg: int
     to_input: int
+
+    def __init__(self, from_group: int, from_port: int, to_awg: int, to_input: int) -> None:
+        _setattr(self, "from_group", from_group)
+        _setattr(self, "from_port", from_port)
+        _setattr(self, "to_awg", to_awg)
+        _setattr(self, "to_input", to_input)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("from_group", "from_port", "to_awg", "to_input"):
@@ -139,17 +150,20 @@ class Cable:
             )
 
 
-@dataclass(frozen=True)
-class Locus:
+class Locus(_FrozenValue):
     """Physical coordinate of a channel at one stage: (device, port, wavelength)."""
 
     device: int
     port: int
     wavelength: int
 
+    def __init__(self, device: int, port: int, wavelength: int) -> None:
+        _setattr(self, "device", device)
+        _setattr(self, "port", port)
+        _setattr(self, "wavelength", wavelength)
 
-@dataclass(frozen=True)
-class RouteTrace:
+
+class RouteTrace(_FrozenValue):
     """Full path of one channel: input fiber, router input, router output.
 
     Fibers and routers never convert wavelengths, so one wavelength
@@ -161,6 +175,13 @@ class RouteTrace:
     middle_addr: ChannelAddress
     output_addr: ChannelAddress
     wavelength: int
+
+    def __init__(self, input_addr: ChannelAddress, middle_addr: ChannelAddress,
+                 output_addr: ChannelAddress, wavelength: int) -> None:
+        _setattr(self, "input_addr", input_addr)
+        _setattr(self, "middle_addr", middle_addr)
+        _setattr(self, "output_addr", output_addr)
+        _setattr(self, "wavelength", wavelength)
 
     @property
     def input_locus(self) -> Locus:
@@ -175,8 +196,7 @@ class RouteTrace:
         return Locus(*self.output_addr.digits[:2], self.wavelength)
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(_FrozenValue):
     """A two-stage fabric: its shape plus two flat integer tuples.
 
     ``outputs[i]`` is the decimal output channel (radices (m, n, g)) and
@@ -196,9 +216,16 @@ class Topology:
     outputs: tuple[int, ...]
     wavelengths: tuple[int, ...]
 
+    def __init__(self, params: NetworkParams, outputs: Sequence[int],
+                 wavelengths: Sequence[int]) -> None:
+        _setattr(self, "params", params)
+        _setattr(self, "outputs", outputs)
+        _setattr(self, "wavelengths", wavelengths)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "wavelengths", tuple(self.wavelengths))
+        _setattr(self, "outputs", tuple(self.outputs))
+        _setattr(self, "wavelengths", tuple(self.wavelengths))
         size = self.params.channel_count
         for name, bound in (("outputs", size), ("wavelengths", self.params.lambda_count)):
             values = getattr(self, name)
@@ -261,12 +288,12 @@ def _built(
     before placing it, so every row entry q*g + origin is below n*g,
     every wiring-law offset is at most N - n*g, and every wavelength is
     below lambda_count; and it places g*m rows of n ints each. Every
-    other construction, ``dataclasses.replace`` included, runs the checks.
+    other construction runs the checks.
     """
     topology = object.__new__(Topology)
-    object.__setattr__(topology, "params", params)
-    object.__setattr__(topology, "outputs", outputs)
-    object.__setattr__(topology, "wavelengths", wavelengths)
+    _setattr(topology, "params", params)
+    _setattr(topology, "outputs", outputs)
+    _setattr(topology, "wavelengths", wavelengths)
     return topology
 
 

@@ -6,7 +6,15 @@ from pathlib import Path
 import pytest
 
 import awgshuffle
-from awgshuffle import AwgSpec, build_network
+from awgshuffle import AwgSpec, Topology, build_network
+
+
+def rewired(topology, *, outputs=None, wavelengths=None):
+    """``topology`` with new ``outputs`` or ``wavelengths``, built by the Topology
+    constructor and so through its length, type and range checks."""
+    return Topology(topology.params,
+                    topology.outputs if outputs is None else outputs,
+                    topology.wavelengths if wavelengths is None else wavelengths)
 
 
 @pytest.fixture(scope="session")

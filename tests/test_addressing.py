@@ -3,8 +3,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from awgshuffle import (
+    AwgSpec,
+    Cable,
     ChannelAddress,
+    CheckResult,
     DomainError,
+    Locus,
+    NetworkParams,
+    ResourceMetrics,
+    RouteTrace,
+    ShuffleSpec,
+    Topology,
+    VerificationReport,
+    WavelengthConflict,
     mixed_radix_decode,
     mixed_radix_encode,
     render_digits,
@@ -98,3 +109,70 @@ class TestChannelAddress:
 def test_render_digits_boundary_radix_ten():
     assert render_digits((9, 9), (10, 10)) == "99"
     assert render_digits((10, 0), (11, 3)) == "10.0"
+
+
+_A, _B, _C = (ChannelAddress((1, 0, 2), (3, 2, 3)), ChannelAddress((0, 1, 2), (2, 3, 3)),
+              ChannelAddress((0, 2, 1), (2, 3, 3)))
+_IN = (ChannelAddress((0, 0, 1), (1, 2, 2)), ChannelAddress((0, 1, 1), (1, 2, 2)))
+
+# each value type: its constructor arguments by name, in order, and its repr
+VALUE_TYPES = [
+    (ChannelAddress, dict(digits=(1, 0, 2), radices=(3, 2, 3)),
+     "ChannelAddress(digits=(1, 0, 2), radices=(3, 2, 3))"),
+    (AwgSpec, dict(inputs=3, outputs=6), "AwgSpec(inputs=3, outputs=6, lambda_count=6)"),
+    (ShuffleSpec, dict(g=3, l=6), "ShuffleSpec(g=3, l=6)"),
+    (NetworkParams, dict(g=3, m=2, n=3), "NetworkParams(g=3, m=2, n=3)"),
+    (Cable, dict(from_group=1, from_port=0, to_awg=0, to_input=1),
+     "Cable(from_group=1, from_port=0, to_awg=0, to_input=1)"),
+    (Locus, dict(device=1, port=0, wavelength=2), "Locus(device=1, port=0, wavelength=2)"),
+    (RouteTrace, dict(input_addr=_A, middle_addr=_B, output_addr=_C, wavelength=2),
+     "RouteTrace(input_addr=ChannelAddress(digits=(1, 0, 2), radices=(3, 2, 3)), "
+     "middle_addr=ChannelAddress(digits=(0, 1, 2), radices=(2, 3, 3)), "
+     "output_addr=ChannelAddress(digits=(0, 2, 1), radices=(2, 3, 3)), wavelength=2)"),
+    (Topology, dict(params=NetworkParams(1, 1, 2), outputs=(0, 1), wavelengths=(0, 1)),
+     "Topology(params=NetworkParams(g=1, m=1, n=2), outputs=(0, 1), wavelengths=(0, 1))"),
+    (CheckResult, dict(name="bijectivity", passed=False, counterexample="output 00 is reached twice"),
+     "CheckResult(name='bijectivity', passed=False, counterexample='output 00 is reached twice')"),
+    (WavelengthConflict, dict(fiber="input 00", wavelength=1, first=_IN[0], second=_IN[1]),
+     "WavelengthConflict(fiber='input 00', wavelength=1, "
+     "first=ChannelAddress(digits=(0, 0, 1), radices=(1, 2, 2)), "
+     "second=ChannelAddress(digits=(0, 1, 1), radices=(1, 2, 2)))"),
+    (ResourceMetrics, dict(wavelength_count=3, awg_count=2, awg_inputs=3, awg_outputs=3,
+                           cable_count=6, channel_count=18),
+     "ResourceMetrics(wavelength_count=3, awg_count=2, awg_inputs=3, awg_outputs=3, "
+     "cable_count=6, channel_count=18)"),
+    (VerificationReport, dict(params=NetworkParams(1, 1, 1), passed=True,
+                              checks=(CheckResult("bijectivity", True),), permutation_size=1,
+                              matched=1),
+     "VerificationReport(params=NetworkParams(g=1, m=1, n=1), passed=True, "
+     "checks=(CheckResult(name='bijectivity', passed=True, counterexample=None),), "
+     "permutation_size=1, matched=1)"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, text", VALUE_TYPES,
+                         ids=[case[0].__name__ for case in VALUE_TYPES])
+def test_value_type_contract(cls, kwargs, text):
+    value = cls(*kwargs.values())
+    assert repr(value) == text
+    assert cls(**kwargs) == value and hash(cls(**kwargs)) == hash(value)
+    assert cls.__match_args__ == tuple(kwargs)
+    # equal fields, another class: a subclass with no fields of its own
+    twin = type(cls.__name__, (cls,), {})(*kwargs.values())
+    assert twin != value and value != twin
+    name = next(iter(kwargs))
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(value, name)
+    assert repr(value) == text
+
+
+def test_value_type_defaults_and_derived_fields():
+    assert CheckResult("bijectivity", True) == CheckResult("bijectivity", True, None)
+    assert repr(CheckResult(name="bijectivity", passed=True)) == (
+        "CheckResult(name='bijectivity', passed=True, counterexample=None)")
+    with pytest.raises(TypeError, match="lambda_count"):
+        AwgSpec(3, 3, lambda_count=3)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'lambda_count'$"):
+        AwgSpec(3, 3).lambda_count = 4

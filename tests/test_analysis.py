@@ -1,9 +1,9 @@
 import random
-from dataclasses import replace
 from itertools import product
 from operator import eq
 
 import pytest
+from conftest import rewired
 
 import awgshuffle.analysis as analysis
 from awgshuffle import (
@@ -243,7 +243,7 @@ def rerouted(topology, law):
         group, port = divmod(i // n, m)
         router, q = law(group, port, w)
         outputs.append((router * n + q) * g + (w - q) % lambdas)
-    return replace(topology, outputs=outputs)
+    return rewired(topology, outputs=outputs)
 
 
 def faults(w323):
@@ -253,14 +253,14 @@ def faults(w323):
     shared = list(w323.wavelengths)
     shared[7] = shared[6]
     return {
-        "swapped outputs": replace(w323, outputs=swapped(w323.outputs, 4, 13)),
-        "duplicated output": replace(w323, outputs=duplicated),
-        "shared wavelength on one fiber": replace(w323, wavelengths=shared),
+        "swapped outputs": rewired(w323, outputs=swapped(w323.outputs, 4, 13)),
+        "duplicated output": rewired(w323, outputs=duplicated),
+        "shared wavelength on one fiber": rewired(w323, wavelengths=shared),
         # channels 000 (wavelength 0) and 001 (wavelength 1) trade router
         # outputs: still a bijection, and every input fiber keeps its
         # wavelengths, but each of the two router-output fibers now
         # carries one wavelength twice
-        "shared wavelength on output fibers only": replace(
+        "shared wavelength on output fibers only": rewired(
             w323, outputs=swapped(w323.outputs, 0, 1)),
         # g > n: the router law must wrap at max(g, n) = 5; wrapping at n
         # first goes wrong at input (3, 0, 2), wavelength (3 + 2) mod 5 = 0
@@ -351,16 +351,16 @@ class TestFaultInjection:
 
     def test_mutants_keep_shape_and_ranges(self, w323):
         with pytest.raises(DomainError):
-            replace(w323, outputs=w323.outputs[:-1])
+            rewired(w323, outputs=w323.outputs[:-1])
         with pytest.raises(DomainError):
-            replace(w323, outputs=(18,) + w323.outputs[1:])
+            rewired(w323, outputs=(18,) + w323.outputs[1:])
         with pytest.raises(DomainError):
-            replace(w323, wavelengths=(-1,) + w323.wavelengths[1:])
+            rewired(w323, wavelengths=(-1,) + w323.wavelengths[1:])
         # both ends of both ranges, with the constructor's messages
         with pytest.raises(DomainError, match=r"^outputs entries must lie in \[0, 18\)$"):
-            replace(w323, outputs=w323.outputs[:9] + (-1,) + w323.outputs[10:])
+            rewired(w323, outputs=w323.outputs[:9] + (-1,) + w323.outputs[10:])
         with pytest.raises(DomainError, match=r"^wavelengths entries must lie in \[0, 3\)$"):
-            replace(w323, wavelengths=w323.wavelengths[:9] + (3,) + w323.wavelengths[10:])
+            rewired(w323, wavelengths=w323.wavelengths[:9] + (3,) + w323.wavelengths[10:])
 
     @pytest.mark.parametrize("odd", [0.5, True, "1"])
     @pytest.mark.parametrize("field", ["outputs", "wavelengths"])
@@ -370,7 +370,7 @@ class TestFaultInjection:
         values = list(getattr(w323, field))
         values[4] = odd
         with pytest.raises(DomainError) as err:
-            replace(w323, **{field: values})
+            rewired(w323, **{field: values})
         assert str(err.value) == f"{field} entries must be integers, got {odd!r}"
 
 
@@ -426,29 +426,29 @@ def mutants(topology, rng):
 
     if size >= 2:
         i, j = rng.sample(range(size), 2)
-        yield "swap two outputs", replace(topology, outputs=swapped(outputs, i, j))
+        yield "swap two outputs", rewired(topology, outputs=swapped(outputs, i, j))
     if lambdas >= 2:
         i = rng.randrange(size)
         edited = list(wavelengths)
         edited[i] = rng.choice([w for w in range(lambdas) if w != wavelengths[i]])
-        yield "edit one wavelength", replace(topology, wavelengths=edited)
+        yield "edit one wavelength", rewired(topology, wavelengths=edited)
         # the same edit on every fiber of the group keeps its fibers equal
         a, c = i // (m * n), i % n
         for b in range(m):
             edited[(a * m + b) * n + c] = edited[i]
-        yield "edit one wavelength on every fiber of a group", replace(
+        yield "edit one wavelength on every fiber of a group", rewired(
             topology, wavelengths=edited)
     if n >= 2:
         i, j = two_in_one_fiber(rng.randrange(g * m))
-        yield "swap wavelengths within a fiber", replace(
+        yield "swap wavelengths within a fiber", rewired(
             topology, wavelengths=swapped(wavelengths, i, j))
         i, j = two_in_one_fiber(rng.randrange(g * m))
-        yield "swap two channels of a fiber", replace(
+        yield "swap two channels of a fiber", rewired(
             topology, outputs=swapped(outputs, i, j), wavelengths=swapped(wavelengths, i, j))
     if n >= 2 and m >= 2:
         a, b = rng.randrange(g), rng.randrange(1, m)  # port b feeds router b
         i, j = two_in_one_fiber(a * m + b)
-        yield "swap wavelengths within a fiber of router r >= 1", replace(
+        yield "swap wavelengths within a fiber of router r >= 1", rewired(
             topology, wavelengths=swapped(wavelengths, i, j))
     if n >= 2:
         # the same swap on every fiber of a group keeps its fibers equal
@@ -456,7 +456,7 @@ def mutants(topology, rng):
         edited = list(wavelengths)
         for fiber in range(a * m, (a + 1) * m):
             edited = swapped(edited, fiber * n + c, fiber * n + d)
-        yield "swap two wavelengths on every fiber of a group", replace(
+        yield "swap two wavelengths on every fiber of a group", rewired(
             topology, wavelengths=edited)
 
 
@@ -555,12 +555,11 @@ class TestMemoryAtTheCap:
         # channels 0 and 10099 of W(100,100,100) both carry wavelength 0:
         # trading their outputs breaks the oracle but keeps every fiber
         # clean, so the conflict check decides by its keyed sets
-        mutant = ("from dataclasses import replace\n"
-                  "t = awgshuffle.build_network(100, 100, 100)\n"
+        mutant = ("t = awgshuffle.build_network(100, 100, 100)\n"
                   "assert t.wavelengths[0] == t.wavelengths[10099] == 0\n"
                   "o = list(t.outputs)\n"
                   "o[0], o[10099] = o[10099], o[0]\n"
-                  "t = replace(t, outputs=o)\n"
+                  "t = awgshuffle.Topology(t.params, o, t.wavelengths)\n"
                   "del o\n")
         build = peak_kb(mutant)
         check = peak_kb(mutant + "assert awgshuffle.run_named_check("

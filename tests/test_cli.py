@@ -2,9 +2,9 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
+from conftest import rewired
 
 import awgshuffle.analysis as analysis
 from awgshuffle import build_network, cli_main, parse_topology, serialize_topology
@@ -47,7 +47,7 @@ class TestVerifyCommand:
 
         def build_miswired(*args, **kwargs):
             builds.append(args)
-            return replace(fabric, outputs=outputs)
+            return rewired(fabric, outputs=outputs)
 
         monkeypatch.setattr(analysis, "build_network", build_miswired)
         code, out, _ = run(capsys, "verify", "--g", "3", "--m", "2", "--n", "3")
@@ -371,7 +371,8 @@ class TestDeterminism:
 
 
 # Run one command as ``python -m awgshuffle`` does, then print the exit code
-# and the package's submodules it loaded on the last line.
+# and, on the last line, the package's submodules it loaded and which of the
+# standard modules dataclasses and inspect it loaded.
 _IMPORT_PROBE = """\
 import json, runpy, sys
 sys.argv = ["awgshuffle", *json.loads(sys.argv[1])]
@@ -380,6 +381,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("awgshuffle."))
+loaded += [m for m in ("dataclasses", "inspect") if m in sys.modules]
 print(json.dumps([code, loaded]))
 """
 
@@ -422,3 +424,12 @@ class TestImportSets:
     def test_synth_loads_no_analysis(self, tmp_path, imports_of):
         loaded = imports_of("synth", *GMN, "--out", str(tmp_path / "w.json"))
         assert "serialize" in loaded and "analysis" not in loaded
+
+    def test_no_command_loads_dataclasses_or_inspect(self, tmp_path, imports_of):
+        for argv in (("oracle", "--g", "3", "--l", "6"),
+                     ("trace", *GMN, "--group", "1", "--port", "0", "--lambda", "0"),
+                     ("verify", *GMN, "--report", str(tmp_path / "r.json")),
+                     ("synth", *GMN, "--out", str(tmp_path / "w.json")),
+                     ("synth", *GMN, "--format", "dot", "--out", str(tmp_path / "w.dot")),
+                     ("tradeoff", "--g", "2", "--l", "12", "--csv", str(tmp_path / "t.csv"))):
+            assert imports_of(*argv).isdisjoint({"dataclasses", "inspect"}), argv
