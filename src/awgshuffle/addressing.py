@@ -21,9 +21,13 @@ from __future__ import annotations
 
 from math import prod
 from operator import attrgetter
-from typing import Sequence
 
 from .errors import DomainError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: no command loads typing
+    from typing import Sequence
+
 
 __all__ = [
     "ChannelAddress",

@@ -33,12 +33,16 @@ from __future__ import annotations
 from itertools import repeat
 from math import prod
 from operator import add, eq, floordiv, mul
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .addressing import ChannelAddress, _FrozenValue, _setattr, mixed_radix_decode
 from .errors import CapacityError, DomainError, check_positive
 from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
 from .topology import DEFAULT_CHANNEL_CAP, NetworkParams, Topology, build_network
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: no command loads typing
+    from typing import Callable, Iterator, Mapping, Sequence
+
 
 __all__ = [
     "CHECK_BIJECTIVITY",

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import add
-from typing import Sequence
 
 from .addressing import ChannelAddress, _FrozenValue, _setattr
 from .awg import (
@@ -62,6 +61,11 @@ from .errors import (
     InvalidChannelError,
     check_positive,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: no command loads typing
+    from typing import Sequence
+
 
 __all__ = [
     "DEFAULT_CHANNEL_CAP",

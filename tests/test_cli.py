@@ -321,6 +321,18 @@ class TestSynthCommand:
         assert synth <= 1.15 * build
         assert path.stat().st_size > 80_000_000
 
+    def test_json_at_the_cap_peaks_near_the_build(self, tmp_path, peak_kb):
+        # W(1,1000,1000): one group of a million channels, about 1 GB of JSON;
+        # a renderer that held a group's entries, templates or values whole
+        # would hold the whole fabric's
+        path = tmp_path / "w.json"
+        argv = ["synth", "--g", "1", "--m", "1000", "--n", "1000", "--format", "json",
+                "--out", str(path)]
+        build = peak_kb("awgshuffle.build_network(1, 1000, 1000)")
+        synth = peak_kb(f"assert awgshuffle.cli_main({argv!r}) == 0")
+        assert synth <= 1.15 * build
+        assert path.stat().st_size > 900_000_000
+
     def test_bad_format_exits_two(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--g", "1", "--m", "1", "--n", "1",
@@ -424,6 +436,21 @@ class TestImportSets:
     def test_synth_loads_no_analysis(self, tmp_path, imports_of):
         loaded = imports_of("synth", *GMN, "--out", str(tmp_path / "w.json"))
         assert "serialize" in loaded and "analysis" not in loaded
+
+    def test_no_command_loads_typing(self, tmp_path, child_env):
+        # -S: without site, no .pth file can load typing before the command does
+        probe = _IMPORT_PROBE + 'print("typing" in sys.modules)\n'
+        for argv in (("oracle", "--g", "3", "--l", "6"),
+                     ("trace", *GMN, "--group", "1", "--port", "0", "--lambda", "0"),
+                     ("verify", *GMN, "--report", str(tmp_path / "r.json")),
+                     ("synth", *GMN, "--out", str(tmp_path / "w.json")),
+                     ("synth", *GMN, "--format", "dot", "--out", str(tmp_path / "w.dot")),
+                     ("tradeoff", "--g", "2", "--l", "12", "--csv", str(tmp_path / "t.csv"))):
+            done = subprocess.run([sys.executable, "-S", "-c", probe, json.dumps(argv)],
+                                  env=child_env, capture_output=True, text=True, check=True)
+            *_, outcome, typing_loaded = done.stdout.splitlines()
+            assert json.loads(outcome)[0] == 0, done.stderr
+            assert typing_loaded == "False", argv
 
     def test_no_command_loads_dataclasses_or_inspect(self, tmp_path, imports_of):
         for argv in (("oracle", "--g", "3", "--l", "6"),

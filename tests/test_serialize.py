@@ -8,6 +8,7 @@ import stat
 import tracemalloc
 
 import pytest
+from conftest import rewired
 
 from awgshuffle import (
     DEFAULT_CHANNEL_CAP,
@@ -64,7 +65,7 @@ class TestJsonDocument:
             serialize_topology(w323, "yaml")
 
     # sha256 of the canonical JSON and DOT bytes: g > n, dot-separated
-    # text (radices over 10), m = 1, g = 1 and n = 1
+    # text (radices over 10), m = 1 (twice), g = 1 and n = 1
     GOLDEN = {
         (3, 2, 3): (
             "32e86c2c4561147233f27b81bbfb3e98ab8a7064ff3376a69d99d030503e82e0",
@@ -86,6 +87,10 @@ class TestJsonDocument:
             "344837fe94a0954591ffefea9673ba31a5cc89224152ff5cb1c2d202604db249",
             "82d9a16cdc55e8ed0bac9b0921d107f1a3344b71791dbf8240adfa0aa3edadd9",
         ),
+        (16, 1, 32): (
+            "e7daee83c2fa2acd26c1a25670de6bcb4186bb54605d8476bc89f2edb75bcf0a",
+            "b376a91a479795e60ccd8082f512d3ad309d2ee7158792bff848c9749e4a5183",
+        ),
     }
 
     @pytest.mark.parametrize("shape", sorted(GOLDEN))
@@ -99,6 +104,69 @@ class TestJsonDocument:
 
     def test_document_is_the_parsed_canonical_bytes(self, w323):
         assert topology_document(w323) == json.loads(serialize_topology(w323, "json"))
+
+
+def _reference_document(t):
+    """The canonical JSON of ``t`` as json.dumps lays out dicts built from its traces."""
+
+    def address(addr):
+        return {"decimal": addr.decimal, "digits": list(addr.digits),
+                "radices": list(addr.radices), "text": str(addr)}
+
+    def locus(at):
+        return {"device": at.device, "port": at.port, "wavelength": at.wavelength}
+
+    doc = json.loads(serialize_topology(t, "json"))  # header and metadata as rendered
+    doc["cables"] = [{"from_group": c.from_group, "from_port": c.from_port,
+                      "to_awg": c.to_awg, "to_input": c.to_input} for c in t.cables]
+    doc["channels"] = []
+    for tr in map(t.channel, range(t.params.channel_count)):
+        doc["channels"].append({
+            "input": address(tr.input_addr), "middle": address(tr.middle_addr),
+            "output": address(tr.output_addr), "input_locus": locus(tr.input_locus),
+            "middle_locus": locus(tr.middle_locus), "output_locus": locus(tr.output_locus),
+            "wavelength": tr.wavelength,
+        })
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+class TestRendererOnMutants:
+    """Fabrics the constructor builds render their own values, row templates or not."""
+
+    # one window of several whole groups; windows of whole rows of one group
+    # (m*n > 1,024); m = 1; g = 1; n > 1,024 (no row template at all)
+    SHAPES = [(6, 3, 4), (3, 2, 3), (2, 40, 30), (5, 1, 7), (1, 6, 5), (1, 2, 1100)]
+
+    @staticmethod
+    def mutants(t):
+        p = t.params
+        g, m, n = p.g, p.m, p.n
+        a = g // 2  # a middle group
+        row = (a * m + m - 1) * n  # its last router's row
+        if m > 1:  # outputs swapped between routers 0 and 1, entry for entry
+            outputs = list(t.outputs)
+            first, second = (a * m) * n, (a * m + 1) * n
+            outputs[first:first + n], outputs[second:second + n] = (
+                outputs[second:second + n], outputs[first:first + n])
+            yield "routers 0 and 1 swapped", rewired(t, outputs=outputs)
+        outputs = list(t.outputs)  # two outputs of the last router's row swapped
+        outputs[row], outputs[row - 1] = outputs[row - 1], outputs[row]
+        yield "outputs swapped across entries", rewired(t, outputs=outputs)
+        wavelengths = list(t.wavelengths)  # one wavelength of the last router's row
+        wavelengths[row + n - 1] = (wavelengths[row + n - 1] + 1) % p.lambda_count
+        yield "one wavelength changed", rewired(t, wavelengths=wavelengths)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_built_fabric_renders_as_the_reference(self, shape):
+        t = build_network(*shape)
+        assert serialize_topology(t, "json") == _reference_document(t)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_mutants_render_as_the_reference(self, shape):
+        t = build_network(*shape)
+        for name, mutant in self.mutants(t):
+            assert mutant != t, name
+            assert serialize_topology(mutant, "json") == _reference_document(mutant), name
 
 
 class TestParseErrors:
