@@ -12,9 +12,12 @@ every transform checks them.
 
 All functions here are pure and all values immutable. The package's
 value types share this module's frozen-value base, which gives them
-dataclass-style equality, hashing, ``repr`` and immutability without
-importing ``dataclasses``, whose import and per-class code generation
-would dominate a command line's start-up.
+dataclass-style constructors, equality, hashing, ``repr`` and
+immutability without importing ``dataclasses`` or ``inspect``, whose
+import would dominate a command line's start-up. Each type states its
+fields once, as annotations; the base compiles its constructor from
+them: the parameters are ``__match_args__``, a class attribute gives a
+parameter its default, and ``__post_init__`` is looked up at call time.
 """
 
 from __future__ import annotations
@@ -107,21 +110,35 @@ _setattr = object.__setattr__
 class _FrozenValue:
     """Base of the package's immutable value types.
 
-    A subclass declares its fields as class annotations, in order. Its
-    ``__init__`` stores each one with ``_setattr`` and then, when the
-    class checks its values, calls ``self.__post_init__()``, looked up at
-    call time as a dataclass does. Instances equal only instances of the
+    A subclass declares its fields as class annotations, in order, and
+    gets a generated ``__init__``: its parameters are ``__match_args__``,
+    which defaults to the fields (a class with a derived field lists the
+    others), a class attribute gives a parameter its default, and it
+    stores each parameter with ``_setattr`` and then, when the class
+    checks its values, calls ``self.__post_init__()``, looked up at call
+    time as a dataclass does. Instances equal only instances of the
     same class with equal fields, hash and print their fields as
     dataclasses do, and refuse assignment and deletion.
-    ``__match_args__`` defaults to the fields; a class with a derived
-    field sets it to its constructor's parameters.
     """
 
     def __init_subclass__(cls) -> None:
         if cls.__annotations__:  # a subclass that declares no field keeps its base's
             cls._fields = tuple(cls.__annotations__)
             cls._values = property(attrgetter(*cls._fields))
-            cls.__match_args__ = cls.__dict__.get("__match_args__", cls._fields)
+            cls.__match_args__ = params = cls.__dict__.get("__match_args__", cls._fields)
+            # compiled once from source, as collections.namedtuple compiles its __new__
+            defaults = {name: cls.__dict__[name] for name in params if name in cls.__dict__}
+            signature = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name
+                                  for name in params)
+            body = [f"_setattr(self, {name!r}, {name})" for name in params]
+            if hasattr(cls, "__post_init__"):  # called through self, so a later patch counts
+                body.append("self.__post_init__()")
+            namespace = {"_setattr": _setattr, "_defaults": defaults, "__name__": cls.__module__}
+            exec(f"def __init__(self, {signature}):\n    " + "\n    ".join(body), namespace)
+            cls.__init__ = init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init.__annotations__ = {name: cls.__annotations__[name] for name in params}
+            init.__annotations__["return"] = "None"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -153,11 +170,6 @@ class ChannelAddress(_FrozenValue):
 
     digits: tuple[int, ...]
     radices: tuple[int, ...]
-
-    def __init__(self, digits: Sequence[int], radices: Sequence[int]) -> None:
-        _setattr(self, "digits", digits)
-        _setattr(self, "radices", radices)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _setattr(self, "digits", tuple(self.digits))

@@ -34,7 +34,7 @@ from itertools import repeat
 from math import prod
 from operator import add, eq, floordiv, mul
 
-from .addressing import ChannelAddress, _FrozenValue, _setattr, mixed_radix_decode
+from .addressing import ChannelAddress, _FrozenValue, mixed_radix_decode
 from .errors import CapacityError, DomainError, check_positive
 from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
 from .topology import DEFAULT_CHANNEL_CAP, NetworkParams, Topology, build_network
@@ -73,12 +73,7 @@ class CheckResult(_FrozenValue):
 
     name: str
     passed: bool
-    counterexample: str | None
-
-    def __init__(self, name: str, passed: bool, counterexample: str | None = None) -> None:
-        _setattr(self, "name", name)
-        _setattr(self, "passed", passed)
-        _setattr(self, "counterexample", counterexample)
+    counterexample: str | None = None
 
 
 class WavelengthConflict(_FrozenValue):
@@ -88,13 +83,6 @@ class WavelengthConflict(_FrozenValue):
     wavelength: int
     first: ChannelAddress
     second: ChannelAddress
-
-    def __init__(self, fiber: str, wavelength: int, first: ChannelAddress,
-                 second: ChannelAddress) -> None:
-        _setattr(self, "fiber", fiber)
-        _setattr(self, "wavelength", wavelength)
-        _setattr(self, "first", first)
-        _setattr(self, "second", second)
 
 
 class ResourceMetrics(_FrozenValue):
@@ -107,15 +95,6 @@ class ResourceMetrics(_FrozenValue):
     cable_count: int
     channel_count: int
 
-    def __init__(self, wavelength_count: int, awg_count: int, awg_inputs: int,
-                 awg_outputs: int, cable_count: int, channel_count: int) -> None:
-        _setattr(self, "wavelength_count", wavelength_count)
-        _setattr(self, "awg_count", awg_count)
-        _setattr(self, "awg_inputs", awg_inputs)
-        _setattr(self, "awg_outputs", awg_outputs)
-        _setattr(self, "cable_count", cable_count)
-        _setattr(self, "channel_count", channel_count)
-
 
 class VerificationReport(_FrozenValue):
     """Result of a full equivalence verification run."""
@@ -125,14 +104,6 @@ class VerificationReport(_FrozenValue):
     checks: tuple[CheckResult, ...]
     permutation_size: int
     matched: int  # channels whose output equals the oracle's
-
-    def __init__(self, params: NetworkParams, passed: bool, checks: tuple[CheckResult, ...],
-                 permutation_size: int, matched: int) -> None:
-        _setattr(self, "params", params)
-        _setattr(self, "passed", passed)
-        _setattr(self, "checks", checks)
-        _setattr(self, "permutation_size", permutation_size)
-        _setattr(self, "matched", matched)
 
 
 def _oracle(params: NetworkParams) -> tuple[int, ...]:

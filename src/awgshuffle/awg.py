@@ -59,11 +59,6 @@ class AwgSpec(_FrozenValue):
     lambda_count: int
     __match_args__ = ("inputs", "outputs")
 
-    def __init__(self, inputs: int, outputs: int) -> None:
-        _setattr(self, "inputs", inputs)
-        _setattr(self, "outputs", outputs)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         check_positive("inputs", self.inputs)
         check_positive("outputs", self.outputs)

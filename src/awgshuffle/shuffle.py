@@ -14,7 +14,7 @@ share no code path.
 
 from __future__ import annotations
 
-from .addressing import ChannelAddress, _FrozenValue, _setattr
+from .addressing import ChannelAddress, _FrozenValue
 from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError, check_positive
 
 __all__ = [
@@ -30,11 +30,6 @@ class ShuffleSpec(_FrozenValue):
 
     g: int
     l: int
-
-    def __init__(self, g: int, l: int) -> None:
-        _setattr(self, "g", g)
-        _setattr(self, "l", l)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_positive("g", self.g)

@@ -62,11 +62,6 @@ from .errors import (
     check_positive,
 )
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: no command loads typing
-    from typing import Sequence
-
-
 __all__ = [
     "DEFAULT_CHANNEL_CAP",
     "Cable",
@@ -87,12 +82,6 @@ class NetworkParams(_FrozenValue):
     g: int
     m: int
     n: int
-
-    def __init__(self, g: int, m: int, n: int) -> None:
-        _setattr(self, "g", g)
-        _setattr(self, "m", m)
-        _setattr(self, "n", n)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("g", "m", "n"):
@@ -135,13 +124,6 @@ class Cable(_FrozenValue):
     to_awg: int
     to_input: int
 
-    def __init__(self, from_group: int, from_port: int, to_awg: int, to_input: int) -> None:
-        _setattr(self, "from_group", from_group)
-        _setattr(self, "from_port", from_port)
-        _setattr(self, "to_awg", to_awg)
-        _setattr(self, "to_input", to_input)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         for name in ("from_group", "from_port", "to_awg", "to_input"):
             if getattr(self, name) < 0:
@@ -161,11 +143,6 @@ class Locus(_FrozenValue):
     port: int
     wavelength: int
 
-    def __init__(self, device: int, port: int, wavelength: int) -> None:
-        _setattr(self, "device", device)
-        _setattr(self, "port", port)
-        _setattr(self, "wavelength", wavelength)
-
 
 class RouteTrace(_FrozenValue):
     """Full path of one channel: input fiber, router input, router output.
@@ -180,13 +157,6 @@ class RouteTrace(_FrozenValue):
     output_addr: ChannelAddress
     wavelength: int
 
-    def __init__(self, input_addr: ChannelAddress, middle_addr: ChannelAddress,
-                 output_addr: ChannelAddress, wavelength: int) -> None:
-        _setattr(self, "input_addr", input_addr)
-        _setattr(self, "middle_addr", middle_addr)
-        _setattr(self, "output_addr", output_addr)
-        _setattr(self, "wavelength", wavelength)
-
     @property
     def input_locus(self) -> Locus:
         return Locus(*self.input_addr.digits[:2], self.wavelength)
@@ -198,6 +168,14 @@ class RouteTrace(_FrozenValue):
     @property
     def output_locus(self) -> Locus:
         return Locus(*self.output_addr.digits[:2], self.wavelength)
+
+
+def _route_trace(p: NetworkParams, a: int, b: int, c: int, output: tuple[int, int, int],
+                 wavelength: int) -> RouteTrace:
+    """Trace of input channel (a, b, c), at (b, a, c) by the wiring law, to ``output``."""
+    return RouteTrace(ChannelAddress((a, b, c), p.input_radices),
+                      ChannelAddress((b, a, c), p.middle_radices),
+                      ChannelAddress(output, p.output_radices), wavelength)
 
 
 class Topology(_FrozenValue):
@@ -219,13 +197,6 @@ class Topology(_FrozenValue):
     params: NetworkParams
     outputs: tuple[int, ...]
     wavelengths: tuple[int, ...]
-
-    def __init__(self, params: NetworkParams, outputs: Sequence[int],
-                 wavelengths: Sequence[int]) -> None:
-        _setattr(self, "params", params)
-        _setattr(self, "outputs", outputs)
-        _setattr(self, "wavelengths", wavelengths)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _setattr(self, "outputs", tuple(self.outputs))
@@ -261,12 +232,7 @@ class Topology(_FrozenValue):
         a, b = divmod(group_port, p.m)
         router_output, origin = divmod(self.outputs[index], p.g)
         router, q = divmod(router_output, p.n)
-        return RouteTrace(
-            input_addr=ChannelAddress((a, b, c), p.input_radices),
-            middle_addr=ChannelAddress((b, a, c), p.middle_radices),
-            output_addr=ChannelAddress((router, q, origin), p.output_radices),
-            wavelength=self.wavelengths[index],
-        )
+        return _route_trace(p, a, b, c, (router, q, origin), self.wavelengths[index])
 
     @cached_property
     def channels(self) -> tuple[RouteTrace, ...]:
@@ -346,12 +312,7 @@ def trace_channel(
             f"{group}; this fiber carries wavelengths {{{carried}}}"
         ) from None
     origin = label_output_channel(awg_spec, q, wavelength).digits[1]
-    return RouteTrace(
-        input_addr=ChannelAddress((group, port, q), params.input_radices),
-        middle_addr=ChannelAddress((port, group, q), params.middle_radices),
-        output_addr=ChannelAddress((port, q, origin), params.output_radices),
-        wavelength=wavelength,
-    )
+    return _route_trace(params, group, port, q, (port, q, origin), wavelength)
 
 
 def build_network(

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -157,6 +159,7 @@ def test_value_type_contract(cls, kwargs, text):
     assert repr(value) == text
     assert cls(**kwargs) == value and hash(cls(**kwargs)) == hash(value)
     assert cls.__match_args__ == tuple(kwargs)
+    assert tuple(inspect.signature(cls).parameters) == cls.__match_args__
     # equal fields, another class: a subclass with no fields of its own
     twin = type(cls.__name__, (cls,), {})(*kwargs.values())
     assert twin != value and value != twin
@@ -168,7 +171,7 @@ def test_value_type_contract(cls, kwargs, text):
     assert repr(value) == text
 
 
-def test_value_type_defaults_and_derived_fields():
+def test_value_type_defaults_and_derived_fields(monkeypatch):
     assert CheckResult("bijectivity", True) == CheckResult("bijectivity", True, None)
     assert repr(CheckResult(name="bijectivity", passed=True)) == (
         "CheckResult(name='bijectivity', passed=True, counterexample=None)")
@@ -176,3 +179,8 @@ def test_value_type_defaults_and_derived_fields():
         AwgSpec(3, 3, lambda_count=3)
     with pytest.raises(AttributeError, match="^cannot assign to field 'lambda_count'$"):
         AwgSpec(3, 3).lambda_count = 4
+    # the constructor looks __post_init__ up when it runs, so a patch on the class counts
+    seen = []
+    monkeypatch.setattr(ChannelAddress, "__post_init__", lambda self: seen.append(self.digits))
+    ChannelAddress((1, 0), (2, 2))
+    assert seen == [(1, 0)]

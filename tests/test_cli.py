@@ -333,6 +333,27 @@ class TestSynthCommand:
         assert synth <= 1.15 * build
         assert path.stat().st_size > 900_000_000
 
+    # W(1,1000,100): a thousand router rows in one group; W(300,300,1): 90,000 cables
+    @pytest.mark.parametrize("fmt, shape, unit", [("json", (1, 1000, 100), b"\n    {"),
+                                                  ("dot", (300, 300, 1), b"\n")],
+                             ids=["json", "dot"])
+    def test_render_peak_is_a_few_chunks(self, child_env, fmt, shape, unit):
+        # the fabric is built before tracing starts, so the traced peak is the
+        # render's own; a chunk is _BLOCK list entries (JSON) or lines (DOT) of
+        # the document's mean size
+        script = ("import tracemalloc, awgshuffle\n"
+                  "from awgshuffle.serialize import _EXPORTS\n"
+                  f"topology = awgshuffle.build_network(*{shape!r})\n"
+                  "tracemalloc.start()\n"
+                  "size = units = 0\n"
+                  f"for chunk in _EXPORTS[{fmt!r}](topology):\n"
+                  f"    size, units = size + len(chunk), units + chunk.count({unit!r})\n"
+                  "print(tracemalloc.get_traced_memory()[1], size, units)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=child_env,
+                              capture_output=True, text=True, check=True)
+        peak, size, units = map(int, done.stdout.split())
+        assert peak <= 6 * _BLOCK * size / units
+
     def test_bad_format_exits_two(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--g", "1", "--m", "1", "--n", "1",
