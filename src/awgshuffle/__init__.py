@@ -10,10 +10,10 @@ import importlib
 
 from ._version import __version__
 
-# The module each export lives in. Importing the package loads none of
-# them: a name is looked up in its module on each access and never cached
-# here, so a name rebound in its module (by a monkeypatch or a tracer) is
-# what the package returns too.
+# The one list of the package's exports but ``__version__``, each with the
+# module it lives in. Importing the package loads none of them: a name is
+# looked up in its module on each access and never cached here, so a name
+# rebound in its module (by a monkeypatch or a tracer) is what it returns.
 _HOME = {
     name: module
     for module, names in {
@@ -42,71 +42,14 @@ _HOME = {
         ),
         "shuffle": ("ShuffleSpec", "left_cyclic_shift", "shuffle_map", "shuffle_perm_decimal"),
         "topology": (
-            "Cable", "Locus", "NetworkParams", "RouteTrace", "Topology", "build_network",
+            "Locus", "NetworkParams", "RouteTrace", "Topology", "build_network",
             "fiber_wavelengths", "network_permutation", "trace", "trace_channel",
         ),
     }.items()
     for name in names
 }
 
-__all__ = [
-    "CHECK_BIJECTIVITY",
-    "CHECK_NAMES",
-    "CHECK_ORACLE",
-    "CHECK_WAVELENGTH_CONFLICTS",
-    "DEFAULT_CHANNEL_CAP",
-    "SCHEMA_VERSION",
-    "AwgSpec",
-    "Cable",
-    "CapacityError",
-    "ChannelAddress",
-    "CheckResult",
-    "DomainError",
-    "IntegrityError",
-    "InvalidChannelError",
-    "Locus",
-    "NetworkParams",
-    "ParseError",
-    "ResourceMetrics",
-    "RouteTrace",
-    "ShuffleNetError",
-    "ShuffleSpec",
-    "Topology",
-    "VerificationReport",
-    "WavelengthConflict",
-    "__version__",
-    "awg_permutation",
-    "awg_route",
-    "awg_wavelength",
-    "build_network",
-    "check_bijectivity",
-    "check_oracle_equivalence",
-    "check_wavelength_conflicts",
-    "cli_main",
-    "fiber_wavelengths",
-    "label_input_channel",
-    "label_output_channel",
-    "left_cyclic_shift",
-    "mixed_radix_decode",
-    "mixed_radix_encode",
-    "network_permutation",
-    "parse_topology",
-    "render_digits",
-    "resource_metrics",
-    "run_named_check",
-    "serialize_report",
-    "serialize_topology",
-    "shuffle_map",
-    "shuffle_perm_decimal",
-    "topology_document",
-    "trace",
-    "trace_channel",
-    "tradeoff_csv",
-    "tradeoff_table",
-    "valid_input_wavelengths",
-    "verify_shuffle_equivalence",
-    "write_bytes",
-]
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):

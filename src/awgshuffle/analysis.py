@@ -165,10 +165,9 @@ def _check_images(
                 f"{output_at(image)}",
             )
         occupied[image] = 1
-    if len(images) != space:
-        missing = output_at(occupied.index(0))
-        return CheckResult(CHECK_BIJECTIVITY, False, f"output {missing} is never produced")
-    return CheckResult(CHECK_BIJECTIVITY, True)
+    # distinct and in range, yet not ``space`` of them: an output is missing
+    missing = output_at(occupied.index(0))
+    return CheckResult(CHECK_BIJECTIVITY, False, f"output {missing} is never produced")
 
 
 def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckResult:

@@ -18,9 +18,9 @@ order, as bytes in chunks of _BLOCK list entries, and the reader
 compares with blocks of the same entries; another renders DOT in chunks
 of a bounded number of lines. One table maps each export format to its
 generator: ``serialize_topology`` joins a format's chunks and ``synth``
-streams them to the file. Cables come from the wiring law (port b of
-group a lands on input a of router b), not from ``Topology.cables``, a
-view nothing in the package reads.
+streams them to the file. Cables are the rows of the wiring law (port b
+of group a lands on input a of router b) that ``topology._cable_rows``
+yields, the rows ``Topology.cables`` holds.
 
 Parsing walks the input text once, in document order. Top-level values
 are decoded whole, except the cable and channel lists: those are walked
@@ -51,7 +51,7 @@ import re
 import tempfile
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, islice, repeat, tee
+from itertools import chain, islice, repeat
 from json.decoder import scanstring
 from operator import add, floordiv, mod, mul
 
@@ -70,6 +70,7 @@ from .topology import (
     DEFAULT_CHANNEL_CAP,
     NetworkParams,
     Topology,
+    _cable_rows,
     build_network,
     fiber_wavelengths,
 )
@@ -145,10 +146,7 @@ def _template(skeleton: dict[str, Any]) -> bytes:
 
 def _lists(topology: Topology) -> dict[str, Iterator[bytes]]:
     """The cable and channel entries, rendered as they are read; cables by the wiring law."""
-    p = topology.params
-    groups = tee(chain.from_iterable(map(repeat, range(p.g), repeat(p.m))))
-    ports = tee(chain.from_iterable(repeat(range(p.m), p.g)))
-    cables = zip(groups[0], ports[0], ports[1], groups[1])
+    cables = _cable_rows(topology.params)
     return {"cables": map(mod, repeat(b"\n" + _template(_CABLE_SKELETON)), cables),
             "channels": chain.from_iterable(_channel_fills(topology))}
 

@@ -15,12 +15,13 @@ construction still runs. A built fabric is its shape plus two flat
 integer tuples indexed by decimal input channel: the decimal output
 channel and the wavelength.
 Everything else follows from those: the router spec from the shape,
-the cables from the wiring law, and each channel's loci from its
-addresses. The per-channel objects (addresses, traces) are a view
-derived from the tuples on first use, for callers that want objects
-and for counterexamples; the checks and the exporters read the tuples
-directly. A single channel can also be traced from the shape alone
-with :func:`trace_channel`, without building the fabric.
+the cables from the wiring law (:func:`_cable_rows`, the rows the JSON
+writer renders too), and each channel's loci from its addresses. The
+per-channel objects (addresses, traces) are a view derived from the
+tuples on first use, for callers that want objects and for
+counterexamples; the checks and the exporters read the tuples directly.
+A single channel can also be traced from the shape alone with
+:func:`trace_channel`, without building the fabric.
 
 Three-digit addresses use a different radix order at each stage:
 (g, m, n) on input fibers, (m, g, n) between the stages, (m, n, g) on
@@ -44,6 +45,7 @@ build it, to equal values).
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, repeat, tee
 from operator import add
 
 from .addressing import ChannelAddress, _FrozenValue, _setattr
@@ -62,9 +64,12 @@ from .errors import (
     check_positive,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: no command loads typing
+    from typing import Iterator
+
 __all__ = [
     "DEFAULT_CHANNEL_CAP",
-    "Cable",
     "Locus",
     "NetworkParams",
     "RouteTrace",
@@ -112,28 +117,15 @@ class NetworkParams(_FrozenValue):
         return (self.m, self.n, self.g)
 
 
-class Cable(_FrozenValue):
-    """One stage-1 fiber: port ``from_port`` of group ``from_group`` into a router.
+def _cable_rows(p: NetworkParams) -> Iterator[tuple[int, int, int, int]]:
+    """The g*m stage-1 fibers, group-major, as C-level iterators yield them.
 
-    The wiring law pins both router-side coordinates: a cable always
-    lands on router ``from_port`` at input ``from_group``.
+    Port b of group a lands on input a of router b: each row (from_group,
+    from_port, to_awg, to_input), the JSON cable keys sorted, is (a, b, b, a).
     """
-
-    from_group: int
-    from_port: int
-    to_awg: int
-    to_input: int
-
-    def __post_init__(self) -> None:
-        for name in ("from_group", "from_port", "to_awg", "to_input"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.to_awg != self.from_port or self.to_input != self.from_group:
-            raise DomainError(
-                f"cable ({self.from_group},{self.from_port}) -> "
-                f"({self.to_awg},{self.to_input}) violates the wiring law "
-                f"(port b of group a lands on input a of router b)"
-            )
+    groups = tee(chain.from_iterable(map(repeat, range(p.g), repeat(p.m))))
+    ports = tee(chain.from_iterable(repeat(range(p.m), p.g)))
+    return zip(groups[0], ports[0], ports[1], groups[1])
 
 
 class Locus(_FrozenValue):
@@ -184,12 +176,12 @@ class Topology(_FrozenValue):
     ``outputs[i]`` is the decimal output channel (radices (m, n, g)) and
     ``wavelengths[i]`` the wavelength of decimal input channel ``i``
     (radices (g, m, n)). ``awg_spec`` and ``cables`` follow from the
-    shape; ``cables`` is a view nothing in the package reads, as the
-    exporters derive each cable from the wiring law. ``channels`` holds
-    one trace per wavelength channel, ordered by ascending input
-    address, and ``channel_perm`` is the input-to-output mapping over
-    all of them; ``cables``, ``channels`` and ``channel_perm`` are built
-    on first use and then kept. The constructor checks that each tuple
+    shape; ``cables`` holds the ``_cable_rows`` the JSON writer renders,
+    a view nothing else in the package reads. ``channels`` holds one
+    trace per wavelength channel, ordered by ascending input address,
+    and ``channel_perm`` is the input-to-output mapping over all of
+    them; ``cables``, ``channels`` and ``channel_perm`` are built on
+    first use and then kept. The constructor checks that each tuple
     holds N entries of type ``int`` in range and raises DomainError
     otherwise.
     """
@@ -220,10 +212,9 @@ class Topology(_FrozenValue):
         return self.params.awg_spec
 
     @cached_property
-    def cables(self) -> tuple[Cable, ...]:
-        """The g*m stage-1 fibers, group-major, laid out by the wiring law."""
-        p = self.params
-        return tuple(Cable(a, b, b, a) for a in range(p.g) for b in range(p.m))
+    def cables(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The g*m (from_group, from_port, to_awg, to_input) rows of the wiring law."""
+        return tuple(_cable_rows(self.params))
 
     def channel(self, index: int) -> RouteTrace:
         """Trace of decimal input channel ``index``, built from the tuples."""

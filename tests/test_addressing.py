@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from awgshuffle import (
     AwgSpec,
-    Cable,
     ChannelAddress,
     CheckResult,
     DomainError,
@@ -60,6 +59,11 @@ def test_decode_rejects_out_of_range_index():
         mixed_radix_decode(18, (3, 2, 3))
     with pytest.raises(DomainError):
         mixed_radix_decode(-1, (3, 2, 3))
+
+
+def test_decode_rejects_a_radix_below_one():
+    with pytest.raises(DomainError, match=r"^radix at position 0 must be >= 1, got 0$"):
+        mixed_radix_decode(0, (0, 2))
 
 
 @st.composite
@@ -124,8 +128,6 @@ VALUE_TYPES = [
     (AwgSpec, dict(inputs=3, outputs=6), "AwgSpec(inputs=3, outputs=6, lambda_count=6)"),
     (ShuffleSpec, dict(g=3, l=6), "ShuffleSpec(g=3, l=6)"),
     (NetworkParams, dict(g=3, m=2, n=3), "NetworkParams(g=3, m=2, n=3)"),
-    (Cable, dict(from_group=1, from_port=0, to_awg=0, to_input=1),
-     "Cable(from_group=1, from_port=0, to_awg=0, to_input=1)"),
     (Locus, dict(device=1, port=0, wavelength=2), "Locus(device=1, port=0, wavelength=2)"),
     (RouteTrace, dict(input_addr=_A, middle_addr=_B, output_addr=_C, wavelength=2),
      "RouteTrace(input_addr=ChannelAddress(digits=(1, 0, 2), radices=(3, 2, 3)), "

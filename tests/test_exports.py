@@ -43,13 +43,10 @@ def imported_names(tree):
             yield from (alias.asname or alias.name for alias in node.names)
 
 
-def exported_names(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
+def exported_names(path):
+    """The ``__all__`` of the module in ``path``, read at run time: the package derives its own."""
+    name = awgshuffle.__name__ if path.stem == "__init__" else f"awgshuffle.{path.stem}"
+    return set(getattr(importlib.import_module(name), "__all__", ()))
 
 
 def test_every_import_is_used_or_exported():
@@ -59,7 +56,7 @@ def test_every_import_is_used_or_exported():
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        idle = set(imported_names(tree)) - used - exported_names(tree)
+        idle = set(imported_names(tree)) - used - exported_names(path)
         if idle:
             unused[path.name] = sorted(idle)
     assert unused == {}
@@ -121,7 +118,7 @@ class TestLazyPackage:
         bound = {}
         exec("from awgshuffle import *", bound)
         assert sorted(set(bound) - {"__builtins__"}) == sorted(awgshuffle.__all__)
-        assert len(awgshuffle.__all__) == 56
+        assert len(awgshuffle.__all__) == 55
         modules = [vars(importlib.import_module(f"awgshuffle.{name}"))
                    for name in MODULES + ["_version"]]
         for name in awgshuffle.__all__:

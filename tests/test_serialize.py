@@ -12,12 +12,12 @@ from conftest import rewired
 
 from awgshuffle import (
     DEFAULT_CHANNEL_CAP,
-    Cable,
     CapacityError,
     DomainError,
     IntegrityError,
     ParseError,
     ShuffleNetError,
+    Topology,
     build_network,
     parse_topology,
     serialize_report,
@@ -116,9 +116,11 @@ def _reference_document(t):
     def locus(at):
         return {"device": at.device, "port": at.port, "wavelength": at.wavelength}
 
+    p = t.params
     doc = json.loads(serialize_topology(t, "json"))  # header and metadata as rendered
-    doc["cables"] = [{"from_group": c.from_group, "from_port": c.from_port,
-                      "to_awg": c.to_awg, "to_input": c.to_input} for c in t.cables]
+    # the wiring law: port b of group a lands on input a of router b
+    doc["cables"] = [{"from_group": a, "from_port": b, "to_awg": b, "to_input": a}
+                     for a in range(p.g) for b in range(p.m)]
     doc["channels"] = []
     for tr in map(t.channel, range(t.params.channel_count)):
         doc["channels"].append({
@@ -224,6 +226,18 @@ class TestParseErrors:
         doc = topology_document(w323)
         doc["params"]["g"] = 0
         _fails(json.dumps(doc), ParseError, r"\$\.params invalid")
+
+    @pytest.mark.parametrize("indent", [2, 1])  # the canonical tail, then a re-layout
+    def test_params_over_the_cap(self, w323, indent):
+        doc = topology_document(w323)
+        doc["params"].update(g=1000, m=1000, n=1000, channel_count=10**9, lambda_count=1000)
+        data = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+        assert bool(serialize._CANONICAL_TAIL.search(data)) is (indent == 2)
+        _fails(data, CapacityError,
+               r"^W\(1000,1000,1000\) has 1000000000 channels, over the cap of 1000000$")
+        del doc["channels"][7]["middle"]  # a structural problem outranks the cap
+        data = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+        _fails(data, ParseError, r"^\$\.channels\[7\]\.middle is missing$")
 
     def test_integer_too_long_to_decode(self):
         _fails(b'{"a": ' + b"1" * 5000 + b"}", ParseError, "^invalid JSON: ")
@@ -350,6 +364,13 @@ class TestIntegrity:
         doc = topology_document(w323)
         del doc["channels"][5]
         _fails(json.dumps(doc), IntegrityError, "17 entries, expected 18")
+
+    @pytest.mark.parametrize("layout", [{"sort_keys": True, "indent": 2}, {}])
+    def test_empty_cable_list(self, layout):
+        doc = topology_document(build_network(2, 2, 2))
+        doc["cables"] = []
+        _fails(json.dumps(doc, **layout) + "\n", IntegrityError,
+               r"^\$\.cables has 0 entries, expected 4$")
 
     def test_first_bad_channel_is_named(self, w323):
         doc = topology_document(w323)
@@ -874,8 +895,9 @@ class TestDot:
         assert dot == serialize_topology(t, "dot")
         edges = re.findall(
             rb'grp(\d+) -> awg(\d+) \[.*, taillabel="p(\d+)", headlabel="in(\d+)"\];', dot)
+        # the wiring law: port b of group a lands on input a of router b
         assert [tuple(map(int, e)) for e in edges] == [
-            (c.from_group, c.to_awg, c.from_port, c.to_input) for c in t.cables
+            (a, b, b, a) for a in range(3) for b in range(345)
         ]
 
 
@@ -891,10 +913,10 @@ def test_export_and_parse_build_no_cable(shape, monkeypatch):
     assert want[2] == build_network(*shape) and want[3][0] is IntegrityError
 
     def no_cable(self):
-        raise AssertionError("a Cable was built")
+        raise AssertionError("Topology.cables was read")
 
-    monkeypatch.setattr(Cable, "__post_init__", no_cable)
-    with pytest.raises(AssertionError, match="a Cable was built"):
+    monkeypatch.setattr(Topology, "cables", property(no_cable))
+    with pytest.raises(AssertionError, match="Topology.cables was read"):
         build_network(*shape).cables
     assert outcomes() == want
 
