@@ -3,39 +3,37 @@
 JSON output is canonical (sorted keys, two-space indent, plain decimal
 integers, trailing newline) so serialized artifacts are diff-stable and
 belong in version control. A topology document is rendered straight
-from the fabric's integer tuples: json.dumps lays out one skeleton
-cable and one skeleton channel per fabric, with a ``%d`` slot for every
-per-entry integer, and C-level ``map`` calls over at most _BLOCK
-entries fill them, ASCII bytes, with plain ints. The m routers are
-copies, so 19 of a channel's 31 slots repeat in every router row of a
-group: its first row fills them into n row templates once, and a window
-of whole rows that repeats that row (the same wavelengths, the same
-outputs modulo n*g) fills only the other 12. Any other window, and
-every window when m = 1 or n > _BLOCK, fills the whole template. At
-W(16,32,16) this took render, read and reject from 4.8, 5.2 and 5.4 to
-2.6, 3.0 and 3.1 us a channel. One generator renders the document in
-order, as bytes in chunks of _BLOCK list entries, and the reader
-compares with blocks of the same entries; another renders DOT in chunks
-of a bounded number of lines. One table maps each export format to its
-generator: ``serialize_topology`` joins a format's chunks and ``synth``
-streams them to the file. Cables are the rows of the wiring law (port b
-of group a lands on input a of router b) that ``topology._cable_rows``
-yields, the rows ``Topology.cables`` holds.
+from the fabric's integer tuples, as ASCII bytes in chunks of at most
+_BLOCK whole list entries, from one json.dumps skeleton cable and
+channel with a ``%d`` slot for every integer. The m routers are copies,
+so 19 of a channel's 31 slots repeat in every router row of a group and
+9 hold its router b: a group's first row fills the 19 once into a row
+text of n entries, a placeholder byte for b. A window of whole rows (of
+whole groups when m*n <= _BLOCK) whose wavelengths are that row's and
+whose outputs are its outputs plus b*n*g, exactly, is then one chunk:
+one ``bytes.replace`` a row for b and one ``%`` for the input, middle
+and output decimals. Any other window, and all when n > _BLOCK, fills
+the whole template. At W(16,32,16) this took render, read and reject
+from 2.45, 2.86 and 2.80 to 1.41, 1.63 and 1.70 us a channel (medians
+of 21 alternated rounds in one process, 2 vCPUs). DOT comes in chunks of
+_BLOCK lines. ``serialize_topology`` joins a format's chunks and ``synth``
+streams them. Cables are the rows of the wiring law (port b of group a
+lands on input a of router b) that ``topology._cable_rows`` yields.
 
 Parsing walks the input text once, in document order. Top-level values
 are decoded whole, except the cable and channel lists: those are walked
 against the fabric that the fixed tail of a canonical document names
-(input without one is walked first to find its params). The fabric's
-entries are rendered a block at a time, and a block that is the input's
-text is passed with one comparison. In any other block, an entry whose
-text is the fabric's canonical entry is passed undecoded; any other is
-decoded alone, validated and compared with the fabric's, so the
-comparison is type-strict (``true`` or ``1.0`` never stand in for
-``1``) while key order, whitespace and metadata may differ. The outcome
-is decided at the end: a structural problem anywhere is a ParseError;
-only then is the first disagreeing section or entry an IntegrityError.
-Text the decoder rejects stops the walk where json.loads stops, and
-json.loads words the error.
+(input without one is walked first to find its params), a chunk of the
+writer's at a time. A chunk that is the input's text is passed with one
+comparison. In any other, the entries before the first differing
+character are passed as one run, and the entry that holds it is decoded
+alone, validated and compared with the fabric's, so the comparison is
+type-strict (``true`` or ``1.0`` never stand in for ``1``) while key
+order, whitespace and metadata may differ. The outcome is decided at the
+end: a structural problem anywhere is a ParseError; only then is the
+first disagreeing section or entry an IntegrityError. Text the decoder
+rejects stops the walk where json.loads stops, and json.loads words the
+error.
 
 The skeletons the renderer fills also state the schema that validation
 checks: it walks them in their own key order, which fixes which of
@@ -106,7 +104,7 @@ _PORT_ORDER_NOTE = "decimal channel indices are group-major (row-major) over the
 
 _PRETTY = {"sort_keys": True, "indent": 2}
 
-_BLOCK = 1024  # list entries per chunk of a canonical document (about 1 MB of channels)
+_BLOCK = 512  # list entries per chunk of a canonical document (about 0.5 MB of channels)
 
 # A "%d" string in a skeleton becomes a bare %d slot of its template.
 _SLOT = "%d"
@@ -144,44 +142,48 @@ def _template(skeleton: dict[str, Any]) -> bytes:
     return text.replace(f'"{_SLOT}"', _SLOT).encode()
 
 
-def _lists(topology: Topology) -> dict[str, Iterator[bytes]]:
-    """The cable and channel entries, rendered as they are read; cables by the wiring law."""
-    cables = _cable_rows(topology.params)
-    return {"cables": map(mod, repeat(b"\n" + _template(_CABLE_SKELETON)), cables),
-            "channels": chain.from_iterable(_channel_fills(topology))}
+def _lists(topology: Topology) -> dict[str, Iterator[tuple[bytes, int]]]:
+    """The cable and channel lists as they are read: chunks of whole entries, with their counts."""
+    p = topology.params
+    cables = map(mod, repeat(b"\n" + _template(_CABLE_SKELETON)), _cable_rows(p))  # the wiring law
+    return {"cables": ((b",".join(islice(cables, _BLOCK)), min(_BLOCK, p.g * p.m - i))
+                       for i in range(0, p.g * p.m, _BLOCK)),
+            "channels": _channel_chunks(topology)}
 
 
-def _channel_fills(topology: Topology) -> Iterator[Iterator[bytes]]:
-    """The channel entries, in fills of at most _BLOCK entries (see the module docstring)."""
+def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
+    """The channel entries, in chunks of at most _BLOCK (see the module docstring)."""
     p = topology.params
     g, m, n, gn, mn = p.g, p.m, p.n, p.g * p.n, p.m * p.n
     outputs, wavelengths = topology.outputs, topology.wavelengths
     entry = b"\n" + _template(_channel_skeleton(p))
 
-    def full(inputs: range) -> Iterator[bytes]:
-        outs, ws = outputs[inputs.start:inputs.stop], wavelengths[inputs.start:inputs.stop]
+    def full(i0: int, i1: int) -> tuple[bytes, int]:
+        inputs, outs, ws = range(i0, i1), outputs[i0:i1], wavelengths[i0:i1]
         cs, rows = [*map(mod, inputs, repeat(n))], [*map(floordiv, inputs, repeat(n))]  # a*m + b
         As, bs = [*map(floordiv, rows, repeat(m))], [*map(mod, rows, repeat(m))]
         middles = map(add, map(mul, map(add, map(mul, bs, repeat(g)), As), repeat(n)), cs)
         routers, origins = [*map(floordiv, outs, repeat(gn))], [*map(mod, outs, repeat(g))]
         qs = [*map(mod, map(floordiv, outs, repeat(g)), repeat(n))]
-        return map(mod, repeat(entry), zip(
+        return b",".join(map(mod, repeat(entry), zip(
             inputs, As, bs, cs, As, bs, cs, As, bs, ws, middles, bs, As, cs, bs, As, cs, bs, As, ws,
-            outs, routers, qs, origins, routers, qs, origins, routers, qs, ws, ws))
+            outs, routers, qs, origins, routers, qs, origins, routers, qs, ws, ws))), i1 - i0
 
     # the n first-row values of each group in ``first``, repeated for each of ``rows`` rows
     def spread(first: Iterable[Any], rows: int) -> tuple[Any, ...]:
         return tuple(chain.from_iterable(map(mul, zip(*[iter(first)] * n), repeat(rows))))
 
-    if m == 1 or n > _BLOCK:  # no router row repeats within a window
+    if n > _BLOCK:  # a router row is longer than a chunk
         for i in range(0, p.channel_count, _BLOCK):
-            yield full(range(i, min(i + _BLOCK, p.channel_count)))
+            yield full(i, min(i + _BLOCK, p.channel_count))
         return
     groups, rows = max(_BLOCK // mn, 1), min(_BLOCK // n, m)  # a window's whole groups or rows
-    # the row template: the 12 row slots escaped, so that filling the other 19 leaves them open
-    pieces, row = entry.split(b"%d"), (0, 2, 5, 8, 10, 11, 14, 17, 20, 21, 24, 27)
-    row_entry = b"".join(chain.from_iterable(
-        zip(pieces, [b"%%d" if k in row else b"%d" for k in range(len(pieces) - 1)]))) + pieces[-1]
+    # the row template: the router digit b a placeholder byte, the input, middle
+    # and output decimals escaped, so that filling the other 19 slots leaves them open
+    pieces, digits = entry.split(b"%d"), [b"%d" % b for b in range(m)]
+    slots = [b"\0" if k in (2, 5, 8, 11, 14, 17, 21, 24, 27) else b"%%d" if k in (0, 10, 20)
+             else b"%d" for k in range(len(pieces) - 1)]
+    row_entry = b"".join(chain.from_iterable(zip(pieces, slots))) + pieces[-1]
     for a0 in range(0, g, groups):
         a1 = min(a0 + groups, g)
         As, cs = [*map(floordiv, range(a0 * n, a1 * n), repeat(n))], [*range(n)] * (a1 - a0)
@@ -189,51 +191,35 @@ def _channel_fills(topology: Topology) -> Iterator[Iterator[bytes]]:
         ws = [*map(wavelengths.__getitem__, firsts)]
         relative = [*map(mod, map(outputs.__getitem__, firsts), repeat(gn))]  # q*g + origin
         qs, origins = [*map(floordiv, relative, repeat(g))], [*map(mod, relative, repeat(g))]
-        templates = [*map(mod, repeat(row_entry), zip(
-            As, cs, As, cs, As, ws, As, cs, As, cs, As, ws, qs, origins, qs, origins, qs, ws, ws))]
+        entries = map(mod, repeat(row_entry), zip(
+            As, cs, As, cs, As, ws, As, cs, As, cs, As, ws, qs, origins, qs, origins, qs, ws, ws))
+        texts = [*map(b",".join, zip(*[entries] * n))]  # each group's row text
         for b0 in range(0, m, rows):
             b1 = min(b0 + rows, m)
             i0, i1 = (a0 * m + b0) * n, ((a1 - 1) * m + b1) * n
+            # b*g*n for each entry: router b's outputs are router 0's plus that, exactly
+            offsets = [*chain.from_iterable(map(repeat, range(b0 * gn, b1 * gn, gn), repeat(n)))]
+            offsets *= a1 - a0
             outs = outputs[i0:i1]
             if (wavelengths[i0:i1] != spread(ws, b1 - b0)
-                    or tuple(map(mod, outs, repeat(gn))) != spread(relative, b1 - b0)):
-                yield full(range(i0, i1))
+                    or outs != tuple(map(add, offsets, spread(relative, b1 - b0)))):
+                yield full(i0, i1)
                 continue
-            bs = [*chain.from_iterable(map(repeat, range(b0, b1), repeat(n)))] * (a1 - a0)
             # middle decimal (b*g + a)*n + c, where a*n + c runs over range(a0*n, a1*n)
-            middles = map(add, map(mul, bs, repeat(gn)), spread(range(a0 * n, a1 * n), b1 - b0))
-            routers = [*map(floordiv, outs, repeat(gn))]
-            yield map(mod, spread(templates, b1 - b0), zip(
-                range(i0, i1), bs, bs, bs, middles, bs, bs, bs, outs, routers, routers, routers))
-
-
-def _list_chunks(entries: Iterator[bytes]) -> Iterator[bytes]:
-    """A pretty list section of one or more entries, like json.dumps, _BLOCK entries a chunk."""
-    opening = b"["
-    while block := list(islice(entries, _BLOCK)):
-        yield opening
-        yield b",".join(block)
-        opening = b","
-    yield b"\n  ]"
+            middles = map(add, offsets, spread(range(a0 * n, a1 * n), b1 - b0))
+            rendered = chain.from_iterable(map(repeat, texts, repeat(b1 - b0)))
+            yield b",".join(map(bytes.replace, rendered, repeat(b"\0"), digits[b0:b1] * (a1 - a0))) \
+                % tuple(chain.from_iterable(zip(range(i0, i1), middles, outs))), i1 - i0
 
 
 def _params_json(p: NetworkParams) -> dict[str, int]:
-    return {
-        "g": p.g,
-        "m": p.m,
-        "n": p.n,
-        "channel_count": p.channel_count,
-        "lambda_count": p.lambda_count,
-    }
+    return {"g": p.g, "m": p.m, "n": p.n, "channel_count": p.channel_count,
+            "lambda_count": p.lambda_count}
 
 
 def _awg_bank_json(count: int, spec: AwgSpec) -> dict[str, int]:
-    return {
-        "count": count,
-        "inputs": spec.inputs,
-        "outputs": spec.outputs,
-        "lambda_count": spec.lambda_count,
-    }
+    return {"count": count, "inputs": spec.inputs, "outputs": spec.outputs,
+            "lambda_count": spec.lambda_count}
 
 
 def _frame(params: NetworkParams) -> tuple[str, str, str]:
@@ -261,16 +247,16 @@ def _json_chunks(topology: Topology) -> Iterator[bytes]:
     """The canonical JSON of ``topology``, in order, as chunks of ASCII bytes.
 
     Sorted keys put ``awg_bank`` before the two lists and ``metadata``,
-    ``params`` and ``schema_version`` after them, so the document is its
-    head, the cable list, the text between the lists, the channel list
-    and its tail. Each list comes in chunks of at most _BLOCK entries of
-    ``_lists``, the iterator the reader compares with.
+    ``params`` and ``schema_version`` after them. Each list is the chunks
+    of ``_lists``, the iterator the reader compares with.
     """
     head, *after = _frame(topology.params)
     yield head.encode()
-    for entries, text in zip(_lists(topology).values(), after):
-        yield from _list_chunks(entries)
-        yield text.encode()
+    for chunks, text in zip(_lists(topology).values(), after):
+        for k, (chunk, _) in enumerate(chunks):
+            yield b"," if k else b"["
+            yield chunk
+        yield b"\n  ]" + text.encode()
 
 
 def _dot_lines(p: NetworkParams) -> Iterator[str]:
@@ -334,14 +320,8 @@ def serialize_report(report: VerificationReport) -> bytes:
         "params": _params_json(report.params),
         "passed": report.passed,
         "permutation_size": report.permutation_size,
-        "checks": [
-            {
-                "name": check.name,
-                "passed": check.passed,
-                "counterexample": check.counterexample,
-            }
-            for check in report.checks
-        ],
+        "checks": [{"name": c.name, "passed": c.passed, "counterexample": c.counterexample}
+                   for c in report.checks],
     }
     return (json.dumps(doc, **_PRETTY) + "\n").encode("utf-8")
 
@@ -474,6 +454,21 @@ _DECODE = json.JSONDecoder().raw_decode  # one value at an offset, as json.loads
 # A walked list: the offset of its "[", its entries, its first structural error and first mismatch
 _Survey = namedtuple("_Survey", "start count problem mismatch")
 
+_SEAM = b'\n    },\n    {\n      "'  # between two list entries, and nowhere else
+_CLOSE = len(b"\n    }")  # the first entry's part of the seam
+
+
+def _held(source: str | bytes, pos: int, chunk: str | bytes, at: int) -> int:
+    """How much of ``chunk[at:]`` ``source`` holds at ``pos``: galloping, then bisecting."""
+    view = memoryview(chunk) if isinstance(chunk, bytes) else chunk  # str slices are copies
+    lo, step, grow = 0, 1, True
+    while step:  # lo characters are held; the next ``step`` are compared
+        held = lo + step <= len(chunk) - at and source.startswith(
+            view[at + lo:at + lo + step], pos + lo)
+        lo, grow = lo + step * held, grow and held
+        step = 2 * step if grow else step // 2
+    return lo
+
 
 def _survey(
     text: str, source: str | bytes, start: int, section: str, topology: Topology | None,
@@ -481,36 +476,41 @@ def _survey(
 ) -> tuple[_Survey, int]:
     """Walk the list at ``start`` in document order; return what it holds and where it ends.
 
-    The fabric's entries come from the writer's iterator (``_lists``), one
-    _BLOCK at a time, as bytes, decoded for a ``str`` source; the input's
-    own bytes are the source when their offsets are those of ``text``
-    (ASCII). When a block's first entry is the text at hand, the whole block
-    is compared with one ``startswith`` and, if it matches, passed in one
-    step. Otherwise each entry that is the fabric's canonical text is passed
-    undecoded; any other is decoded alone, validated unless ``validate`` is
-    false (an earlier walk did), compared with the fabric's and dropped;
-    without a fabric it is only validated.
+    The fabric's entries are the writer's chunks (``_lists``), decoded
+    for a ``str`` source; the input's own bytes are the source when their
+    offsets are those of ``text`` (ASCII). A chunk is passed whole, or the
+    run of whole entries before the first character it differs in; the
+    entry after such a run is passed if the text at hand is its text, else
+    decoded, validated unless ``validate`` is false (an earlier walk did),
+    compared with the fabric's and dropped. Without a fabric each entry is
+    only validated.
     """
-    entries = iter(()) if topology is None else _lists(topology)[section]
-    comma = b","
+    chunks = iter(()) if topology is None else _lists(topology)[section]
+    seam = _SEAM
     if isinstance(source, str):  # decoded input: compare with decoded entries
-        entries, comma = map(bytes.decode, entries), ","
-    pieces: Iterator[str | bytes] = iter(())  # the fabric's entries ahead in this block
+        chunks, seam = ((c.decode(), k) for c, k in chunks), _SEAM.decode()
+    chunk, at, left = seam[:0], 0, 0  # the fabric's chunk, its next entry's offset, entries left
     count, problem, mismatch = 0, None, None
     pos = start + 1  # past "[", and after that past each ","
     while True:
-        piece = next(pieces, None)
-        if piece is None and (piece := next(entries, None)) is not None:  # the fabric's next block
-            pieces = islice(entries, _BLOCK - 1)
-            if source.startswith(piece, pos):  # a canonical first entry: compare the block whole
-                block = [piece, *pieces]
-                whole = comma.join(block)
-                if source.startswith(whole, pos):
-                    piece, count = whole, count + len(block) - 1  # passed as one entry
-                else:
-                    pieces = iter(block[1:])
-                del block, whole  # so that no two blocks are held at once
-        if piece is not None and source.startswith(piece, pos):
+        if not left:  # the fabric's next chunk, the last one dropped first
+            chunk = seam[:0]
+            (chunk, left), at = next(chunks, (chunk, 0)), 0
+        piece, size = None, 0
+        if left:
+            held = (len(chunk) if at == 0 and source.startswith(chunk, pos)
+                    else _held(source, pos, chunk, at))
+            if at + held == len(chunk):  # every entry left
+                end, size = at + held, left
+            elif (end := chunk.rfind(seam, at, at + held + len(seam) - _CLOSE - 1)) >= 0:
+                end += _CLOSE  # whole entries, each with the "," after it
+                size = chunk.count(seam, at, end) + 1
+            else:  # the next entry alone
+                end = len(chunk) if left == 1 else chunk.find(seam, at) + _CLOSE
+                piece, at, left = chunk[at:end], end + 1, left - 1
+        if size:  # passed as one entry
+            pos, at, left, count = pos + end - at, end + 1, left - size, count + size - 1
+        elif piece is not None and source.startswith(piece, pos):
             pos += len(piece)
         else:
             pos = _SPACE(text, pos).end()
@@ -636,13 +636,12 @@ def parse_topology(
     first differing section or entry.
 
     The input is walked once against the fabric its canonical tail
-    names. The fabric's list entries are rendered as bytes one block at
-    a time, and a canonical block is passed with one comparison; in any
-    other block, canonical entries are passed undecoded, so a tampered
-    field costs one entry decoded. Input without that tail is walked
-    once to find its params and validate its lists, and then, unless
-    they hold a structural problem, its lists again against the fabric
-    they name without validating them again.
+    names, a rendered chunk of its lists at a time: a canonical chunk is
+    passed with one comparison, and a tampered field costs one entry
+    decoded. Input without that tail is walked once to find its params
+    and validate its lists, and then, unless they hold a structural
+    problem, its lists again against the fabric they name without
+    validating them again.
     """
     budget = _document_budget(max_channels)
     if len(data) > budget:

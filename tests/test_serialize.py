@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -136,8 +137,10 @@ class TestRendererOnMutants:
     """Fabrics the constructor builds render their own values, row templates or not."""
 
     # one window of several whole groups; windows of whole rows of one group
-    # (m*n > 1,024); m = 1; g = 1; n > 1,024 (no row template at all)
-    SHAPES = [(6, 3, 4), (3, 2, 3), (2, 40, 30), (5, 1, 7), (1, 6, 5), (1, 2, 1100)]
+    # (m*n > _BLOCK); m = 1; g = 1; n > _BLOCK (no row text at all); and
+    # 100 groups of 10 entries, so that one window spans many groups
+    SHAPES = [(6, 3, 4), (3, 2, 3), (2, 40, 30), (5, 1, 7), (1, 6, 5), (1, 2, 1100),
+              (100, 10, 1)]
 
     @staticmethod
     def mutants(t):
@@ -157,6 +160,10 @@ class TestRendererOnMutants:
         wavelengths = list(t.wavelengths)  # one wavelength of the last router's row
         wavelengths[row + n - 1] = (wavelengths[row + n - 1] + 1) % p.lambda_count
         yield "one wavelength changed", rewired(t, wavelengths=wavelengths)
+        if m > 1:  # one output of router m-1 moved to router m-2: the same modulo n*g
+            outputs = list(t.outputs)
+            outputs[row + n - 1] -= g * n
+            yield "one output moved by n*g", rewired(t, outputs=outputs)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_built_fabric_renders_as_the_reference(self, shape):
@@ -535,8 +542,8 @@ class TestCanonicalFastPath:
     SHAPES = [(3, 2, 3), (11, 3, 12), (5, 5, 41), (3, 345, 1)]
 
     def test_a_shape_spans_blocks(self):
-        assert 5 * 5 * 41 > _BLOCK and (5 * 5 * 41) % _BLOCK
-        assert 3 * 345 > _BLOCK and (3 * 345) % _BLOCK
+        assert len(_chunk_firsts(build_network(5, 5, 41), "channels")) > 2
+        assert len(_chunk_firsts(build_network(3, 345, 1), "cables")) > 2
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_edits_inside_every_chunk(self, shape):
@@ -604,6 +611,12 @@ class TestCanonicalFastPath:
         edited = text.replace('"wavelength": 0', '"wavelength": 1', 1)
         got = _outcome(edited)
         assert got[0] is IntegrityError
+
+
+def _chunk_firsts(t, section):
+    """The index of each chunk's first entry, as the writer renders one list and the reader
+    compares it, and the entry count after the last chunk."""
+    return [*itertools.accumulate((k for _, k in serialize._lists(t)[section]), initial=0)]
 
 
 def _entry_spans(doc, section):
@@ -684,8 +697,8 @@ class TestLocalizedEdits:
         yield two, IntegrityError, "$.channels[0]"
         two = _off_by_one(_reformatted(doc, channels[0]), channels[last])
         yield two, IntegrityError, f"$.channels[{last}]"
-        # two adjacent entries, one on each side of a block boundary when n > _BLOCK
-        k = min(last, _BLOCK)
+        # two adjacent entries, one on each side of a chunk boundary when there is one
+        k = min(_chunk_firsts(t, "channels")[1], last)
         two = _off_by_one(_off_by_one(doc, channels[k]), channels[k - 1])
         yield two, IntegrityError, f"$.channels[{k - 1}]"
         e = channels[0][1]
@@ -740,8 +753,8 @@ class TestLocalizedEdits:
             assert decoded == [channels[k][1] - channels[k][0] - 4]
 
     def test_tamper_at_a_block_boundary_decodes_that_entry_alone(self, monkeypatch):
-        # W(16,16,12): 3,072 channels in three whole blocks; a block's first
-        # entry fails the gate, and its last fails the whole-block comparison
+        # W(16,16,12): 3,072 channels in chunks of whole groups; a tamper in a
+        # chunk's first or last entry leaves the rest of that chunk a run
         t = build_network(16, 16, 12)
         doc = serialize_topology(t, "json")
         lists = doc.index(b'"cables": ['), doc.rindex(b"\n  ]")
@@ -757,9 +770,10 @@ class TestLocalizedEdits:
         monkeypatch.setattr(serialize, "_DECODE", decode)
         assert _outcome(doc) == t and decoded == []
         channels, cables = _entry_spans(doc, "channels"), _entry_spans(doc, "cables")
-        assert len(channels) == 3 * _BLOCK
+        firsts = _chunk_firsts(t, "channels")
+        assert len(firsts) > 3 and firsts[-1] == len(channels)
         edits = [("channels", k, b"wavelength")
-                 for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, len(channels) - 1)]
+                 for first, end in itertools.pairwise(firsts) for k in (first, end - 1)]
         edits.append(("cables", 100, b"to_input"))
         for section, k, key in edits:
             edited = _off_by_one(doc, (channels if section == "channels" else cables)[k], key)
