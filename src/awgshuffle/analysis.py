@@ -9,18 +9,20 @@ oracle counterexample.
 The checks are passes over the fabric's integer tuples: each first
 runs a whole-sequence test, and only when that fails does an ordered
 scan look for the first counterexample in ascending address order and
-stop there, which keeps reports deterministic and compact. Verify
-builds the oracle array once and compares the outputs with it once;
-that verdict serves all three checks and the match count. The oracle
-exchanges two digits, so it is a permutation of range(N): a fabric
-equal to it is bijective without a test of its own, and any other
-fabric has its distinct outputs counted. The wavelength check decides
-input and output fibers apart. Groups that repeat their first fiber
-are proven by their g first fibers whatever the outputs are, and with
-the oracle's outputs router 0's n columns decide every output fiber;
-any other fiber population needs distinct keys, fiber * lambda_count +
-wavelength, and an ordered scan over the same keys words a conflict
-when one is found. Addresses are built only to word a counterexample.
+stop there, which keeps reports deterministic and compact. One private
+function decides and words each check, for verify and for
+:func:`run_named_check` alike. Verify builds the oracle array once and
+compares the outputs with it once; that verdict serves all three checks
+and the match count. The oracle exchanges two digits, so it is a
+permutation of range(N): a fabric equal to it is bijective without a
+test of its own, and any other fabric has its distinct outputs counted.
+The wavelength check decides input and output fibers apart. Groups that
+repeat their first fiber are proven by their g first fibers whatever
+the outputs are, and with the oracle's outputs router 0's n columns
+decide every output fiber; any other fiber population needs distinct
+keys, fiber * lambda_count + wavelength, and an ordered scan over the
+same keys words a conflict when one is found. Addresses are built only
+to word a counterexample.
 
 The resource side tabulates the wavelength-versus-cabling tradeoff
 across every factorization l = m*n of a fixed fanout: growing n grows
@@ -111,22 +113,6 @@ def _oracle(params: NetworkParams) -> tuple[int, ...]:
     return tuple(shuffle_perm_decimal(ShuffleSpec(params.g, params.m * params.n)))
 
 
-def _oracle_check(
-    topology: Topology, expected: tuple[int, ...], is_oracle: bool
-) -> CheckResult:
-    """The oracle check, given the oracle and whether ``outputs`` equals it."""
-    if is_oracle:
-        return CheckResult(CHECK_ORACLE, True)
-    index = next(i for i, want in enumerate(expected) if topology.outputs[i] != want)
-    tr = topology.channel(index)
-    return CheckResult(
-        CHECK_ORACLE,
-        False,
-        f"input {tr.input_addr} reaches {tr.output_addr}, "
-        f"oracle expects {left_cyclic_shift(tr.input_addr)}",
-    )
-
-
 def check_oracle_equivalence(topology: Topology) -> CheckResult:
     """Compare the routed permutation against the oracle S(g, m*n).
 
@@ -134,8 +120,7 @@ def check_oracle_equivalence(topology: Topology) -> CheckResult:
     the first channel that disagrees is worded through its digit form,
     the left cyclic shift of the input address.
     """
-    expected = _oracle(topology.params)
-    return _oracle_check(topology, expected, topology.outputs == expected)
+    return run_named_check(CHECK_ORACLE, topology)
 
 
 def _check_images(
@@ -192,25 +177,6 @@ def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckRes
         prod(radices),
         lambda pos: items[pos][0],
         lambda index: ChannelAddress(mixed_radix_decode(index, radices), radices),
-    )
-
-
-def _check_topology_bijectivity(topology: Topology, is_oracle: bool) -> CheckResult:
-    """Bijectivity of ``outputs``; ``is_oracle`` says they are known to equal the oracle.
-
-    The oracle S(g, m*n) exchanges two digits, so it is a permutation of
-    range(N) and a fabric equal to it passes without a test of its own.
-    """
-    if is_oracle:
-        return CheckResult(CHECK_BIJECTIVITY, True)
-    p = topology.params
-    return _check_images(
-        topology.outputs,
-        p.channel_count,
-        lambda pos: topology.channel(pos).input_addr,
-        lambda index: ChannelAddress(
-            mixed_radix_decode(index, p.output_radices), p.output_radices
-        ),
     )
 
 
@@ -289,17 +255,39 @@ def _conflicts(topology: Topology, is_oracle: bool) -> Iterator[WavelengthConfli
             )
 
 
-def _conflict_check(topology: Topology, is_oracle: bool) -> CheckResult:
-    """The wavelength-conflict check, worded by its first conflict."""
-    first = next(_conflicts(topology, is_oracle), None)
-    if first is not None:
-        return CheckResult(
-            CHECK_WAVELENGTH_CONFLICTS,
-            False,
-            f"{first.fiber} carries wavelength {first.wavelength} twice: "
-            f"{first.first} and {first.second}",
+def _named_check(
+    name: str, topology: Topology, is_oracle: bool, expected: Sequence[int] = ()
+) -> CheckResult:
+    """Decide and word the check ``name``, one of :data:`CHECK_NAMES`.
+
+    ``is_oracle`` says whether ``outputs`` equals the oracle S(g, m*n),
+    and ``expected`` is that oracle, which only a failing oracle check
+    reads, to name its first disagreeing channel. The oracle exchanges
+    two digits, so it is a permutation of range(N) and a fabric equal to
+    it is bijective without a test of its own.
+    """
+    counterexample = None
+    if name == CHECK_ORACLE and not is_oracle:
+        index = next(i for i, want in enumerate(expected) if topology.outputs[i] != want)
+        tr = topology.channel(index)
+        counterexample = (f"input {tr.input_addr} reaches {tr.output_addr}, "
+                          f"oracle expects {left_cyclic_shift(tr.input_addr)}")
+    elif name == CHECK_BIJECTIVITY and not is_oracle:
+        p = topology.params
+        return _check_images(
+            topology.outputs,
+            p.channel_count,
+            lambda pos: topology.channel(pos).input_addr,
+            lambda index: ChannelAddress(
+                mixed_radix_decode(index, p.output_radices), p.output_radices
+            ),
         )
-    return CheckResult(CHECK_WAVELENGTH_CONFLICTS, True)
+    elif name == CHECK_WAVELENGTH_CONFLICTS:
+        first = next(_conflicts(topology, is_oracle), None)
+        if first is not None:
+            counterexample = (f"{first.fiber} carries wavelength {first.wavelength} twice: "
+                              f"{first.first} and {first.second}")
+    return CheckResult(name, counterexample is None, counterexample)
 
 
 def check_wavelength_conflicts(topology: Topology) -> list[WavelengthConflict]:
@@ -313,14 +301,20 @@ def check_wavelength_conflicts(topology: Topology) -> list[WavelengthConflict]:
 
 
 def run_named_check(name: str, topology: Topology) -> CheckResult:
-    """Run one check by its report name."""
-    if name == CHECK_ORACLE:
-        return check_oracle_equivalence(topology)
-    if name == CHECK_BIJECTIVITY:
-        return _check_topology_bijectivity(topology, False)
+    """Run one check by its report name, through the function verify uses.
+
+    Bijectivity decides by its own pass and builds no oracle; the other
+    two build it to learn whether ``outputs`` equals it, and the
+    conflict check drops it before its scan.
+    """
+    if name not in CHECK_NAMES:
+        raise DomainError(f"unknown check {name!r}")
+    # N >= 1 outputs never equal (), so bijectivity gets is_oracle False
+    expected = () if name == CHECK_BIJECTIVITY else _oracle(topology.params)
+    is_oracle = topology.outputs == expected
     if name == CHECK_WAVELENGTH_CONFLICTS:
-        return _conflict_check(topology, topology.outputs == _oracle(topology.params))
-    raise DomainError(f"unknown check {name!r}")
+        expected = ()
+    return _named_check(name, topology, is_oracle, expected)
 
 
 def verify_shuffle_equivalence(g: int, m: int, n: int) -> VerificationReport:
@@ -337,14 +331,10 @@ def verify_shuffle_equivalence(g: int, m: int, n: int) -> VerificationReport:
     size = topology.params.channel_count
     expected = _oracle(topology.params)
     is_oracle = topology.outputs == expected
-    oracle = _oracle_check(topology, expected, is_oracle)
+    oracle = _named_check(CHECK_ORACLE, topology, is_oracle, expected)
     matched = size if is_oracle else sum(map(eq, topology.outputs, expected))
     del expected
-    checks = (
-        oracle,
-        _check_topology_bijectivity(topology, is_oracle),
-        _conflict_check(topology, is_oracle),
-    )
+    checks = (oracle, *(_named_check(name, topology, is_oracle) for name in CHECK_NAMES[1:]))
     return VerificationReport(
         params=topology.params,
         passed=all(check.passed for check in checks),

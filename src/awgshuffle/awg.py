@@ -22,10 +22,10 @@ lambda_count`` over the outputs q of an input p, and the routing law
 scalar operations are the one-element case of a row, after validating
 each index; :func:`awg_route_row` validates p once and then applies both
 laws to the whole row, which is how the two-stage fabric's build routes
-each router input. The fabric's trace and its build guard label through
-this module: a trace takes the routed output from the input label and
-the originating input from the output label, and the guard raises
-through both.
+each router input and, at the routed outputs, reads back their origins.
+The fabric's trace and its build guard label through this module: a
+trace takes the routed output from the input label and the originating
+input from the output label, and the guard raises through both.
 
 Everything here is a pure function over immutable values and safe for
 concurrent use.
@@ -33,8 +33,11 @@ concurrent use.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .addressing import ChannelAddress, _FrozenValue, _setattr
-from .errors import DomainError, InvalidChannelError, check_positive
+from .errors import (DEFAULT_CHANNEL_CAP, CapacityError, DomainError, InvalidChannelError,
+                     check_positive)
 
 __all__ = [
     "AwgSpec",
@@ -87,14 +90,15 @@ def _wavelength_row(lambda_count: int, p: int, outputs) -> list[int]:
     return [(p + q) % lambda_count for q in outputs]
 
 
-def _route_row(lambda_count: int, p: int, wavelengths) -> list[int]:
+def _route_row(lambda_count: int, ports, wavelengths) -> list[int]:
     """The routing law: wavelength ``i`` entering input ``p`` exits ``(i - p) mod lambda_count``.
 
-    The law is symmetric in its two ports, since ``i = p + q`` modulo
-    ``lambda_count``, so the same row read at output ``p`` gives the
-    input each wavelength originates from.
+    ``ports`` holds each wavelength's port: ``repeat(p)`` for a row, a
+    1-tuple for one wavelength. The law is symmetric in its ports, since
+    ``i = p + q`` modulo ``lambda_count``, so read at outputs it gives
+    the input each wavelength originates from.
     """
-    return [(i - p) % lambda_count for i in wavelengths]
+    return [(i - p) % lambda_count for p, i in zip(ports, wavelengths)]
 
 
 def awg_route(spec: AwgSpec, p: int, i: int) -> int:
@@ -107,7 +111,7 @@ def awg_route(spec: AwgSpec, p: int, i: int) -> int:
     """
     _check_input_port(spec, p)
     _check_wavelength(spec, i)
-    return _route_row(spec.lambda_count, p, (i,))[0]
+    return _route_row(spec.lambda_count, (p,), (i,))[0]
 
 
 def awg_wavelength(spec: AwgSpec, p: int, q: int) -> int:
@@ -127,7 +131,7 @@ def awg_route_row(spec: AwgSpec, p: int) -> tuple[list[int], list[int]]:
     """
     _check_input_port(spec, p)
     carried = _wavelength_row(spec.lambda_count, p, range(spec.outputs))
-    return carried, _route_row(spec.lambda_count, p, carried)
+    return carried, _route_row(spec.lambda_count, repeat(p), carried)
 
 
 def valid_input_wavelengths(spec: AwgSpec, p: int) -> tuple[int, ...]:
@@ -151,7 +155,7 @@ def label_output_channel(spec: AwgSpec, q: int, k: int) -> ChannelAddress:
     """Two-digit address (port, originating input) of wavelength ``k`` at output ``q``."""
     _check_output_port(spec, q)
     _check_wavelength(spec, k)
-    low = _route_row(spec.lambda_count, q, (k,))[0]  # read back from output q
+    low = _route_row(spec.lambda_count, (q,), (k,))[0]  # read back from output q
     if low >= spec.inputs:
         raise InvalidChannelError(
             f"wavelength {k} at output {q} has no originating input: it would "
@@ -170,7 +174,12 @@ def awg_permutation(spec: AwgSpec) -> dict[ChannelAddress, ChannelAddress]:
     The exchange is asserted over this result by the test suite and the
     analysis module. The mapping covers all inputs * outputs valid
     channels, keyed in ascending address order, and is a bijection.
+    Raises CapacityError when they exceed the default channel cap.
     """
+    channels = spec.inputs * spec.outputs
+    if channels > DEFAULT_CHANNEL_CAP:
+        raise CapacityError(f"AwgSpec({spec.inputs},{spec.outputs}) has {channels} channels, "
+                            f"over the cap of {DEFAULT_CHANNEL_CAP}")
     radices = (spec.inputs, spec.outputs)
     mapping: dict[ChannelAddress, ChannelAddress] = {}
     for p in range(spec.inputs):

@@ -46,7 +46,6 @@ import io
 import json
 import os
 import re
-import tempfile
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -349,19 +348,16 @@ def write_bytes(path: str, data: bytes | Iterable[bytes]) -> None:
     the rename (``path`` a directory) names ``path``, not the staged file.
     """
     chunks = (data,) if isinstance(data, bytes) else data
-    # The umask is read by setting it: the strictest mask meanwhile keeps
-    # a file another thread creates in that instant from being looser.
-    umask = os.umask(0o777)
-    os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
+    staged = os.path.join(directory, ".awgshuffle-" + os.urandom(8).hex())
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        fd, staged = tempfile.mkstemp(dir=directory, prefix=".awgshuffle-")
+        fd = os.open(staged, flags, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
-        os.chmod(staged, 0o666 & ~umask)  # mkstemp creates it owner-only
         try:
             os.replace(staged, path)
         except OSError as exc:

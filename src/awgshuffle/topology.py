@@ -51,7 +51,9 @@ from operator import add
 from .addressing import ChannelAddress, _FrozenValue, _setattr
 from .awg import (
     AwgSpec,
+    _route_row,
     awg_route_row,
+    awg_wavelength,
     label_input_channel,
     label_output_channel,
     valid_input_wavelengths,
@@ -289,15 +291,21 @@ def trace_channel(
     (:func:`~awgshuffle.awg.label_output_channel`) the originating
     input; the wiring law lays out the three addresses. Raises
     DomainError for an out-of-range locus and InvalidChannelError
-    (naming the fiber's carried set) for a wavelength the fiber cannot
-    accept.
+    (naming the fiber's carried set, by its ends past 16 wavelengths)
+    for a wavelength the fiber cannot accept.
     """
     _check_fiber(params, group, port)
     awg_spec = params.awg_spec
     try:
         q = label_input_channel(awg_spec, group, wavelength).digits[1]
     except InvalidChannelError:
-        carried = ", ".join(str(w) for w in fiber_wavelengths(params, group))
+        if params.n <= 16:
+            carried = ", ".join(str(w) for w in fiber_wavelengths(params, group))
+        else:  # the cyclic run from output 0's wavelength to output n-1's, by its ends
+            first, last = (awg_wavelength(awg_spec, group, out) for out in (0, params.n - 1))
+            runs = ([(first, last)] if first < last
+                    else [(0, last), (first, params.lambda_count - 1)])
+            carried = ", ".join(str(lo) if lo == hi else f"{lo}, ..., {hi}" for lo, hi in runs)
         raise InvalidChannelError(
             f"wavelength {wavelength} is not carried on port {port} of group "
             f"{group}; this fiber carries wavelengths {{{carried}}}"
@@ -344,7 +352,7 @@ def build_network(
     wavelengths: list[int] = []
     for a in range(g):
         carried, routed = awg_route_row(awg_spec, a)
-        origins = [(w - q) % lambdas for w, q in zip(carried, routed)]
+        origins = _route_row(lambdas, routed, carried)
         if (min(routed) < 0 or max(routed) >= n or max(origins) >= g
                 or min(carried) < 0 or max(carried) >= lambdas):
             for w, q, origin in zip(carried, routed, origins):

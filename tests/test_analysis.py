@@ -7,6 +7,7 @@ from conftest import rewired
 
 import awgshuffle.analysis as analysis
 from awgshuffle import (
+    CHECK_BIJECTIVITY,
     CHECK_NAMES,
     CHECK_WAVELENGTH_CONFLICTS,
     DEFAULT_CHANNEL_CAP,
@@ -541,6 +542,16 @@ class TestVerifyOnMutants:
         assert report.passed and report.matched == 24
         assert oracles == [ShuffleSpec(4, 6)]
         assert sets and max(sets) < 24  # first fibers and router-0 columns only
+        topology = build_network(4, 3, 2)
+        for name in CHECK_NAMES:
+            oracles.clear()
+            sets.clear()
+            assert run_named_check(name, topology).passed, name
+            if name == CHECK_BIJECTIVITY:  # decides by its own pass: one set of the outputs
+                assert oracles == [] and [size for size in sets if size >= 24] == [24]
+            else:
+                assert oracles == [ShuffleSpec(4, 6)], name
+                assert max(sets, default=0) < 24, name
 
 
 class TestMemoryAtTheCap:

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 import awgshuffle.awg as awg_module
 from awgshuffle import (
+    DEFAULT_CHANNEL_CAP,
     AwgSpec,
+    CapacityError,
     ChannelAddress,
     DomainError,
     InvalidChannelError,
@@ -169,6 +171,13 @@ class TestPermutation:
     def test_worked_entry(self, awg36):
         perm = awg_permutation(awg36)
         assert perm[ChannelAddress((1, 0), (3, 6))] == ChannelAddress((0, 1), (6, 3))
+
+    def test_refuses_a_router_over_the_channel_cap(self):
+        # 1,001,000 channels: refused before a single address is built
+        assert DEFAULT_CHANNEL_CAP == 1_000_000
+        with pytest.raises(CapacityError, match=(
+                r"^AwgSpec\(1001,1000\) has 1001000 channels, over the cap of 1000000$")):
+            awg_permutation(AwgSpec(1001, 1000))
 
     def test_identity_on_single_channel(self):
         perm = awg_permutation(AwgSpec(1, 1))

@@ -246,6 +246,20 @@ class TestParseErrors:
         data = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
         _fails(data, ParseError, r"^\$\.channels\[7\]\.middle is missing$")
 
+    @pytest.mark.parametrize("data", [b"[]", b"1", b"null", b'"x"'])
+    def test_top_level_value_that_is_no_object(self, data):
+        _fails(data, ParseError, r"^\$ must be an object$")
+
+    @pytest.mark.parametrize("section, pos, entry, indent", [
+        ("channels", 3, 7, 2),  # the canonical layout
+        ("cables", 0, [1], 1),  # a re-layout
+    ])
+    def test_list_entry_that_is_no_object(self, section, pos, entry, indent):
+        doc = topology_document(build_network(2, 2, 2))
+        doc[section][pos] = entry
+        data = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+        _fails(data, ParseError, rf"^\$\.{section}\[{pos}\] must be an object$")
+
     def test_integer_too_long_to_decode(self):
         _fails(b'{"a": ' + b"1" * 5000 + b"}", ParseError, "^invalid JSON: ")
 
@@ -991,6 +1005,17 @@ class TestAtomicWrite:
             write_bytes(str(target), chunks())
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        # setting the umask, even to read it, changes the mode of a file
+        # that another thread creates meanwhile
+        def umask(mask):
+            raise AssertionError("the umask was set")
+
+        monkeypatch.setattr(os, "umask", umask)
+        target = tmp_path / "out.json"
+        write_bytes(str(target), b"payload")
+        assert target.read_bytes() == b"payload"
 
     def test_new_file_gets_the_mode_a_plain_open_gives(self, tmp_path):
         # 0o666 less the umask, not mkstemp's owner-only 0o600

@@ -250,6 +250,24 @@ class TestChannelLabels:
             "this fiber carries wavelengths {0, 1}"
         )
 
+    def test_a_fiber_of_more_than_16_wavelengths_is_named_by_its_ends(self):
+        # the carried set is a cyclic run of n wavelengths from the group:
+        # one ascending run, or two when it wraps past lambda_count - 1
+        cases = [
+            (NetworkParams(4_000_000, 1, 2_000_000), 0, 3_000_000, "{0, ..., 1999999}"),
+            (NetworkParams(20, 1, 17), 10, 7, "{0, ..., 6, 10, ..., 19}"),
+            (NetworkParams(20, 1, 17), 4, 1, "{0, 4, ..., 19}"),
+            (NetworkParams(20, 1, 17), 3, 2, "{3, ..., 19}"),
+        ]
+        for params, group, wavelength, carried in cases:
+            with pytest.raises(InvalidChannelError) as err:
+                trace_channel(params, group, 0, wavelength)
+            assert str(err.value) == (
+                f"wavelength {wavelength} is not carried on port 0 of group "
+                f"{group}; this fiber carries wavelengths {carried}"
+            )
+            assert len(str(err.value)) < 200
+
     def test_output_rejects_unreachable_wavelength(self, monkeypatch):
         # a router law one output early sends wavelength 1 at input 1 to
         # output 2, which only virtual input 2 of a 2-input router could feed;
