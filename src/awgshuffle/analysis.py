@@ -15,7 +15,7 @@ function decides and words each check, for verify and for
 compares the outputs with it once; that verdict serves all three checks
 and the match count. The oracle exchanges two digits, so it is a
 permutation of range(N): a fabric equal to it is bijective without a
-test of its own, and any other fabric has its distinct outputs counted.
+test of its own, and any other fabric gets one occupancy pass, no set.
 The wavelength check decides input and output fibers apart. Groups that
 repeat their first fiber are proven by their g first fibers whatever
 the outputs are, and with the oracle's outputs router 0's n columns
@@ -131,26 +131,21 @@ def _check_images(
 ) -> CheckResult:
     """Bijectivity of ``images`` (decimal outputs, in input order) onto range(space).
 
-    The indices are already known to lie in range(space), so ``space``
-    distinct ones are a bijection; otherwise an occupancy pass finds the
-    first offender, and ``input_at(position)`` and ``output_at(index)``
-    name its addresses.
+    The indices are already known to lie in range(space). One occupancy
+    pass finds the first repeated one, whose position is the second
+    offender's; without one, ``space`` images are a bijection and fewer
+    leave an output missing. ``input_at(position)`` and
+    ``output_at(index)`` name a counterexample's addresses.
     """
-    if len(images) == space and len(set(images)) == space:
-        return CheckResult(CHECK_BIJECTIVITY, True)
     occupied = bytearray(space)
-    for image in images:
+    for second, image in enumerate(images):
         if occupied[image]:
-            first = images.index(image)
-            second = images.index(image, first + 1)
-            return CheckResult(
-                CHECK_BIJECTIVITY,
-                False,
-                f"inputs {input_at(first)} and {input_at(second)} both map to "
-                f"{output_at(image)}",
-            )
+            first = input_at(images.index(image))
+            return CheckResult(CHECK_BIJECTIVITY, False, f"inputs {first} and "
+                               f"{input_at(second)} both map to {output_at(image)}")
         occupied[image] = 1
-    # distinct and in range, yet not ``space`` of them: an output is missing
+    if len(images) == space:
+        return CheckResult(CHECK_BIJECTIVITY, True)
     missing = output_at(occupied.index(0))
     return CheckResult(CHECK_BIJECTIVITY, False, f"output {missing} is never produced")
 

@@ -22,9 +22,9 @@ lands on input a of router b) that ``topology._cable_rows`` yields.
 
 Parsing walks the input text once, in document order. Top-level values
 are decoded whole, except the cable and channel lists: those are walked
-against the fabric that the fixed tail of a canonical document names
-(input without one is walked first to find its params), a chunk of the
-writer's at a time. A chunk that is the input's text is passed with one
+against the fabric that the ``awg_bank`` before them names, a chunk of
+the writer's at a time, and again only when no bank precedes them or the
+params name another. A chunk that is the input's text is passed with one
 comparison. In any other, the entries before the first differing
 character are passed as one run, and the entry that holds it is decoded
 alone, validated and compared with the fabric's, so the comparison is
@@ -435,14 +435,6 @@ def _document_budget(max_channels: int) -> int:
     return frame + max_channels * (cable + channel + 2 * len(",\n"))
 
 
-# The canonical tail: sorted keys put params and schema_version last.
-_CANONICAL_TAIL = re.compile(
-    r'\n  "params": \{\n    "channel_count": [0-9]+,\n    "g": ([0-9]+),\n'
-    r'    "lambda_count": [0-9]+,\n    "m": ([0-9]+),\n    "n": ([0-9]+)\n'
-    r'  \},\n  "schema_version": "1"\n\}\n\Z'
-)
-_TAIL_SPAN = 256  # characters of input searched for the canonical tail
-
 _SPACE = re.compile(r"[ \t\n\r]*").match  # what the decoder skips between tokens
 _DECODE = json.JSONDecoder().raw_decode  # one value at an offset, as json.loads decodes it
 
@@ -467,8 +459,7 @@ def _held(source: str | bytes, pos: int, chunk: str | bytes, at: int) -> int:
 
 
 def _survey(
-    text: str, source: str | bytes, start: int, section: str, topology: Topology | None,
-    validate: bool = True,
+    text: str, source: str | bytes, start: int, section: str, topology: Topology | None
 ) -> tuple[_Survey, int]:
     """Walk the list at ``start`` in document order; return what it holds and where it ends.
 
@@ -477,9 +468,8 @@ def _survey(
     offsets are those of ``text`` (ASCII). A chunk is passed whole, or the
     run of whole entries before the first character it differs in; the
     entry after such a run is passed if the text at hand is its text, else
-    decoded, validated unless ``validate`` is false (an earlier walk did),
-    compared with the fabric's and dropped. Without a fabric each entry is
-    only validated.
+    decoded, validated, compared with the fabric's and dropped. Without a
+    fabric each entry is only validated.
     """
     chunks = iter(()) if topology is None else _lists(topology)[section]
     seam = _SEAM
@@ -513,7 +503,7 @@ def _survey(
             if not count and text.startswith("]", pos):
                 break  # an empty list
             value, pos = _DECODE(text, pos)
-            if validate and problem is None:
+            if problem is None:
                 try:
                     _validate(value, _ENTRY_SKELETONS[section], f"$.{section}[{count}]")
                 except ParseError as exc:
@@ -534,18 +524,21 @@ def _survey(
     return _Survey(start, count, problem, mismatch), pos + 1
 
 
-def _walk(text: str, source: str | bytes, topology: Topology | None) -> Any:
-    """The value ``text`` holds, each cable or channel list in it surveyed in place.
+def _walk(text: str, source: str | bytes, max_channels: int) -> tuple[Any, Topology | None]:
+    """The value ``text`` holds, its lists surveyed in place, and the fabric they were against.
 
     The members of a top-level object are walked in order, and every
     other value is decoded whole; a repeated key keeps its last value,
-    as json.loads does. Any other top-level value is decoded whole. The
-    walk raises at the first text the decoder rejects.
+    as json.loads does. Every list is surveyed against the fabric fixed
+    at the first: W(inputs, count, outputs) of the ``awg_bank`` decoded by
+    then, if it builds within ``max_channels``. Any other top-level value
+    is decoded whole. The walk raises at the first text the decoder rejects.
     """
     pos = _SPACE(text).end()
     if not text.startswith("{", pos):
-        return json.loads(text)
+        return json.loads(text), None
     doc: dict[str, Any] = {}
+    topology, fixed = None, False
     pos = _SPACE(text, pos + 1).end()
     while doc or not text.startswith("}", pos):  # an empty object closes at once
         if not text.startswith('"', pos):
@@ -556,6 +549,14 @@ def _walk(text: str, source: str | bytes, topology: Topology | None) -> Any:
             raise ValueError  # out of place: json.loads words it
         pos = _SPACE(text, pos + 1).end()
         if key in _ENTRY_SKELETONS and text.startswith("[", pos):
+            if not fixed:  # a bank that does not build leaves the error to the params
+                bank, fixed = doc.get("awg_bank"), True
+                names = bank if type(bank) is dict else {}  # no dimensions: a DomainError
+                try:  # ValueError: a CapacityError whose channel count has too many digits to print
+                    topology = _build(tuple(map(names.get, ("inputs", "count", "outputs"))),
+                                      max_channels)[0]
+                except ValueError:
+                    pass
             doc[key], pos = _survey(text, source, pos, key, topology)
         else:
             doc[key], pos = _DECODE(text, pos)
@@ -567,7 +568,7 @@ def _walk(text: str, source: str | bytes, topology: Topology | None) -> Any:
         pos = _SPACE(text, pos + 1).end()
     if _SPACE(text, pos + 1).end() != len(text):
         raise ValueError  # data after the document: json.loads words it
-    return doc
+    return doc, topology
 
 
 def _build(
@@ -631,13 +632,12 @@ def parse_topology(
     disagree with its own parameters raises IntegrityError naming the
     first differing section or entry.
 
-    The input is walked once against the fabric its canonical tail
-    names, a rendered chunk of its lists at a time: a canonical chunk is
-    passed with one comparison, and a tampered field costs one entry
-    decoded. Input without that tail is walked once to find its params
-    and validate its lists, and then, unless they hold a structural
-    problem, its lists again against the fabric they name without
-    validating them again.
+    The input is walked once, against the fabric that the ``awg_bank``
+    before its first list names, a rendered chunk of its lists at a
+    time: a canonical chunk is passed with one comparison, and a tampered
+    field costs one entry decoded. Lists that precede the bank, or were
+    walked against another fabric than the params name, are walked again
+    against the params' fabric.
     """
     budget = _document_budget(max_channels)
     if len(data) > budget:
@@ -653,12 +653,9 @@ def parse_topology(
             raise ParseError(f"invalid UTF-8: {exc}") from None
     if not text or text.isspace():  # what text.strip() leaves empty, without a copy
         raise ParseError("empty input")
-    tail = _CANONICAL_TAIL.search(text, max(len(text) - _TAIL_SPAN, 0))
-    shape = tail and tuple(map(int, tail.groups()))
-    topology, failure = _build(shape, max_channels) if shape else (None, None)
     source = data if isinstance(data, bytes) and text.isascii() else text
     try:
-        doc = _walk(text, source, topology)
+        doc, topology = _walk(text, source, max_channels)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError or an over-long integer too
         try:  # the walk stopped where json.loads stops, which words the error in its context
             json.loads(text)
@@ -666,12 +663,13 @@ def parse_topology(
             exc = error
         raise ParseError(f"invalid JSON: {exc}") from None
     _validate_header(doc)
+    shape, failure = topology and topology.params.input_radices, None  # (g, m, n)
     if (params := tuple(doc["params"][key] for key in "gmn")) != shape:
+        topology = None  # dropped before the fabric the params name is built
         topology, failure = _build(params, max_channels)
         surveys = {key: value for key, value in doc.items() if isinstance(value, _Survey)}
-        # the lists are validated already: compare them with the fabric they name,
-        # unless a structural problem in them settles the outcome first
+        # walk the lists against it, unless a structural problem in them settles the outcome
         if topology is not None and all(s.problem is None for s in surveys.values()):
             for key, survey in surveys.items():
-                doc[key] = _survey(text, source, survey.start, key, topology, validate=False)[0]
+                doc[key] = _survey(text, source, survey.start, key, topology)[0]
     return _settle(doc, topology, failure)

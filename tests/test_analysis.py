@@ -547,8 +547,8 @@ class TestVerifyOnMutants:
             oracles.clear()
             sets.clear()
             assert run_named_check(name, topology).passed, name
-            if name == CHECK_BIJECTIVITY:  # decides by its own pass: one set of the outputs
-                assert oracles == [] and [size for size in sets if size >= 24] == [24]
+            if name == CHECK_BIJECTIVITY:  # decides by its own pass: no N-entry set
+                assert oracles == [] and max(sets, default=0) < 24
             else:
                 assert oracles == [ShuffleSpec(4, 6)], name
                 assert max(sets, default=0) < 24, name
@@ -562,19 +562,28 @@ class TestMemoryAtTheCap:
         verify = peak_kb("assert awgshuffle.verify_shuffle_equivalence(100, 100, 100).passed")
         assert verify <= 1.5 * build, verify / build
 
+    # channels 0 and 10099 of W(100,100,100) both carry wavelength 0:
+    # trading their outputs breaks the oracle but keeps every fiber clean
+    # and the outputs a permutation
+    MUTANT = ("t = awgshuffle.build_network(100, 100, 100)\n"
+              "assert t.wavelengths[0] == t.wavelengths[10099] == 0\n"
+              "o = list(t.outputs)\n"
+              "o[0], o[10099] = o[10099], o[0]\n"
+              "t = awgshuffle.Topology(t.params, o, t.wavelengths)\n"
+              "del o\n")
+
     def test_keyed_conflict_check_at_the_cap_peaks_near_the_build(self, peak_kb):
-        # channels 0 and 10099 of W(100,100,100) both carry wavelength 0:
-        # trading their outputs breaks the oracle but keeps every fiber
-        # clean, so the conflict check decides by its keyed sets
-        mutant = ("t = awgshuffle.build_network(100, 100, 100)\n"
-                  "assert t.wavelengths[0] == t.wavelengths[10099] == 0\n"
-                  "o = list(t.outputs)\n"
-                  "o[0], o[10099] = o[10099], o[0]\n"
-                  "t = awgshuffle.Topology(t.params, o, t.wavelengths)\n"
-                  "del o\n")
-        build = peak_kb(mutant)
-        check = peak_kb(mutant + "assert awgshuffle.run_named_check("
+        # the conflict check decides the mutant by its keyed sets
+        build = peak_kb(self.MUTANT)
+        check = peak_kb(self.MUTANT + "assert awgshuffle.run_named_check("
                         "awgshuffle.CHECK_WAVELENGTH_CONFLICTS, t).passed")
-        peak_kb(mutant + "assert [awgshuffle.run_named_check(name, t).passed"
+        peak_kb(self.MUTANT + "assert [awgshuffle.run_named_check(name, t).passed"
                 " for name in awgshuffle.CHECK_NAMES] == [False, True, True]")
         assert check <= 2.3 * build, check / build
+
+    def test_bijectivity_at_the_cap_peaks_at_the_build(self, peak_kb):
+        # one occupancy pass, a byte an output, decides the mutant: no set of the outputs
+        build = peak_kb(self.MUTANT)
+        check = peak_kb(self.MUTANT + "assert awgshuffle.run_named_check("
+                        "awgshuffle.CHECK_BIJECTIVITY, t).passed")
+        assert check <= 1.1 * build, check / build

@@ -234,17 +234,22 @@ class TestParseErrors:
         doc["params"]["g"] = 0
         _fails(json.dumps(doc), ParseError, r"\$\.params invalid")
 
-    @pytest.mark.parametrize("indent", [2, 1])  # the canonical tail, then a re-layout
-    def test_params_over_the_cap(self, w323, indent):
+    # the canonical layout, a re-layout, and one whose lists precede the awg_bank
+    @pytest.mark.parametrize("indent, lists_first", [(2, False), (1, False), (2, True)],
+                             ids=["2", "1", "lists-first"])
+    def test_params_over_the_cap(self, w323, indent, lists_first):
         doc = topology_document(w323)
         doc["params"].update(g=1000, m=1000, n=1000, channel_count=10**9, lambda_count=1000)
-        data = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
-        assert bool(serialize._CANONICAL_TAIL.search(data)) is (indent == 2)
-        _fails(data, CapacityError,
+
+        def render(doc):
+            if lists_first:
+                doc = {key: doc[key] for key in ("cables", "channels")} | doc
+            return json.dumps(doc, indent=indent) + "\n"
+
+        _fails(render(doc), CapacityError,
                r"^W\(1000,1000,1000\) has 1000000000 channels, over the cap of 1000000$")
         del doc["channels"][7]["middle"]  # a structural problem outranks the cap
-        data = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
-        _fails(data, ParseError, r"^\$\.channels\[7\]\.middle is missing$")
+        _fails(render(doc), ParseError, r"^\$\.channels\[7\]\.middle is missing$")
 
     @pytest.mark.parametrize("data", [b"[]", b"1", b"null", b'"x"'])
     def test_top_level_value_that_is_no_object(self, data):
@@ -797,6 +802,79 @@ class TestLocalizedEdits:
             assert decoded == [end - start - 4]  # the entry's own text, without its indent
 
 
+class TestOneWalk:
+    """A document is walked once, against the fabric its ``awg_bank`` names, in any layout.
+
+    Only one whose lists precede the bank, or whose bank disagrees with
+    its params, has its lists walked again against the params' fabric.
+    """
+
+    @staticmethod
+    def decoded(monkeypatch):
+        """The values the reader decodes from now on, in order."""
+        values = []
+
+        def decode(text, pos):
+            value, end = real(text, pos)
+            values.append(value)
+            return value, end
+
+        real = serialize._DECODE
+        monkeypatch.setattr(serialize, "_DECODE", decode)
+        return values
+
+    @pytest.mark.parametrize("layout", [{"indent": 1}, {"separators": (",", ":")}])
+    def test_a_re_laid_document_decodes_each_value_once(self, w323, monkeypatch, layout):
+        doc = topology_document(w323)
+        data = json.dumps(doc, **layout)
+        decoded = self.decoded(monkeypatch)
+        assert parse_topology(data) == w323
+        # 4 header members and 24 entries, 28 decodes, each once and in document order
+        assert decoded == [doc["awg_bank"], *doc["cables"], *doc["channels"],
+                           doc["metadata"], doc["params"], doc["schema_version"]]
+
+    def test_lists_before_the_bank_are_walked_twice(self, w323, monkeypatch):
+        doc = topology_document(w323)
+        data = json.dumps({key: doc[key] for key in ("cables", "channels")} | doc, indent=1)
+        decoded = self.decoded(monkeypatch)
+        assert _outcome(data) == w323
+        assert len(decoded) == 4 + 2 * 24  # validated, then compared with the params' fabric
+
+    def test_a_bank_too_large_to_word_leaves_the_error_to_the_params(self, w323):
+        # building W(10**4000, 10**4000, 3) fails to print its channel count in the CapacityError
+        doc = topology_document(w323)
+        doc["awg_bank"].update(count=10**4000, inputs=10**4000)
+        _fails(json.dumps(doc, indent=1), IntegrityError, r"^\$\.awg_bank is inconsistent")
+
+    @pytest.mark.parametrize("first", [("cables", "channels"), ("cables",), ("channels",)])
+    @pytest.mark.parametrize("indent", [2, 1])
+    def test_lists_before_the_bank_end_as_the_reference(self, w323, first, indent):
+        # a list after the bank is compared with the fabric fixed at the first list
+        def edited(section, k, key, delete=False):
+            doc = topology_document(w323)
+            target = doc[section] if k is None else doc[section][k]
+            if delete:
+                del target[key]
+            else:
+                target[key] += 1
+            return doc
+
+        cases = [
+            (topology_document(w323), None, None),
+            (edited("cables", 4, "to_input"), IntegrityError, r"^\$\.cables\[4\] is inconsistent"),
+            (edited("channels", 9, "wavelength"), IntegrityError, r"^\$\.channels\[9\] is"),
+            (edited("awg_bank", None, "count"), IntegrityError, r"^\$\.awg_bank is inconsistent"),
+            (edited("params", None, "g"), IntegrityError, r"^\$\.params is inconsistent"),
+            (edited("channels", 7, "middle", delete=True), ParseError, r"^\$\.channels\[7\]\.mid"),
+        ]
+        for doc, kind, pattern in cases:
+            data = json.dumps({key: doc[key] for key in first} | doc, indent=indent)
+            if kind is None:
+                assert _outcome(data) == w323
+            else:
+                _fails(data, kind, pattern)
+
+
 _PALETTE = '0123456789 \t\n,:{}[]"\\-.eEx\u00e9'
 
 
@@ -1005,6 +1083,22 @@ class TestAtomicWrite:
             write_bytes(str(target), chunks())
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failing_cleanup_still_raises_the_chunk_source_error(self, tmp_path, monkeypatch):
+        # an OSError while removing the staged file does not hide why the write failed
+        def chunks():
+            yield b"new"
+            raise ValueError("no more chunks")
+
+        def unlink(path):
+            raise OSError(13, "cannot remove", path)
+
+        monkeypatch.setattr(os, "unlink", unlink)
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old")
+        with pytest.raises(ValueError, match="no more chunks"):
+            write_bytes(str(target), chunks())
+        assert target.read_bytes() == b"old"
 
     def test_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
         # setting the umask, even to read it, changes the mode of a file
