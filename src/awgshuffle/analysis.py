@@ -37,9 +37,9 @@ from math import prod
 from operator import add, eq, floordiv, mul
 
 from .addressing import ChannelAddress, _FrozenValue, mixed_radix_decode
-from .errors import CapacityError, DomainError, check_positive
+from .errors import DomainError, check_cap, check_positive
 from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
-from .topology import DEFAULT_CHANNEL_CAP, NetworkParams, Topology, build_network
+from .topology import DEFAULT_CHANNEL_CAP, NetworkParams, Topology, _ChannelPerm, build_network
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: no command loads typing
@@ -150,14 +150,29 @@ def _check_images(
     return CheckResult(CHECK_BIJECTIVITY, False, f"output {missing} is never produced")
 
 
+def _address(index: int, radices: tuple[int, ...]) -> ChannelAddress:
+    return ChannelAddress(mixed_radix_decode(index, radices), radices)
+
+
+def _fabric_bijectivity(topology: Topology) -> CheckResult:
+    """Bijectivity of a fabric's outputs, worded by its addresses."""
+    p = topology.params
+    return _check_images(topology.outputs, p.channel_count,
+                         lambda pos: _address(pos, p.input_radices),
+                         lambda index: _address(index, p.output_radices))
+
+
 def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckResult:
     """Pass iff the image covers the full output address space exactly once.
 
     Inputs are scanned in ascending address order, so the reported
     duplicate is always the second offender in that order; a gap names
     the smallest missing output address. All outputs must share one
-    radix pattern.
+    radix pattern. A fabric's own mapping (``Topology.channel_perm``)
+    is decided from its outputs, in the same words, without an address.
     """
+    if isinstance(perm, _ChannelPerm):
+        return _fabric_bijectivity(perm.fabric)
     if not perm:
         return CheckResult(CHECK_BIJECTIVITY, True)
     items = sorted(perm.items(), key=lambda kv: kv[0].decimal)
@@ -171,7 +186,7 @@ def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckRes
         [out.decimal for _, out in items],
         prod(radices),
         lambda pos: items[pos][0],
-        lambda index: ChannelAddress(mixed_radix_decode(index, radices), radices),
+        lambda index: _address(index, radices),
     )
 
 
@@ -268,15 +283,7 @@ def _named_check(
         counterexample = (f"input {tr.input_addr} reaches {tr.output_addr}, "
                           f"oracle expects {left_cyclic_shift(tr.input_addr)}")
     elif name == CHECK_BIJECTIVITY and not is_oracle:
-        p = topology.params
-        return _check_images(
-            topology.outputs,
-            p.channel_count,
-            lambda pos: topology.channel(pos).input_addr,
-            lambda index: ChannelAddress(
-                mixed_radix_decode(index, p.output_radices), p.output_radices
-            ),
-        )
+        return _fabric_bijectivity(topology)
     elif name == CHECK_WAVELENGTH_CONFLICTS:
         first = next(_conflicts(topology, is_oracle), None)
         if first is not None:
@@ -366,8 +373,7 @@ def tradeoff_table(g: int, l: int) -> list[ResourceMetrics]:
     """
     check_positive("g", g)
     check_positive("l", l)
-    if l > DEFAULT_CHANNEL_CAP:
-        raise CapacityError(f"fanout l = {l} is over the cap of {DEFAULT_CHANNEL_CAP}")
+    check_cap("fanout l = {count} is over the cap of {cap}", l, DEFAULT_CHANNEL_CAP)
     return [
         resource_metrics(g, l // n, n)
         for n in range(1, l + 1)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import repeat
 
 from .addressing import ChannelAddress, _FrozenValue, _setattr
-from .errors import (DEFAULT_CHANNEL_CAP, CapacityError, DomainError, InvalidChannelError,
+from .errors import (DEFAULT_CHANNEL_CAP, DomainError, InvalidChannelError, check_cap,
                      check_positive)
 
 __all__ = [
@@ -177,9 +177,8 @@ def awg_permutation(spec: AwgSpec) -> dict[ChannelAddress, ChannelAddress]:
     Raises CapacityError when they exceed the default channel cap.
     """
     channels = spec.inputs * spec.outputs
-    if channels > DEFAULT_CHANNEL_CAP:
-        raise CapacityError(f"AwgSpec({spec.inputs},{spec.outputs}) has {channels} channels, "
-                            f"over the cap of {DEFAULT_CHANNEL_CAP}")
+    check_cap("AwgSpec({},{}) has {count} channels, over the cap of {cap}",
+              channels, DEFAULT_CHANNEL_CAP, spec.inputs, spec.outputs)
     radices = (spec.inputs, spec.outputs)
     mapping: dict[ChannelAddress, ChannelAddress] = {}
     for p in range(spec.inputs):

@@ -1,6 +1,8 @@
 """Exception types shared across the package, the size cap they enforce, the
-dimension check they word, and the export format names, which the CLI reads
-without loading the exporters."""
+dimension and capacity checks they word, and the export format names, which
+the CLI reads without loading the exporters."""
+
+from math import log10
 
 DEFAULT_CHANNEL_CAP = 1_000_000
 
@@ -39,4 +41,27 @@ def check_positive(name: str, value: object) -> None:
     if type(value) is not int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
+        raise DomainError(f"{name} must be >= 1, got {_decimal(value)}")
+
+
+def check_cap(what: str, count: int, cap: int, *values: int) -> None:
+    """Raise CapacityError when ``count`` exceeds ``cap``, worded by the template ``what``.
+
+    ``what`` is a ``str.format`` template of the fields ``{count}`` and
+    ``{cap}`` and of a ``{}`` for each of ``values``. Every integer is
+    printed in decimal, or, past the digits ``str`` prints (4,300 by
+    default), by its number of digits.
+    """
+    if count > cap:
+        raise CapacityError(what.format(*map(_decimal, values), count=_decimal(count),
+                                        cap=_decimal(cap)))
+
+
+def _decimal(value: int) -> str:
+    """``value`` in decimal, or ``<k digits>`` when it has too many digits to print."""
+    try:
+        return str(value)
+    except ValueError:  # the int-to-str digit limit
+        size = abs(value)
+        digits = int(size.bit_length() * log10(2))  # the count, or one less
+        return f"{'-' * (value < 0)}<{digits + (10 ** digits <= size)} digits>"

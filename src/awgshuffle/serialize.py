@@ -20,8 +20,8 @@ _BLOCK lines. ``serialize_topology`` joins a format's chunks and ``synth``
 streams them. Cables are the rows of the wiring law (port b of group a
 lands on input a of router b) that ``topology._cable_rows`` yields.
 
-Parsing walks the input text once, in document order. Top-level values
-are decoded whole, except the cable and channel lists: those are walked
+Parsing walks the input once, in document order. Top-level values are
+decoded whole, except the cable and channel lists: those are walked
 against the fabric that the ``awg_bank`` before them names, a chunk of
 the writer's at a time, and again only when no bank precedes them or the
 params name another. A chunk that is the input's text is passed with one
@@ -34,6 +34,15 @@ end: a structural problem anywhere is a ParseError; only then is the
 first disagreeing section or entry an IntegrityError. Text the decoder
 rejects stops the walk where json.loads stops, and json.loads words the
 error.
+
+ASCII bytes, which is what the writer produces, are walked in place:
+whitespace, punctuation and chunks are tested on the bytes themselves,
+and only the spans that ``scanstring`` and ``raw_decode`` read are
+decoded, in windows of _WINDOW characters: the top-level keys and the
+values other than the two lists, an entry that differs, and, on the
+error path, the whole input for json.loads to word the error. A
+canonical W(16,32,16) read thus peaks at 0.2x its input instead of
+1.2x. Other bytes are decoded whole, and ``str`` input is its own text.
 
 The skeletons the renderer fills also state the schema that validation
 checks: it walks them in their own key order, which fixes which of
@@ -62,6 +71,7 @@ from .errors import (
     IntegrityError,
     ParseError,
     ShuffleNetError,
+    check_cap,
 )
 from .topology import (
     DEFAULT_CHANNEL_CAP,
@@ -74,7 +84,7 @@ from .topology import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: writing a fabric never loads the checks or typing
-    from typing import Any, Iterable, Iterator
+    from typing import Any, Callable, Iterable, Iterator
     from .analysis import ResourceMetrics, VerificationReport
 
 __all__ = [
@@ -141,10 +151,16 @@ def _template(skeleton: dict[str, Any]) -> bytes:
     return text.replace(f'"{_SLOT}"', _SLOT).encode()
 
 
+@lru_cache
+def _templates(p: NetworkParams) -> tuple[bytes, bytes]:
+    """The cable and the channel entry template of ``p``'s document, each after its newline."""
+    return b"\n" + _template(_CABLE_SKELETON), b"\n" + _template(_channel_skeleton(p))
+
+
 def _lists(topology: Topology) -> dict[str, Iterator[tuple[bytes, int]]]:
     """The cable and channel lists as they are read: chunks of whole entries, with their counts."""
     p = topology.params
-    cables = map(mod, repeat(b"\n" + _template(_CABLE_SKELETON)), _cable_rows(p))  # the wiring law
+    cables = map(mod, repeat(_templates(p)[0]), _cable_rows(p))  # the wiring law
     return {"cables": ((b",".join(islice(cables, _BLOCK)), min(_BLOCK, p.g * p.m - i))
                        for i in range(0, p.g * p.m, _BLOCK)),
             "channels": _channel_chunks(topology)}
@@ -155,7 +171,7 @@ def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
     p = topology.params
     g, m, n, gn, mn = p.g, p.m, p.n, p.g * p.n, p.m * p.n
     outputs, wavelengths = topology.outputs, topology.wavelengths
-    entry = b"\n" + _template(_channel_skeleton(p))
+    entry = _templates(p)[1]
 
     def full(i0: int, i1: int) -> tuple[bytes, int]:
         inputs, outs, ws = range(i0, i1), outputs[i0:i1], wavelengths[i0:i1]
@@ -221,6 +237,7 @@ def _awg_bank_json(count: int, spec: AwgSpec) -> dict[str, int]:
             "lambda_count": spec.lambda_count}
 
 
+@lru_cache
 def _frame(params: NetworkParams) -> tuple[str, str, str]:
     """Canonical text before, between and after the cable and channel lists."""
     doc = {
@@ -437,6 +454,62 @@ def _document_budget(max_channels: int) -> int:
 
 _SPACE = re.compile(r"[ \t\n\r]*").match  # what the decoder skips between tokens
 _DECODE = json.JSONDecoder().raw_decode  # one value at an offset, as json.loads decodes it
+# what str.isspace() counts as space among ASCII characters: \t to \r, \x1c to \x1f and " "
+_BLANKS = bytes(c for c in range(128) if chr(c).isspace())
+_BLANK = re.compile(b"[%s]*" % re.escape(_BLANKS)).fullmatch
+_WINDOW = 1 << 16  # ASCII input decoded at a time, in characters: all of a W(3,2,3) document
+# the whitespace matcher and the punctuation marks of a walk, for each type of input
+_SYNTAX = {str: (_SPACE, {c: c for c in '{}[]:,"'}),
+           bytes: (re.compile(rb"[ \t\n\r]*").match, {c: c.encode() for c in '{}[]:,"'})}
+
+
+class _Text:
+    """The text a read walks: ``str`` input, or ASCII bytes walked in place.
+
+    ASCII bytes have their text's offsets, so the walk skips whitespace,
+    tests punctuation and compares chunks on the bytes themselves, and
+    decodes only what ``scanstring`` and ``raw_decode`` read (:meth:`scan`).
+    """
+
+    __slots__ = ("source", "space", "marks", "start", "window")
+
+    def __init__(self, source: str | bytes) -> None:
+        self.source, (self.space, self.marks) = source, _SYNTAX[type(source)]
+        # a str is its own window; bytes get theirs when first scanned
+        self.start, self.window = 0, source if isinstance(source, str) else ""
+
+    def skip(self, pos: int) -> int:
+        """The offset of the first token at or after ``pos``."""
+        return self.space(self.source, pos).end()
+
+    def at(self, pos: int, mark: str) -> bool:
+        """Whether the punctuation ``mark`` stands at ``pos``."""
+        return self.source.startswith(self.marks[mark], pos)
+
+    def scan(self, scanner: Callable[[str, int], tuple[Any, int]], pos: int) -> tuple[Any, int]:
+        """``scanner(text, offset)`` of the value at ``pos``, its end an offset of the input.
+
+        ASCII bytes are scanned in a decoded window: the last one if it
+        holds ``pos``, so that one decode serves the values after it, else
+        one from ``pos``, _WINDOW characters long or twice what the last
+        held after ``pos``. A value that fails or reaches the window's end
+        is scanned again in a wider one, up to the end of the input, so a
+        number cut short is never taken for a whole one.
+        """
+        size = len(self.source)
+        while True:
+            end = self.start + len(self.window)
+            if self.start <= pos <= end:
+                try:
+                    value, stop = scanner(self.window, pos - self.start)
+                except (ValueError, RecursionError):
+                    if end == size:
+                        raise
+                else:
+                    if self.start + stop < end or end == size:
+                        return value, self.start + stop
+            stop = pos + max(_WINDOW, 2 * (end - pos))
+            self.start, self.window = pos, str(memoryview(self.source)[pos:stop], "ascii")
 
 
 # A walked list: the offset of its "[", its entries, its first structural error and first mismatch
@@ -459,18 +532,18 @@ def _held(source: str | bytes, pos: int, chunk: str | bytes, at: int) -> int:
 
 
 def _survey(
-    text: str, source: str | bytes, start: int, section: str, topology: Topology | None
+    text: _Text, start: int, section: str, topology: Topology | None
 ) -> tuple[_Survey, int]:
     """Walk the list at ``start`` in document order; return what it holds and where it ends.
 
     The fabric's entries are the writer's chunks (``_lists``), decoded
-    for a ``str`` source; the input's own bytes are the source when their
-    offsets are those of ``text`` (ASCII). A chunk is passed whole, or the
-    run of whole entries before the first character it differs in; the
-    entry after such a run is passed if the text at hand is its text, else
-    decoded, validated, compared with the fabric's and dropped. Without a
-    fabric each entry is only validated.
+    for ``str`` input. A chunk is passed whole, or the run of whole
+    entries before the first character it differs in; the entry after
+    such a run is passed if the input holds its text, else decoded,
+    validated, compared with the fabric's and dropped. Without a fabric
+    each entry is only validated.
     """
+    source = text.source
     chunks = iter(()) if topology is None else _lists(topology)[section]
     seam = _SEAM
     if isinstance(source, str):  # decoded input: compare with decoded entries
@@ -499,10 +572,10 @@ def _survey(
         elif piece is not None and source.startswith(piece, pos):
             pos += len(piece)
         else:
-            pos = _SPACE(text, pos).end()
-            if not count and text.startswith("]", pos):
+            pos = text.skip(pos)
+            if not count and text.at(pos, "]"):
                 break  # an empty list
-            value, pos = _DECODE(text, pos)
+            value, pos = text.scan(_DECODE, pos)
             if problem is None:
                 try:
                     _validate(value, _ENTRY_SKELETONS[section], f"$.{section}[{count}]")
@@ -514,18 +587,18 @@ def _survey(
                 if value != json.loads(piece):
                     mismatch = count
         count += 1
-        if not text.startswith(",", pos):  # a canonical "," follows at once
-            pos = _SPACE(text, pos).end()
-            if text.startswith("]", pos):
+        if not text.at(pos, ","):  # a canonical "," follows at once
+            pos = text.skip(pos)
+            if text.at(pos, "]"):
                 break
-            if not text.startswith(",", pos):
+            if not text.at(pos, ","):
                 raise ValueError  # out of place: json.loads words it
         pos += 1
     return _Survey(start, count, problem, mismatch), pos + 1
 
 
-def _walk(text: str, source: str | bytes, max_channels: int) -> tuple[Any, Topology | None]:
-    """The value ``text`` holds, its lists surveyed in place, and the fabric they were against.
+def _walk(text: _Text, max_channels: int) -> tuple[Any, Topology | None]:
+    """The value the input holds, its lists surveyed in place, and the fabric they were against.
 
     The members of a top-level object are walked in order, and every
     other value is decoded whole; a repeated key keeps its last value,
@@ -534,39 +607,38 @@ def _walk(text: str, source: str | bytes, max_channels: int) -> tuple[Any, Topol
     then, if it builds within ``max_channels``. Any other top-level value
     is decoded whole. The walk raises at the first text the decoder rejects.
     """
-    pos = _SPACE(text).end()
-    if not text.startswith("{", pos):
-        return json.loads(text), None
-    doc: dict[str, Any] = {}
-    topology, fixed = None, False
-    pos = _SPACE(text, pos + 1).end()
-    while doc or not text.startswith("}", pos):  # an empty object closes at once
-        if not text.startswith('"', pos):
-            raise ValueError  # out of place: json.loads words it
-        key, pos = scanstring(text, pos + 1)
-        pos = _SPACE(text, pos).end()
-        if not text.startswith(":", pos):
-            raise ValueError  # out of place: json.loads words it
-        pos = _SPACE(text, pos + 1).end()
-        if key in _ENTRY_SKELETONS and text.startswith("[", pos):
-            if not fixed:  # a bank that does not build leaves the error to the params
-                bank, fixed = doc.get("awg_bank"), True
-                names = bank if type(bank) is dict else {}  # no dimensions: a DomainError
-                try:  # ValueError: a CapacityError whose channel count has too many digits to print
-                    topology = _build(tuple(map(names.get, ("inputs", "count", "outputs"))),
-                                      max_channels)[0]
-                except ValueError:
-                    pass
-            doc[key], pos = _survey(text, source, pos, key, topology)
-        else:
-            doc[key], pos = _DECODE(text, pos)
-        pos = _SPACE(text, pos).end()
-        if text.startswith("}", pos):
-            break
-        if not text.startswith(",", pos):
-            raise ValueError  # out of place: json.loads words it
-        pos = _SPACE(text, pos + 1).end()
-    if _SPACE(text, pos + 1).end() != len(text):
+    pos = text.skip(0)
+    topology = None
+    if not text.at(pos, "{"):
+        doc, pos = text.scan(_DECODE, pos)
+    else:
+        doc, fixed = {}, False
+        pos = text.skip(pos + 1)
+        while doc or not text.at(pos, "}"):  # an empty object closes at once
+            if not text.at(pos, '"'):
+                raise ValueError  # out of place: json.loads words it
+            key, pos = text.scan(scanstring, pos + 1)
+            pos = text.skip(pos)
+            if not text.at(pos, ":"):
+                raise ValueError  # out of place: json.loads words it
+            pos = text.skip(pos + 1)
+            if key in _ENTRY_SKELETONS and text.at(pos, "["):
+                if not fixed:  # a bank that does not build leaves the error to the params
+                    bank, fixed = doc.get("awg_bank"), True
+                    names = bank if type(bank) is dict else {}  # no dimensions: a DomainError
+                    shape = tuple(map(names.get, ("inputs", "count", "outputs")))
+                    topology = _build(shape, max_channels)[0]
+                doc[key], pos = _survey(text, pos, key, topology)
+            else:
+                doc[key], pos = text.scan(_DECODE, pos)
+            pos = text.skip(pos)
+            if text.at(pos, "}"):
+                break
+            if not text.at(pos, ","):
+                raise ValueError  # out of place: json.loads words it
+            pos = text.skip(pos + 1)
+        pos += 1
+    if text.skip(pos) != len(text.source):
         raise ValueError  # data after the document: json.loads words it
     return doc, topology
 
@@ -638,27 +710,35 @@ def parse_topology(
     field costs one entry decoded. Lists that precede the bank, or were
     walked against another fabric than the params name, are walked again
     against the params' fabric.
+
+    ASCII ``bytes`` are walked in place and never decoded whole: only the
+    top-level keys, the values other than the lists, an entry that
+    differs, and the text that json.loads words an error from are. So a
+    canonical read holds about one chunk of the writer's beside its
+    input. Other ``bytes`` are decoded as UTF-8 first, and a ``str`` is
+    walked as it is. Input that ``str.strip()`` would leave empty, in
+    any of the three, is a ParseError("empty input").
     """
-    budget = _document_budget(max_channels)
-    if len(data) > budget:
-        raise CapacityError(
-            f"input of {len(data)} bytes is over the budget of {budget} bytes "
-            f"for the cap of {max_channels} channels"
-        )
-    text = data
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"invalid UTF-8: {exc}") from None
-    if not text or text.isspace():  # what text.strip() leaves empty, without a copy
-        raise ParseError("empty input")
-    source = data if isinstance(data, bytes) and text.isascii() else text
+    check_cap("input of {count} bytes is over the budget of {cap} bytes for the cap of {} "
+              "channels", len(data), _document_budget(max_channels), max_channels)
+    source = data
+    if isinstance(data, bytes) and data.isascii():  # walked in place
+        if _BLANK(data):  # what str.strip() leaves empty, without a copy
+            raise ParseError("empty input")
+    else:  # walked as text
+        if isinstance(data, bytes):
+            try:
+                source = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"invalid UTF-8: {exc}") from None
+        if not source or source.isspace():  # what str.strip() leaves empty, without a copy
+            raise ParseError("empty input")
+    text = _Text(source)
     try:
-        doc, topology = _walk(text, source, max_channels)
+        doc, topology = _walk(text, max_channels)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError or an over-long integer too
         try:  # the walk stopped where json.loads stops, which words the error in its context
-            json.loads(text)
+            json.loads(source if isinstance(source, str) else source.decode("ascii"))
         except (ValueError, RecursionError) as error:
             exc = error
         raise ParseError(f"invalid JSON: {exc}") from None
@@ -671,5 +751,5 @@ def parse_topology(
         # walk the lists against it, unless a structural problem in them settles the outcome
         if topology is not None and all(s.problem is None for s in surveys.values()):
             for key, survey in surveys.items():
-                doc[key] = _survey(text, source, survey.start, key, topology)[0]
+                doc[key] = _survey(text, survey.start, key, topology)[0]
     return _settle(doc, topology, failure)

@@ -15,7 +15,7 @@ share no code path.
 from __future__ import annotations
 
 from .addressing import ChannelAddress, _FrozenValue
-from .errors import DEFAULT_CHANNEL_CAP, CapacityError, DomainError, check_positive
+from .errors import DEFAULT_CHANNEL_CAP, DomainError, check_cap, check_positive
 
 __all__ = [
     "ShuffleSpec",
@@ -61,11 +61,8 @@ def shuffle_perm_decimal(spec: ShuffleSpec) -> list[int]:
     fixed points. Raises CapacityError when N exceeds the default
     channel cap.
     """
-    if spec.port_count > DEFAULT_CHANNEL_CAP:
-        raise CapacityError(
-            f"S({spec.g},{spec.l}) has {spec.port_count} ports, "
-            f"over the cap of {DEFAULT_CHANNEL_CAP}"
-        )
+    check_cap("S({},{}) has {count} ports, over the cap of {cap}",
+              spec.port_count, DEFAULT_CHANNEL_CAP, spec.g, spec.l)
     perm: list[int] = []
     for hi in range(spec.g):
         perm.extend(range(hi, spec.port_count, spec.g))

@@ -17,9 +17,10 @@ channel and the wavelength.
 Everything else follows from those: the router spec from the shape,
 the cables from the wiring law (:func:`_cable_rows`, the rows the JSON
 writer renders too), and each channel's loci from its addresses. The
-per-channel objects (addresses, traces) are a view derived from the
-tuples on first use, for callers that want objects and for
-counterexamples; the checks and the exporters read the tuples directly.
+per-channel objects (addresses, traces) are views that derive each
+object from the tuples when it is read, for callers that want objects
+and for counterexamples; the checks and the exporters read the tuples
+directly.
 A single channel can also be traced from the shape alone with
 :func:`trace_channel`, without building the fabric.
 
@@ -38,17 +39,18 @@ Traces and exports surface those sets instead of refusing the shape.
 
 Topology values are immutable after construction; traces and
 permutation lookups are pure reads and safe to share across threads
-(two threads that race on the first use of the channel view may both
-build it, to equal values).
+(two threads that race on the first use of a view may both make it, to
+equal views).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from itertools import chain, repeat, tee
+from itertools import chain, product, repeat, tee
 from operator import add
 
-from .addressing import ChannelAddress, _FrozenValue, _setattr
+from .addressing import ChannelAddress, _FrozenValue, _setattr, mixed_radix_decode
 from .awg import (
     AwgSpec,
     _route_row,
@@ -60,9 +62,9 @@ from .awg import (
 )
 from .errors import (
     DEFAULT_CHANNEL_CAP,
-    CapacityError,
     DomainError,
     InvalidChannelError,
+    check_cap,
     check_positive,
 )
 
@@ -172,6 +174,40 @@ def _route_trace(p: NetworkParams, a: int, b: int, c: int, output: tuple[int, in
                       ChannelAddress(output, p.output_radices), wavelength)
 
 
+class _View:
+    """Base of the channel views. A view holds a twin of its fabric that shares the tuples
+    but not the cache the view is kept in: no reference cycle keeps a dropped fabric alive."""
+
+    def __init__(self, topology: Topology) -> None:
+        self.fabric = _built(topology.params, topology.outputs, topology.wavelengths)
+
+    def __len__(self) -> int:
+        return self.fabric.params.channel_count
+
+
+class _Channels(_View, Sequence):
+    """The traces of the channels in input order, each derived when it is read."""
+
+    def __getitem__(self, index: int | slice) -> RouteTrace | tuple[RouteTrace, ...]:
+        at = range(len(self))[index]  # a tuple's bounds and negative indices; a slice: a range
+        return tuple(map(self.fabric.channel, at)) if type(at) is range else self.fabric.channel(at)
+
+
+class _ChannelPerm(_View, Mapping):
+    """Input address to output address of every channel, keys in ascending order."""
+
+    def __iter__(self) -> Iterator[ChannelAddress]:
+        radices = self.fabric.params.input_radices
+        return map(ChannelAddress, product(*map(range, radices)), repeat(radices))
+
+    def __getitem__(self, addr: ChannelAddress) -> ChannelAddress:
+        p = self.fabric.params
+        if type(addr) is not ChannelAddress or addr.radices != p.input_radices:
+            raise KeyError(addr)
+        output = mixed_radix_decode(self.fabric.outputs[addr.decimal], p.output_radices)
+        return ChannelAddress(output, p.output_radices)
+
+
 class Topology(_FrozenValue):
     """A two-stage fabric: its shape plus two flat integer tuples.
 
@@ -179,13 +215,14 @@ class Topology(_FrozenValue):
     ``wavelengths[i]`` the wavelength of decimal input channel ``i``
     (radices (g, m, n)). ``awg_spec`` and ``cables`` follow from the
     shape; ``cables`` holds the ``_cable_rows`` the JSON writer renders,
-    a view nothing else in the package reads. ``channels`` holds one
-    trace per wavelength channel, ordered by ascending input address,
-    and ``channel_perm`` is the input-to-output mapping over all of
-    them; ``cables``, ``channels`` and ``channel_perm`` are built on
-    first use and then kept. The constructor checks that each tuple
-    holds N entries of type ``int`` in range and raises DomainError
-    otherwise.
+    a view nothing else in the package reads. ``channels`` is a
+    read-only sequence of one trace per wavelength channel, ordered by
+    ascending input address, and ``channel_perm`` a read-only mapping
+    from input to output address over all of them, its keys in that
+    order. Both are views: each holds the tuples and derives a trace or
+    an address when it is read, so ``len()`` or one lookup costs no more
+    than that. The constructor checks that each tuple holds N entries of
+    type ``int`` in range and raises DomainError otherwise.
     """
 
     params: NetworkParams
@@ -228,12 +265,12 @@ class Topology(_FrozenValue):
         return _route_trace(p, a, b, c, (router, q, origin), self.wavelengths[index])
 
     @cached_property
-    def channels(self) -> tuple[RouteTrace, ...]:
-        return tuple(map(self.channel, range(self.params.channel_count)))
+    def channels(self) -> Sequence[RouteTrace]:
+        return _Channels(self)
 
     @cached_property
-    def channel_perm(self) -> dict[ChannelAddress, ChannelAddress]:
-        return {tr.input_addr: tr.output_addr for tr in self.channels}
+    def channel_perm(self) -> Mapping[ChannelAddress, ChannelAddress]:
+        return _ChannelPerm(self)
 
     def fiber_wavelengths(self, group: int, port: int) -> tuple[int, ...]:
         """Wavelength set carried by the fiber at (group, port), ascending."""
@@ -338,11 +375,8 @@ def build_network(
     exceeds ``max_channels`` (default one million channels).
     """
     params = NetworkParams(g, m, n)
-    if params.channel_count > max_channels:
-        raise CapacityError(
-            f"W({g},{m},{n}) has {params.channel_count} channels, "
-            f"over the cap of {max_channels}"
-        )
+    check_cap("W({},{},{}) has {count} channels, over the cap of {cap}",
+              params.channel_count, max_channels, g, m, n)
     awg_spec = params.awg_spec
     lambdas = params.lambda_count
     # the wiring law: port b of group a feeds input a of router b, whose
@@ -378,9 +412,10 @@ def trace(topology: Topology, group: int, port: int, wavelength: int) -> RouteTr
     return trace_channel(topology.params, group, port, wavelength)
 
 
-def network_permutation(topology: Topology) -> dict[ChannelAddress, ChannelAddress]:
+def network_permutation(topology: Topology) -> Mapping[ChannelAddress, ChannelAddress]:
     """Total input-to-output channel mapping of the fabric, in address order.
 
-    Treat the result as read-only; it is shared with the topology value.
+    The result is a read-only view of the fabric's outputs, shared with the
+    topology value: each entry is derived when it is read.
     """
     return topology.channel_perm

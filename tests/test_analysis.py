@@ -89,6 +89,18 @@ class TestBijectivity:
     def test_network_permutation_passes(self, w323):
         assert check_bijectivity(w323.channel_perm).passed
 
+    def test_a_fabric_view_ends_as_its_dict_does(self, w323):
+        fabrics = list(faults(w323).values())
+        for shape in [(3, 2, 3), (5, 2, 3), (1, 4, 3)]:
+            fabrics += [mutant for _, mutant in mutants(build_network(*shape), random.Random(7))]
+        verdicts = set()
+        for fabric in fabrics:
+            result = check_bijectivity(fabric.channel_perm)
+            assert result == check_bijectivity(dict(fabric.channel_perm))
+            assert result == run_named_check(CHECK_BIJECTIVITY, fabric)
+            verdicts.add(result.passed)
+        assert verdicts == {True, False}
+
     def test_duplicate_reported_at_second_input(self):
         zero = addr((0, 0), (2, 2))
         perm = {

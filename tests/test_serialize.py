@@ -182,6 +182,13 @@ class TestParseErrors:
     def test_empty_input(self):
         _fails(b"", ParseError, "empty input")
 
+    @pytest.mark.parametrize("blank", ["\x1c", " \x1f\n", "\t\x0b\x0c\r\x1d\x1e ", "\x85", " \xa0"])
+    def test_input_that_strip_leaves_empty(self, blank):
+        # str.isspace() counts \x1c to \x1f as space and bytes.isspace() does not; as
+        # decoded text, \x85 and \xa0 are space too
+        for data in (blank, blank.encode()):
+            _fails(data, ParseError, "^empty input$")
+
     def test_invalid_json(self):
         _fails(b"{nope", ParseError, "invalid JSON")
 
@@ -449,12 +456,13 @@ class TestInputBudget:
         assert peak <= 1.5 * len(data)
 
     def test_canonical_document_peaks_near_its_own_size(self):
-        # beside the input, reading holds its decoded text (bytes input only)
-        # and one block of the fabric's entries, rendered and joined: 2 MB here
+        # reading holds one block of the fabric's entries, rendered and joined
+        # (2 MB here), beside the input; ASCII bytes are walked in place, where
+        # their decoded text took 1.2x the input
         t = build_network(16, 32, 16)
         data = serialize_topology(t, "json")
         tampered = _off_by_one(data, _entry_spans(data, "channels")[5000], b"wavelength")
-        cases = [(data, t, 1.5), (data.decode(), t, 0.5), (tampered, IntegrityError, 1.5)]
+        cases = [(data, t, 0.25), (data.decode(), t, 0.5), (tampered, IntegrityError, 0.25)]
         for doc, want, bound in cases:
             tracemalloc.start()
             try:
@@ -467,6 +475,12 @@ class TestInputBudget:
 
     def test_refused_before_decoding(self):
         _fails(b"\xff" * 1_000_000, CapacityError, max_channels=18)
+
+    def test_params_too_large_to_print_are_over_the_cap(self, w323):
+        doc = topology_document(w323)
+        doc["params"].update(g=10**4000, m=10**4000)
+        _fails(json.dumps(doc, indent=1), CapacityError,
+               r"^W\(1(0{4000}),1\1,3\) has <8001 digits> channels, over the cap of 1000000$")
 
 
 def _reference(data, max_channels=DEFAULT_CHANNEL_CAP):
@@ -752,12 +766,11 @@ class TestLocalizedEdits:
         t = build_network(5, 5, 41)
         doc = serialize_topology(t, "json")
         channels = _entry_spans(doc, "channels")
-        lists = doc.index(b'"cables": ['), doc.rindex(b"\n  ]")
         decoded = []
 
         def decode(text, pos):
             value, end = real(text, pos)
-            if lists[0] < pos < lists[1]:  # not a header or metadata value
+            if type(value) is dict and {"from_group", "input"} & value.keys():  # a list entry
                 decoded.append(end - pos)
             return value, end
 
@@ -776,12 +789,11 @@ class TestLocalizedEdits:
         # chunk's first or last entry leaves the rest of that chunk a run
         t = build_network(16, 16, 12)
         doc = serialize_topology(t, "json")
-        lists = doc.index(b'"cables": ['), doc.rindex(b"\n  ]")
         decoded = []
 
         def decode(text, pos):
             value, end = real(text, pos)
-            if lists[0] < pos < lists[1]:  # not a header or metadata value
+            if type(value) is dict and {"from_group", "input"} & value.keys():  # a list entry
                 decoded.append(end - pos)
             return value, end
 
@@ -841,7 +853,7 @@ class TestOneWalk:
         assert len(decoded) == 4 + 2 * 24  # validated, then compared with the params' fabric
 
     def test_a_bank_too_large_to_word_leaves_the_error_to_the_params(self, w323):
-        # building W(10**4000, 10**4000, 3) fails to print its channel count in the CapacityError
+        # W(10**4000, 10**4000, 3) is over the cap, its channel count worded by its digits
         doc = topology_document(w323)
         doc["awg_bank"].update(count=10**4000, inputs=10**4000)
         _fails(json.dumps(doc, indent=1), IntegrityError, r"^\$\.awg_bank is inconsistent")
@@ -962,6 +974,28 @@ class TestMutationCorpus:
                     got = _outcome(data)
                     endings.add(got[0].__name__ if isinstance(got, tuple) else "accepted")
         assert endings == {"accepted", "ParseError", "IntegrityError"}
+
+
+class TestDecodedWindows:
+    """ASCII bytes are decoded a window at a time, and a value that crosses a window's end
+    is scanned again in a wider one: with windows a few characters wide, reads end as the
+    reference does."""
+
+    @pytest.mark.parametrize("window", [1, 3, 64])
+    def test_narrow_windows_end_as_the_reference(self, w323, monkeypatch, window):
+        monkeypatch.setattr(serialize, "_WINDOW", window)
+        doc = topology_document(w323)
+        rng = random.Random(window)
+        for layout, render in TestMutationCorpus.LAYOUTS.items():
+            text = render(doc)
+            assert _outcome(text.encode()) == w323, layout
+            for mutant in _mutants(doc, render, rng, 44, 0):
+                _outcome(mutant.encode("utf-8", "surrogatepass"))
+
+    @pytest.mark.parametrize("data", [b"12345", b'"ab\\u00e9cd"', b"[[1, 2], [3, 4]]  "])
+    def test_a_value_cut_at_a_window_end_is_read_whole(self, monkeypatch, data):
+        monkeypatch.setattr(serialize, "_WINDOW", 2)
+        _fails(data, ParseError, r"^\$ must be an object$")
 
 
 class TestDot:

@@ -1,3 +1,8 @@
+import gc
+import subprocess
+import sys
+import weakref
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -386,6 +391,54 @@ class TestChannelView:
     def test_channels_are_built_once(self, w323):
         assert w323.channels is w323.channels
 
+    def test_a_fabric_with_views_is_freed_without_the_cycle_collector(self):
+        t = build_network(3, 2, 3)
+        assert t.channels[0] and t.channel_perm
+        gone = weakref.ref(t)
+        gc.disable()
+        try:
+            del t
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_indexed_as_a_tuple(self, w323):
+        traces = [w323.channel(i) for i in range(18)]
+        assert list(w323.channels) == traces
+        assert w323.channels[-1] == traces[17] and w323.channels[-18] == traces[0]
+        assert w323.channels[3:9:2] == tuple(traces[3:9:2])
+        assert w323.channels[::-1] == tuple(reversed(traces))
+        assert w323.channels.index(traces[5]) == 5 and traces[5] in w323.channels
+        for index in (18, -19):
+            with pytest.raises(IndexError):
+                w323.channels[index]
+        with pytest.raises(TypeError):
+            w323.channels["1"]
+
+    def test_views_at_the_cap_cost_neither_time_nor_memory(self, child_env):
+        # W(100,100,100): materialised, the two views took 23 s and 888 MB
+        script = (
+            "import resource, time\n"
+            "from awgshuffle.analysis import check_bijectivity\n"
+            "from awgshuffle.topology import build_network, network_permutation\n"
+            "t = build_network(100, 100, 100)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "start = time.perf_counter()\n"
+            "size, last, perm = len(t.channels), t.channels[-1], network_permutation(t)\n"
+            "views = time.perf_counter() - start\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "start = time.perf_counter()\n"
+            "passed = check_bijectivity(perm).passed\n"
+            "print(size, last.output_addr, views, grown, passed, time.perf_counter() - start)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        size, last, views, grown, passed, check = done.stdout.split()
+        assert (size, last, passed) == ("1000000", "99.99.99", "True")
+        assert float(views) < 1e-3, views  # len(), one index and the mapping
+        assert int(grown) < 1024, grown  # KiB: the views hold the fabric's own tuples
+        assert float(check) < 0.2, check  # one occupancy pass over the outputs
+
     def test_equal_and_hashable(self, w323):
         again = build_network(3, 2, 3)
         assert again == w323 and hash(again) == hash(w323)
@@ -423,6 +476,18 @@ class TestNetworkPermutation:
         perm = network_permutation(w323)
         assert len(perm) == 18
         assert len(set(perm.values())) == 18
+
+    def test_a_read_only_view_of_the_outputs(self, w323):
+        perm = network_permutation(w323)
+        assert perm is w323.channel_perm
+        assert perm == {tr.input_addr: tr.output_addr for tr in w323.channels}
+        assert list(perm.items()) == [(tr.input_addr, tr.output_addr) for tr in w323.channels]
+        for key in (addr((1, 0, 2), (3, 3, 3)), addr((0, 2), (3, 6)), (1, 0, 2), "102"):
+            assert key not in perm and perm.get(key) is None
+            with pytest.raises(KeyError):
+                perm[key]
+        with pytest.raises(TypeError):
+            perm[addr((0, 0, 0), P323.input_radices)] = None
 
 
 class TestFiberWavelengths:
