@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import prod
 from operator import attrgetter
 
-from .errors import DomainError
+from .errors import DomainError, _decimal, check_index
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: no command loads typing
@@ -44,20 +44,16 @@ __all__ = [
 def _check_radices(radices: Sequence[int]) -> None:
     for pos, radix in enumerate(radices):
         if radix < 1:
-            raise DomainError(f"radix at position {pos} must be >= 1, got {radix}")
+            raise DomainError(f"radix at position {pos} must be >= 1, got {_decimal(radix)}")
 
 
 def _check_digits(digits: Sequence[int], radices: Sequence[int]) -> None:
     if len(digits) != len(radices):
-        raise DomainError(
-            f"got {len(digits)} digits against {len(radices)} radices"
-        )
+        raise DomainError(f"got {len(digits)} digits against {len(radices)} radices")
     _check_radices(radices)
     for pos, (digit, radix) in enumerate(zip(digits, radices)):
-        if not 0 <= digit < radix:
-            raise DomainError(
-                f"digit {digit} at position {pos} out of range for radix {radix}"
-            )
+        check_index("digit {value} at position {} out of range for radix {bound}",
+                    digit, radix, pos)
 
 
 def mixed_radix_encode(digits: Sequence[int], radices: Sequence[int]) -> int:
@@ -72,11 +68,8 @@ def mixed_radix_encode(digits: Sequence[int], radices: Sequence[int]) -> int:
 def mixed_radix_decode(index: int, radices: Sequence[int]) -> tuple[int, ...]:
     """Digit vector of ``index`` under ``radices``; inverse of :func:`mixed_radix_encode`."""
     _check_radices(radices)
-    total = prod(radices)
-    if not 0 <= index < total:
-        raise DomainError(
-            f"index {index} out of range for radices {tuple(radices)} (product {total})"
-        )
+    check_index("index {value} out of range for radices {} (product {bound})",
+                index, prod(radices), tuple(radices))
     digits = [0] * len(radices)
     for pos in range(len(radices) - 1, -1, -1):
         index, digits[pos] = divmod(index, radices[pos])
@@ -175,9 +168,7 @@ class ChannelAddress(_FrozenValue):
         _setattr(self, "digits", tuple(self.digits))
         _setattr(self, "radices", tuple(self.radices))
         if len(self.digits) not in (2, 3):
-            raise DomainError(
-                f"channel addresses have 2 or 3 digits, got {len(self.digits)}"
-            )
+            raise DomainError(f"channel addresses have 2 or 3 digits, got {len(self.digits)}")
         _check_digits(self.digits, self.radices)
 
     @property

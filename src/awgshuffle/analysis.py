@@ -37,7 +37,7 @@ from math import prod
 from operator import add, eq, floordiv, mul
 
 from .addressing import ChannelAddress, _FrozenValue, mixed_radix_decode
-from .errors import DomainError, check_cap, check_positive
+from .errors import DomainError, _format, check_cap, check_positive
 from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
 from .topology import DEFAULT_CHANNEL_CAP, NetworkParams, Topology, _ChannelPerm, build_network
 
@@ -179,9 +179,8 @@ def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckRes
     radices = items[0][1].radices
     for _, out in items:
         if out.radices != radices:
-            raise DomainError(
-                f"mixed output radices in permutation: {radices} vs {out.radices}"
-            )
+            raise DomainError(_format("mixed output radices in permutation: {} vs {}",
+                                      radices, out.radices))
     return _check_images(
         [out.decimal for _, out in items],
         prod(radices),

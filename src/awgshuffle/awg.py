@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import repeat
 
 from .addressing import ChannelAddress, _FrozenValue, _setattr
-from .errors import (DEFAULT_CHANNEL_CAP, DomainError, InvalidChannelError, check_cap,
+from .errors import (DEFAULT_CHANNEL_CAP, InvalidChannelError, _format, check_cap, check_index,
                      check_positive)
 
 __all__ = [
@@ -68,21 +68,10 @@ class AwgSpec(_FrozenValue):
         _setattr(self, "lambda_count", max(self.inputs, self.outputs))
 
 
-def _check_input_port(spec: AwgSpec, p: int) -> None:
-    if not 0 <= p < spec.inputs:
-        raise DomainError(f"input port {p} out of range for {spec.inputs}-input device")
-
-
-def _check_output_port(spec: AwgSpec, q: int) -> None:
-    if not 0 <= q < spec.outputs:
-        raise DomainError(f"output port {q} out of range for {spec.outputs}-output device")
-
-
-def _check_wavelength(spec: AwgSpec, i: int) -> None:
-    if not 0 <= i < spec.lambda_count:
-        raise DomainError(
-            f"wavelength index {i} out of range for {spec.lambda_count} wavelengths"
-        )
+# the range checks of the ports and the wavelength, each shared by two or more operations
+_INPUT_PORT = "input port {value} out of range for {bound}-input device"
+_OUTPUT_PORT = "output port {value} out of range for {bound}-output device"
+_WAVELENGTH = "wavelength index {value} out of range for {bound} wavelengths"
 
 
 def _wavelength_row(lambda_count: int, p: int, outputs) -> list[int]:
@@ -109,15 +98,15 @@ def awg_route(spec: AwgSpec, p: int, i: int) -> int:
     dark at input ``p`` (there is no physical port for it). Callers that
     need hard validation should use the labeling operations.
     """
-    _check_input_port(spec, p)
-    _check_wavelength(spec, i)
+    check_index(_INPUT_PORT, p, spec.inputs)
+    check_index(_WAVELENGTH, i, spec.lambda_count)
     return _route_row(spec.lambda_count, (p,), (i,))[0]
 
 
 def awg_wavelength(spec: AwgSpec, p: int, q: int) -> int:
     """The unique wavelength that connects input ``p`` to output ``q``."""
-    _check_input_port(spec, p)
-    _check_output_port(spec, q)
+    check_index(_INPUT_PORT, p, spec.inputs)
+    check_index(_OUTPUT_PORT, q, spec.outputs)
     return _wavelength_row(spec.lambda_count, p, (q,))[0]
 
 
@@ -129,14 +118,14 @@ def awg_route_row(spec: AwgSpec, p: int) -> tuple[list[int], list[int]]:
     :func:`awg_route` of that wavelength at ``p``, which the law brings
     back to ``q``. Both lists are new and belong to the caller.
     """
-    _check_input_port(spec, p)
+    check_index(_INPUT_PORT, p, spec.inputs)
     carried = _wavelength_row(spec.lambda_count, p, range(spec.outputs))
     return carried, _route_row(spec.lambda_count, repeat(p), carried)
 
 
 def valid_input_wavelengths(spec: AwgSpec, p: int) -> tuple[int, ...]:
     """The ``outputs`` wavelengths that are live at input ``p``, ascending."""
-    _check_input_port(spec, p)
+    check_index(_INPUT_PORT, p, spec.inputs)
     return tuple(sorted(_wavelength_row(spec.lambda_count, p, range(spec.outputs))))
 
 
@@ -144,23 +133,21 @@ def label_input_channel(spec: AwgSpec, p: int, i: int) -> ChannelAddress:
     """Two-digit address (port, routed output) of wavelength ``i`` at input ``p``."""
     low = awg_route(spec, p, i)
     if low >= spec.outputs:
-        raise InvalidChannelError(
-            f"wavelength {i} is dark at input {p}: it routes to virtual output "
-            f"{low} of a {spec.outputs}-output device"
-        )
+        raise InvalidChannelError(_format("wavelength {} is dark at input {}: it routes to "
+                                          "virtual output {} of a {}-output device",
+                                          i, p, low, spec.outputs))
     return ChannelAddress((p, low), (spec.inputs, spec.outputs))
 
 
 def label_output_channel(spec: AwgSpec, q: int, k: int) -> ChannelAddress:
     """Two-digit address (port, originating input) of wavelength ``k`` at output ``q``."""
-    _check_output_port(spec, q)
-    _check_wavelength(spec, k)
+    check_index(_OUTPUT_PORT, q, spec.outputs)
+    check_index(_WAVELENGTH, k, spec.lambda_count)
     low = _route_row(spec.lambda_count, (q,), (k,))[0]  # read back from output q
     if low >= spec.inputs:
-        raise InvalidChannelError(
-            f"wavelength {k} at output {q} has no originating input: it would "
-            f"need virtual input {low} of a {spec.inputs}-input device"
-        )
+        raise InvalidChannelError(_format("wavelength {} at output {} has no originating input: it "
+                                          "would need virtual input {} of a {}-input device",
+                                          k, q, low, spec.inputs))
     return ChannelAddress((q, low), (spec.outputs, spec.inputs))
 
 

@@ -1,6 +1,8 @@
 """Exception types shared across the package, the size cap they enforce, the
-dimension and capacity checks they word, and the export format names, which
-the CLI reads without loading the exporters."""
+three checks that refuse a caller's integer (:func:`check_positive` for a
+dimension, :func:`check_index` for an index, :func:`check_cap` for a count)
+and word it at any size, and the export format names, which the CLI reads
+without loading the exporters."""
 
 from math import log10
 
@@ -44,21 +46,38 @@ def check_positive(name: str, value: object) -> None:
         raise DomainError(f"{name} must be >= 1, got {_decimal(value)}")
 
 
-def check_cap(what: str, count: int, cap: int, *values: int) -> None:
+def check_index(what: str, value: int, bound: int, *values: object) -> None:
+    """Raise DomainError unless ``0 <= value < bound``, worded by the template ``what``.
+
+    ``what`` is a template of the fields ``{value}`` and ``{bound}`` and of
+    a ``{}`` for each of ``values``, worded as :func:`check_cap` words.
+    """
+    if not 0 <= value < bound:
+        raise DomainError(_format(what, *values, value=value, bound=bound))
+
+
+def check_cap(what: str, count: int, cap: int, *values: object) -> None:
     """Raise CapacityError when ``count`` exceeds ``cap``, worded by the template ``what``.
 
     ``what`` is a ``str.format`` template of the fields ``{count}`` and
-    ``{cap}`` and of a ``{}`` for each of ``values``. Every integer is
-    printed in decimal, or, past the digits ``str`` prints (4,300 by
-    default), by its number of digits.
+    ``{cap}`` and of a ``{}`` for each of ``values``. Every integer, and
+    each of a tuple of them, is printed in decimal, or, past the digits
+    ``str`` prints (4,300 by default), by its number of digits.
     """
     if count > cap:
-        raise CapacityError(what.format(*map(_decimal, values), count=_decimal(count),
-                                        cap=_decimal(cap)))
+        raise CapacityError(_format(what, *values, count=count, cap=cap))
 
 
-def _decimal(value: int) -> str:
-    """``value`` in decimal, or ``<k digits>`` when it has too many digits to print."""
+def _format(template: str, *values: object, **fields: object) -> str:
+    """``template`` filled with ``values`` and ``fields``, each worded by :func:`_decimal`."""
+    return template.format(*map(_decimal, values), **{k: _decimal(v) for k, v in fields.items()})
+
+
+def _decimal(value: object) -> str:
+    """``value`` in decimal, or ``<k digits>`` when it has too many digits to print, and a
+    tuple (of radices) as it prints, each element worded so."""
+    if type(value) is tuple:
+        return f"({', '.join(map(_decimal, value))}{',' * (len(value) == 1)})"
     try:
         return str(value)
     except ValueError:  # the int-to-str digit limit

@@ -442,14 +442,20 @@ def _document_budget(max_channels: int) -> int:
     No integer in such a document exceeds max_channels and a fabric has
     at most one cable per channel, so a header, cable and channel entry
     with every integer (radices included) at that many digits bound it.
+    A cap past 10**18 is budgeted as 10**18, which admits any input a
+    process can hold, and a negative cap too wide to size as itself.
     """
-    widest = int("9" * len(str(max_channels)))
-    params = NetworkParams(widest, widest, widest)
-    cable = len(_template(_CABLE_SKELETON) % ((widest,) * 4))
-    channel = len(_template(_channel_skeleton(params)) % ((widest,) * 31))
-    # each list adds "[\n" and "\n  ]", and at most one ",\n" per entry
-    frame = sum(map(len, _frame(params))) + 2 * (len("[\n") + len("\n  ]"))
-    return frame + max_channels * (cable + channel + 2 * len(",\n"))
+    cap = min(max_channels, 10**18)
+    try:
+        widest = int("9" * len(str(cap)))
+        params = NetworkParams(widest, widest, widest)
+        cable = len(_template(_CABLE_SKELETON) % ((widest,) * 4))
+        channel = len(_template(_channel_skeleton(params)) % ((widest,) * 31))
+        # each list adds "[\n" and "\n  ]", and at most one ",\n" per entry
+        frame = sum(map(len, _frame(params))) + 2 * (len("[\n") + len("\n  ]"))
+    except ValueError:  # the int-to-str digit limit, which only a negative cap reaches
+        return cap
+    return frame + cap * (cable + channel + 2 * len(",\n"))
 
 
 _SPACE = re.compile(r"[ \t\n\r]*").match  # what the decoder skips between tokens

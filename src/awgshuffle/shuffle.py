@@ -15,7 +15,7 @@ share no code path.
 from __future__ import annotations
 
 from .addressing import ChannelAddress, _FrozenValue
-from .errors import DEFAULT_CHANNEL_CAP, DomainError, check_cap, check_positive
+from .errors import DEFAULT_CHANNEL_CAP, DomainError, _format, check_cap, check_positive
 
 __all__ = [
     "ShuffleSpec",
@@ -46,9 +46,8 @@ def shuffle_map(spec: ShuffleSpec, addr: ChannelAddress) -> ChannelAddress:
     Input addresses live under radices (g, l); results live under (l, g).
     """
     if addr.radices != (spec.g, spec.l):
-        raise DomainError(
-            f"address radices {addr.radices} do not match S({spec.g},{spec.l}) inputs"
-        )
+        raise DomainError(_format("address radices {} do not match S({},{}) inputs",
+                                  addr.radices, spec.g, spec.l))
     hi, lo = addr.digits
     return ChannelAddress((lo, hi), (spec.l, spec.g))
 

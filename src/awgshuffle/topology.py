@@ -64,7 +64,9 @@ from .errors import (
     DEFAULT_CHANNEL_CAP,
     DomainError,
     InvalidChannelError,
+    _format,
     check_cap,
+    check_index,
     check_positive,
 )
 
@@ -236,14 +238,15 @@ class Topology(_FrozenValue):
         for name, bound in (("outputs", size), ("wavelengths", self.params.lambda_count)):
             values = getattr(self, name)
             if len(values) != size:
-                raise DomainError(f"{name} has {len(values)} entries for {size} channels")
+                raise DomainError(
+                    _format("{} has {} entries for {} channels", name, len(values), size))
             if set(map(type, values)) != {int}:  # 0.5, True and '1' are no channel index
                 odd = next(v for v in values if type(v) is not int)
                 raise DomainError(f"{name} entries must be integers, got {odd!r}")
             if name == "wavelengths":
                 values = set(values)  # few distinct values: the same range, read faster
             if min(values) < 0 or max(values) >= bound:
-                raise DomainError(f"{name} entries must lie in [0, {bound})")
+                raise DomainError(_format("{} entries must lie in [0, {})", name, bound))
 
     @property
     def awg_spec(self) -> AwgSpec:
@@ -275,7 +278,7 @@ class Topology(_FrozenValue):
     def fiber_wavelengths(self, group: int, port: int) -> tuple[int, ...]:
         """Wavelength set carried by the fiber at (group, port), ascending."""
         _check_fiber(self.params, group, port)
-        return fiber_wavelengths(self.params, group)
+        return valid_input_wavelengths(self.awg_spec, group)
 
 
 def _built(
@@ -303,16 +306,13 @@ def fiber_wavelengths(params: NetworkParams, group: int) -> tuple[int, ...]:
     Every fiber of one group lands on the same router input index, so
     the set depends on the group only. It always has exactly n elements.
     """
-    if not 0 <= group < params.g:
-        raise DomainError(f"group {group} out of range for {params.g} groups")
+    _check_fiber(params, group, 0)  # port 0 is a fiber of every group
     return valid_input_wavelengths(params.awg_spec, group)
 
 
 def _check_fiber(params: NetworkParams, group: int, port: int) -> None:
-    if not 0 <= group < params.g:
-        raise DomainError(f"group {group} out of range for {params.g} groups")
-    if not 0 <= port < params.m:
-        raise DomainError(f"port {port} out of range for {params.m} ports per group")
+    check_index("group {value} out of range for {bound} groups", group, params.g)
+    check_index("port {value} out of range for {bound} ports per group", port, params.m)
 
 
 def trace_channel(
@@ -337,16 +337,15 @@ def trace_channel(
         q = label_input_channel(awg_spec, group, wavelength).digits[1]
     except InvalidChannelError:
         if params.n <= 16:
-            carried = ", ".join(str(w) for w in fiber_wavelengths(params, group))
+            runs = [(w, w) for w in fiber_wavelengths(params, group)]
         else:  # the cyclic run from output 0's wavelength to output n-1's, by its ends
             first, last = (awg_wavelength(awg_spec, group, out) for out in (0, params.n - 1))
             runs = ([(first, last)] if first < last
                     else [(0, last), (first, params.lambda_count - 1)])
-            carried = ", ".join(str(lo) if lo == hi else f"{lo}, ..., {hi}" for lo, hi in runs)
-        raise InvalidChannelError(
-            f"wavelength {wavelength} is not carried on port {port} of group "
-            f"{group}; this fiber carries wavelengths {{{carried}}}"
-        ) from None
+        carried = ", ".join(_format("{}" if lo == hi else "{}, ..., {}", lo, hi) for lo, hi in runs)
+        raise InvalidChannelError(_format(
+            "wavelength {} is not carried on port {} of group {}; this fiber carries "
+            "wavelengths {{{}}}", wavelength, port, group, carried)) from None
     origin = label_output_channel(awg_spec, q, wavelength).digits[1]
     return _route_trace(params, group, port, q, (port, q, origin), wavelength)
 

@@ -481,6 +481,21 @@ class TestInputBudget:
         doc["params"].update(g=10**4000, m=10**4000)
         _fails(json.dumps(doc, indent=1), CapacityError,
                r"^W\(1(0{4000}),1\1,3\) has <8001 digits> channels, over the cap of 1000000$")
+        # an awg_bank member of that size names another fabric than the params
+        for key in ("count", "inputs", "lambda_count", "outputs"):
+            doc = topology_document(w323)
+            doc["awg_bank"][key] = 10**4000
+            _fails(json.dumps(doc, indent=1), IntegrityError, r"^\$\.awg_bank is inconsistent")
+        # a cap past 10**18 admits what 10**18 does, printable or not; a negative one nothing
+        data = serialize_topology(w323, "json")
+        for cap in (10**4000, 10**5000):
+            assert _outcome(data, max_channels=cap) == w323
+            _fails(b"{}", ParseError, r"^\$\.schema_version is missing$", max_channels=cap)
+        _fails(b"{}", CapacityError, r"over the budget of -1(0{4000}) bytes for the cap of -1\1 ",
+               max_channels=-(10**4000))
+        with pytest.raises(CapacityError, match=r"^input of 2 bytes is over the budget of "
+                           r"-<5001 digits> bytes for the cap of -<5001 digits> channels$"):
+            parse_topology(b"{}", max_channels=-(10**5000))  # too long for the reference to word
 
 
 def _reference(data, max_channels=DEFAULT_CHANNEL_CAP):
