@@ -25,6 +25,7 @@ from __future__ import annotations
 from math import prod
 from operator import attrgetter
 
+from . import _all_of
 from .errors import DomainError, _decimal, check_index
 
 TYPE_CHECKING = False
@@ -32,17 +33,13 @@ if TYPE_CHECKING:  # annotations only: no command loads typing
     from typing import Sequence
 
 
-__all__ = [
-    "ChannelAddress",
-    "digit_separator",
-    "mixed_radix_decode",
-    "mixed_radix_encode",
-    "render_digits",
-]
+__all__ = _all_of(__spec__.name)
 
 
 def _check_radices(radices: Sequence[int]) -> None:
     for pos, radix in enumerate(radices):
+        if type(radix) is not int:
+            raise DomainError(f"radix at position {pos} must be an integer, got {radix!r}")
         if radix < 1:
             raise DomainError(f"radix at position {pos} must be >= 1, got {_decimal(radix)}")
 

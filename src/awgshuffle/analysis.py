@@ -36,33 +36,18 @@ from itertools import repeat
 from math import prod
 from operator import add, eq, floordiv, mul
 
+from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue, mixed_radix_decode
-from .errors import DomainError, _format, check_cap, check_positive
+from .errors import DEFAULT_CHANNEL_CAP, DomainError, _format, check_cap, check_positive
 from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
-from .topology import DEFAULT_CHANNEL_CAP, NetworkParams, Topology, _ChannelPerm, build_network
+from .topology import NetworkParams, Topology, _ChannelPerm, build_network
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: no command loads typing
     from typing import Callable, Iterator, Mapping, Sequence
 
 
-__all__ = [
-    "CHECK_BIJECTIVITY",
-    "CHECK_NAMES",
-    "CHECK_ORACLE",
-    "CHECK_WAVELENGTH_CONFLICTS",
-    "CheckResult",
-    "ResourceMetrics",
-    "VerificationReport",
-    "WavelengthConflict",
-    "check_bijectivity",
-    "check_oracle_equivalence",
-    "check_wavelength_conflicts",
-    "resource_metrics",
-    "run_named_check",
-    "tradeoff_table",
-    "verify_shuffle_equivalence",
-]
+__all__ = _all_of(__spec__.name)
 
 CHECK_ORACLE = "oracle-equivalence"
 CHECK_BIJECTIVITY = "bijectivity"
@@ -133,21 +118,32 @@ def _check_images(
 
     The indices are already known to lie in range(space). One occupancy
     pass finds the first repeated one, whose position is the second
-    offender's; without one, ``space`` images are a bijection and fewer
-    leave an output missing. ``input_at(position)`` and
-    ``output_at(index)`` name a counterexample's addresses.
+    offender's; without one, ``space`` images are a bijection. Fewer
+    images leave an output missing, at most their count: a set of them,
+    sized by the entries and not by the space, finds a repeat or that
+    output. ``input_at(position)`` and ``output_at(index)`` name a
+    counterexample's addresses.
     """
-    occupied = bytearray(space)
-    for second, image in enumerate(images):
-        if occupied[image]:
-            first = input_at(images.index(image))
-            return CheckResult(CHECK_BIJECTIVITY, False, f"inputs {first} and "
-                               f"{input_at(second)} both map to {output_at(image)}")
-        occupied[image] = 1
-    if len(images) == space:
-        return CheckResult(CHECK_BIJECTIVITY, True)
-    missing = output_at(occupied.index(0))
-    return CheckResult(CHECK_BIJECTIVITY, False, f"output {missing} is never produced")
+    if len(images) < space:
+        seen = set()
+        for second, image in enumerate(images):
+            if image in seen:
+                break
+            seen.add(image)
+        else:
+            missing = output_at(next(i for i in range(len(images) + 1) if i not in seen))
+            return CheckResult(CHECK_BIJECTIVITY, False, f"output {missing} is never produced")
+    else:
+        occupied = bytearray(space)
+        for second, image in enumerate(images):
+            if occupied[image]:
+                break
+            occupied[image] = 1
+        else:
+            return CheckResult(CHECK_BIJECTIVITY, True)
+    first = input_at(images.index(image))
+    return CheckResult(CHECK_BIJECTIVITY, False, f"inputs {first} and "
+                       f"{input_at(second)} both map to {output_at(image)}")
 
 
 def _address(index: int, radices: tuple[int, ...]) -> ChannelAddress:

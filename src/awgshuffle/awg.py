@@ -35,19 +35,12 @@ from __future__ import annotations
 
 from itertools import repeat
 
+from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue, _setattr
 from .errors import (DEFAULT_CHANNEL_CAP, InvalidChannelError, _format, check_cap, check_index,
                      check_positive)
 
-__all__ = [
-    "AwgSpec",
-    "awg_permutation",
-    "awg_route",
-    "awg_wavelength",
-    "label_input_channel",
-    "label_output_channel",
-    "valid_input_wavelengths",
-]
+__all__ = _all_of(__spec__.name)
 
 
 class AwgSpec(_FrozenValue):

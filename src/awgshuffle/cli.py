@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import _all_of
 from ._version import __version__
 from .errors import EXPORT_FORMATS, ShuffleNetError
 
-__all__ = ["cli_main", "main"]
+__all__ = _all_of(__spec__.name)
 
 
 def _build_parser() -> argparse.ArgumentParser:

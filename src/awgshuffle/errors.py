@@ -6,6 +6,10 @@ without loading the exporters."""
 
 from math import log10
 
+from . import _all_of
+
+__all__ = _all_of(__spec__.name)
+
 DEFAULT_CHANNEL_CAP = 1_000_000
 
 EXPORT_FORMATS = ("json", "dot")
@@ -47,12 +51,13 @@ def check_positive(name: str, value: object) -> None:
 
 
 def check_index(what: str, value: int, bound: int, *values: object) -> None:
-    """Raise DomainError unless ``0 <= value < bound``, worded by the template ``what``.
+    """Raise DomainError unless ``value`` is an int in [0, bound), worded by the template ``what``.
 
     ``what`` is a template of the fields ``{value}`` and ``{bound}`` and of
-    a ``{}`` for each of ``values``, worded as :func:`check_cap` words.
+    a ``{}`` for each of ``values``, worded as :func:`check_cap` words. As
+    for a dimension, a bool or a float that compares in range is refused.
     """
-    if not 0 <= value < bound:
+    if type(value) is not int or not 0 <= value < bound:
         raise DomainError(_format(what, *values, value=value, bound=bound))
 
 

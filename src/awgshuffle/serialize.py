@@ -13,12 +13,10 @@ whole groups when m*n <= _BLOCK) whose wavelengths are that row's and
 whose outputs are its outputs plus b*n*g, exactly, is then one chunk:
 one ``bytes.replace`` a row for b and one ``%`` for the input, middle
 and output decimals. Any other window, and all when n > _BLOCK, fills
-the whole template. At W(16,32,16) this took render, read and reject
-from 2.45, 2.86 and 2.80 to 1.41, 1.63 and 1.70 us a channel (medians
-of 21 alternated rounds in one process, 2 vCPUs). DOT comes in chunks of
-_BLOCK lines. ``serialize_topology`` joins a format's chunks and ``synth``
-streams them. Cables are the rows of the wiring law (port b of group a
-lands on input a of router b) that ``topology._cable_rows`` yields.
+the whole template. DOT comes in chunks of _BLOCK lines.
+``serialize_topology`` joins a format's chunks and ``synth`` streams
+them. Cables are the rows of the wiring law (port b of group a lands on
+input a of router b) that ``topology._cable_rows`` yields.
 
 Parsing walks the input once, in document order. Top-level values are
 decoded whole, except the cable and channel lists: those are walked
@@ -40,9 +38,8 @@ whitespace, punctuation and chunks are tested on the bytes themselves,
 and only the spans that ``scanstring`` and ``raw_decode`` read are
 decoded, in windows of _WINDOW characters: the top-level keys and the
 values other than the two lists, an entry that differs, and, on the
-error path, the whole input for json.loads to word the error. A
-canonical W(16,32,16) read thus peaks at 0.2x its input instead of
-1.2x. Other bytes are decoded whole, and ``str`` input is its own text.
+error path, the whole input for json.loads to word the error. Other
+bytes are decoded whole, and ``str`` input is its own text.
 
 The skeletons the renderer fills also state the schema that validation
 checks: it walks them in their own key order, which fixes which of
@@ -61,10 +58,12 @@ from itertools import chain, islice, repeat
 from json.decoder import scanstring
 from operator import add, floordiv, mod, mul
 
+from . import _all_of
 from ._version import __version__
 from .addressing import digit_separator
 from .awg import AwgSpec
 from .errors import (
+    DEFAULT_CHANNEL_CAP,
     EXPORT_FORMATS,
     CapacityError,
     DomainError,
@@ -74,7 +73,6 @@ from .errors import (
     check_cap,
 )
 from .topology import (
-    DEFAULT_CHANNEL_CAP,
     NetworkParams,
     Topology,
     _cable_rows,
@@ -87,15 +85,7 @@ if TYPE_CHECKING:  # annotations only: writing a fabric never loads the checks o
     from typing import Any, Callable, Iterable, Iterator
     from .analysis import ResourceMetrics, VerificationReport
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "parse_topology",
-    "serialize_report",
-    "serialize_topology",
-    "topology_document",
-    "tradeoff_csv",
-    "write_bytes",
-]
+__all__ = _all_of(__spec__.name)
 
 SCHEMA_VERSION = "1"
 
@@ -131,7 +121,7 @@ def _address_skeleton(radices: tuple[int, ...]) -> dict[str, Any]:
 
 
 def _channel_skeleton(p: NetworkParams) -> dict[str, Any]:
-    # rendering sorts the keys, which fixes the slot order _channel_fills
+    # rendering sorts the keys, which fixes the slot order _channel_chunks
     # fills; the order here is the one validation checks them in
     return {
         "input": _address_skeleton(p.input_radices),

@@ -14,15 +14,11 @@ share no code path.
 
 from __future__ import annotations
 
+from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue
 from .errors import DEFAULT_CHANNEL_CAP, DomainError, _format, check_cap, check_positive
 
-__all__ = [
-    "ShuffleSpec",
-    "left_cyclic_shift",
-    "shuffle_map",
-    "shuffle_perm_decimal",
-]
+__all__ = _all_of(__spec__.name)
 
 
 class ShuffleSpec(_FrozenValue):

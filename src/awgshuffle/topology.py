@@ -50,6 +50,7 @@ from functools import cached_property
 from itertools import chain, product, repeat, tee
 from operator import add
 
+from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue, _setattr, mixed_radix_decode
 from .awg import (
     AwgSpec,
@@ -74,18 +75,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: no command loads typing
     from typing import Iterator
 
-__all__ = [
-    "DEFAULT_CHANNEL_CAP",
-    "Locus",
-    "NetworkParams",
-    "RouteTrace",
-    "Topology",
-    "build_network",
-    "fiber_wavelengths",
-    "network_permutation",
-    "trace",
-    "trace_channel",
-]
+__all__ = _all_of(__spec__.name)
 
 class NetworkParams(_FrozenValue):
     """Shape of a two-stage fabric: g groups, m fibers each, n wavelengths per fiber."""
@@ -261,6 +251,7 @@ class Topology(_FrozenValue):
     def channel(self, index: int) -> RouteTrace:
         """Trace of decimal input channel ``index``, built from the tuples."""
         p = self.params
+        check_index("channel {value} out of range for {bound} channels", index, p.channel_count)
         group_port, c = divmod(index, p.n)
         a, b = divmod(group_port, p.m)
         router_output, origin = divmod(self.outputs[index], p.g)

@@ -85,6 +85,9 @@ CASES = {
     "verify_shuffle_equivalence-n": lambda v: verify_shuffle_equivalence(2, 1, v),
     "check_bijectivity-perm": lambda v: check_bijectivity(
         {ADDR22[0]: ChannelAddress((0, 0), (v, 3)), ADDR22[1]: ADDR33}),
+    # one entry against an output space of 3v: not onto, decided without sizing the space
+    "check_bijectivity-perm-alone": lambda v: check_bijectivity(
+        {ChannelAddress((0, 0), (1, 1)): ChannelAddress((0, 0), (v, 3))}),
     "AwgSpec-inputs": lambda v: AwgSpec(v, 3),
     "AwgSpec-outputs": lambda v: AwgSpec(3, v),
     "awg_route-p": lambda v: awg_route(SPEC33, v, 0),
@@ -118,6 +121,7 @@ CASES = {
     "Topology-wavelengths": lambda v: Topology(NetworkParams(1, 1, 1), (0,), (v,)),
     "Topology.fiber_wavelengths-group": lambda v: W323_FABRIC.fiber_wavelengths(v, 0),
     "Topology.fiber_wavelengths-port": lambda v: W323_FABRIC.fiber_wavelengths(0, v),
+    "Topology.channel-index": lambda v: W323_FABRIC.channel(v),
     "build_network-g": lambda v: build_network(v, 1, 1, max_channels=LOW_CAP),
     "build_network-m": lambda v: build_network(1, v, 1, max_channels=LOW_CAP),
     "build_network-n": lambda v: build_network(1, 1, v, max_channels=LOW_CAP),
@@ -155,6 +159,19 @@ for _name in RECORDS:
 PRINTERS = {"render_digits-digits", "render_digits-radices"}
 
 
+def _public_callables():
+    """Each callable of ``_HOME`` but the exception types, and each public method of a
+    class among them, by its dotted name."""
+    for name in awgshuffle._HOME:
+        obj = getattr(awgshuffle, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        yield name, obj
+        if isinstance(obj, type):
+            yield from ((f"{name}.{attr}", method) for attr in dir(obj) if not attr.startswith("_")
+                        and inspect.isfunction(method := getattr(obj, attr)))
+
+
 def _resolve(dotted):
     obj = awgshuffle
     for part in dotted.split("."):
@@ -164,9 +181,7 @@ def _resolve(dotted):
 
 class TestCaseTable:
     def test_every_integer_parameter_of_the_package_has_a_case(self):
-        needed = {f"{name}-{param}" for name in awgshuffle._HOME
-                  if callable(obj := getattr(awgshuffle, name))
-                  and not (isinstance(obj, type) and issubclass(obj, Exception))
+        needed = {f"{name}-{param}" for name, obj in _public_callables()
                   for param in _int_parameters(obj)}
         covered = {"-".join(case.split("-")[:2]) for case in CASES} | PRINTERS
         assert needed - covered == set()

@@ -3,11 +3,17 @@ import pytest
 from awgshuffle import (
     AwgSpec,
     CapacityError,
+    ChannelAddress,
     DomainError,
+    NetworkParams,
     ShuffleSpec,
     awg_permutation,
+    awg_route,
     build_network,
+    label_input_channel,
+    mixed_radix_decode,
     shuffle_perm_decimal,
+    trace_channel,
     tradeoff_table,
 )
 from awgshuffle.errors import check_cap, check_positive
@@ -56,3 +62,22 @@ class TestHugeShapes:
         with pytest.raises(CapacityError, match=(
                 r"^fanout l = <4401 digits> is over the cap of 1000000$")):
             tradeoff_table(2, 10**4400)
+
+
+# a bool or a float compares as an int, but an index or radix must be an int exactly
+@pytest.mark.parametrize("call, message", [
+    (lambda: awg_route(AwgSpec(3, 3), 2.0, 0), "input port 2.0 out of range for 3-input device"),
+    (lambda: mixed_radix_decode(2.0, (3, 3)),
+     "index 2.0 out of range for radices (3, 3) (product 9)"),
+    (lambda: label_input_channel(AwgSpec(3, 3), True, 0),
+     "input port True out of range for 3-input device"),
+    (lambda: trace_channel(NetworkParams(3, 2, 3), True, 0, 0),
+     "group True out of range for 3 groups"),
+    (lambda: mixed_radix_decode(0, (True, 3)), "radix at position 0 must be an integer, got True"),
+    (lambda: ChannelAddress((0, 0), (3, 2.0)), "radix at position 1 must be an integer, got 2.0"),
+], ids=["awg_route-2.0", "mixed_radix_decode-2.0", "label_input_channel-True",
+        "trace_channel-True", "radix-True", "radix-2.0"])
+def test_a_bool_or_float_index_or_radix_is_refused(call, message):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message

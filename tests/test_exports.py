@@ -1,5 +1,6 @@
 """Every name the package and its modules advertise in ``__all__`` exists,
-every package export has a caller outside the unit tests, every name a
+each module exports exactly its names in the package's table, every
+package export has a caller outside the unit tests, every name a
 module imports is used there or re-exported, every private helper a
 module defines is read somewhere in the package, and the package, which
 imports its modules lazily, returns what an eager one would."""
@@ -8,6 +9,8 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,21 @@ def test_module_exports_resolve():
         if stale:
             missing[name] = stale
     assert missing == {}
+
+
+@pytest.mark.parametrize("module", sorted(set(awgshuffle._HOME.values())))
+def test_each_module_exports_exactly_its_names_in_the_table(module):
+    names = sorted(name for name, home in awgshuffle._HOME.items() if home == module)
+    assert sorted(importlib.import_module(f"awgshuffle.{module}").__all__) == names
+    bound = {}
+    exec(f"from awgshuffle.{module} import *", bound)
+    assert sorted(set(bound) - {"__builtins__"}) == names
+
+
+def test_a_module_run_as_main_reads_its_names_by_its_import_name(child_env):
+    done = subprocess.run([sys.executable, "-m", "awgshuffle.cli"], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 def test_package_exports_resolve_once():
