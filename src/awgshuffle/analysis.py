@@ -11,18 +11,20 @@ runs a whole-sequence test, and only when that fails does an ordered
 scan look for the first counterexample in ascending address order and
 stop there, which keeps reports deterministic and compact. One private
 function decides and words each check, for verify and for
-:func:`run_named_check` alike. Verify builds the oracle array once and
-compares the outputs with it once; that verdict serves all three checks
-and the match count. The oracle exchanges two digits, so it is a
-permutation of range(N): a fabric equal to it is bijective without a
-test of its own, and any other fabric gets one occupancy pass, no set.
-The wavelength check decides input and output fibers apart. Groups that
-repeat their first fiber are proven by their g first fibers whatever
-the outputs are, and with the oracle's outputs router 0's n columns
-decide every output fiber; any other fiber population needs distinct
-keys, fiber * lambda_count + wavelength, and an ordered scan over the
-same keys words a conflict when one is found. Addresses are built only
-to word a counterexample.
+:func:`run_named_check` alike, from one verdict: whether the outputs
+equal the oracle. Verify builds the oracle array once, for the verdict
+and the match count; :func:`run_named_check` builds and drops it for
+the oracle and conflict checks, and a failing oracle check builds it
+again to name its first disagreeing channel. The oracle exchanges two
+digits, so it is a permutation of range(N): a fabric equal to it is
+bijective without a test of its own, and any other fabric gets one
+occupancy pass, no set. The wavelength check decides input and output
+fibers apart. Groups that repeat their first fiber are proven by their
+g first fibers whatever the outputs are, and with the oracle's outputs
+router 0's n columns decide every output fiber; any other fiber
+population needs distinct keys, fiber * lambda_count + wavelength, and
+one ordered scan over both populations' keys words a conflict when one
+is found. Addresses are built only to word a counterexample.
 
 The resource side tabulates the wavelength-versus-cabling tradeoff
 across every factorization l = m*n of a fixed fanout: growing n grows
@@ -32,9 +34,9 @@ down to the single-router extreme where stage-1 cabling disappears.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, count, repeat
 from math import prod
-from operator import add, eq, floordiv, mul
+from operator import add, eq, floordiv, mul, ne
 
 from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue, mixed_radix_decode
@@ -109,21 +111,20 @@ def check_oracle_equivalence(topology: Topology) -> CheckResult:
 
 
 def _check_images(
-    images: Sequence[int],
-    space: int,
-    input_at: Callable[[int], ChannelAddress],
-    output_at: Callable[[int], ChannelAddress],
+    images: Sequence[int], radices: tuple[int, ...], input_at: Callable[[int], ChannelAddress]
 ) -> CheckResult:
     """Bijectivity of ``images`` (decimal outputs, in input order) onto range(space).
 
-    The indices are already known to lie in range(space). One occupancy
-    pass finds the first repeated one, whose position is the second
+    ``space`` is the size of the output address space of ``radices``,
+    and the indices are already known to lie in it. One occupancy pass
+    finds the first repeated one, whose position is the second
     offender's; without one, ``space`` images are a bijection. Fewer
     images leave an output missing, at most their count: a set of them,
     sized by the entries and not by the space, finds a repeat or that
-    output. ``input_at(position)`` and ``output_at(index)`` name a
-    counterexample's addresses.
+    output. ``input_at(position)`` names a counterexample's input, and
+    ``radices`` word its output address.
     """
+    space = prod(radices)
     if len(images) < space:
         seen = set()
         for second, image in enumerate(images):
@@ -131,7 +132,7 @@ def _check_images(
                 break
             seen.add(image)
         else:
-            missing = output_at(next(i for i in range(len(images) + 1) if i not in seen))
+            missing = _address(next(i for i in range(len(images) + 1) if i not in seen), radices)
             return CheckResult(CHECK_BIJECTIVITY, False, f"output {missing} is never produced")
     else:
         occupied = bytearray(space)
@@ -143,7 +144,7 @@ def _check_images(
             return CheckResult(CHECK_BIJECTIVITY, True)
     first = input_at(images.index(image))
     return CheckResult(CHECK_BIJECTIVITY, False, f"inputs {first} and "
-                       f"{input_at(second)} both map to {output_at(image)}")
+                       f"{input_at(second)} both map to {_address(image, radices)}")
 
 
 def _address(index: int, radices: tuple[int, ...]) -> ChannelAddress:
@@ -153,9 +154,8 @@ def _address(index: int, radices: tuple[int, ...]) -> ChannelAddress:
 def _fabric_bijectivity(topology: Topology) -> CheckResult:
     """Bijectivity of a fabric's outputs, worded by its addresses."""
     p = topology.params
-    return _check_images(topology.outputs, p.channel_count,
-                         lambda pos: _address(pos, p.input_radices),
-                         lambda index: _address(index, p.output_radices))
+    return _check_images(topology.outputs, p.output_radices,
+                         lambda pos: _address(pos, p.input_radices))
 
 
 def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckResult:
@@ -163,26 +163,23 @@ def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckRes
 
     Inputs are scanned in ascending address order, so the reported
     duplicate is always the second offender in that order; a gap names
-    the smallest missing output address. All outputs must share one
-    radix pattern. A fabric's own mapping (``Topology.channel_perm``)
-    is decided from its outputs, in the same words, without an address.
+    the smallest missing output address. All inputs must share one
+    radix pattern, and all outputs another. A fabric's own mapping
+    (``Topology.channel_perm``) is decided from its outputs, in the same
+    words, without an address.
     """
     if isinstance(perm, _ChannelPerm):
         return _fabric_bijectivity(perm.fabric)
     if not perm:
         return CheckResult(CHECK_BIJECTIVITY, True)
     items = sorted(perm.items(), key=lambda kv: kv[0].decimal)
-    radices = items[0][1].radices
-    for _, out in items:
-        if out.radices != radices:
-            raise DomainError(_format("mixed output radices in permutation: {} vs {}",
-                                      radices, out.radices))
-    return _check_images(
-        [out.decimal for _, out in items],
-        prod(radices),
-        lambda pos: items[pos][0],
-        lambda index: _address(index, radices),
-    )
+    for side, column in (("input", 0), ("output", 1)):  # radices ends as the outputs'
+        radices = items[0][column].radices
+        for pair in items:
+            if pair[column].radices != radices:
+                raise DomainError(_format("mixed {} radices in permutation: {} vs {}",
+                                          side, radices, pair[column].radices))
+    return _check_images([out.decimal for _, out in items], radices, lambda pos: items[pos][0])
 
 
 def _fiber_keys(topology: Topology) -> Iterator[Iterator[int]]:
@@ -231,50 +228,46 @@ def _conflicts(topology: Topology, is_oracle: bool) -> Iterator[WavelengthConfli
 
     A fabric :func:`_fibers_clean` proves clean yields nothing; otherwise
     an ordered scan walks the key chains (:func:`_fiber_keys`) and yields
-    each repeat, input fiber before output fiber within a channel.
+    each repeat, input fiber before output fiber within a channel. A row
+    per fiber population holds its name template, the radix of its port
+    digit, the address a conflict names and each key's first channel.
     """
     if _fibers_clean(topology, is_oracle):
         return
     p = topology.params
-    lambdas, m, n = p.lambda_count, p.m, p.n
-    first_on_group: dict[int, int] = {}
-    first_on_output: dict[int, int] = {}
-    for i, (group_key, output_key) in enumerate(zip(*_fiber_keys(topology))):
-        first = first_on_group.setdefault(group_key, i)
-        if first != i:
-            fiber, w = divmod(group_key, lambdas)
-            yield WavelengthConflict(
-                fiber="group%d/port%d" % divmod(fiber, m),
-                wavelength=w,
-                first=topology.channel(first).input_addr,
-                second=topology.channel(i).input_addr,
-            )
-        first = first_on_output.setdefault(output_key, i)
-        if first != i:
-            fiber, w = divmod(output_key, lambdas)
-            yield WavelengthConflict(
-                fiber="awg-out%d/port%d" % divmod(fiber, n),
-                wavelength=w,
-                first=topology.channel(first).output_addr,
-                second=topology.channel(i).output_addr,
-            )
+    populations = (("group%d/port%d", p.m, "input_addr", {}),
+                   ("awg-out%d/port%d", p.n, "output_addr", {}))
+    for i, keys in enumerate(zip(*_fiber_keys(topology))):
+        for (template, radix, address, first_on), key in zip(populations, keys):
+            first = first_on.setdefault(key, i)
+            if first != i:
+                fiber, w = divmod(key, p.lambda_count)
+                yield WavelengthConflict(
+                    fiber=template % divmod(fiber, radix),
+                    wavelength=w,
+                    first=getattr(topology.channel(first), address),
+                    second=getattr(topology.channel(i), address),
+                )
 
 
-def _named_check(
-    name: str, topology: Topology, is_oracle: bool, expected: Sequence[int] = ()
-) -> CheckResult:
+def _is_oracle(topology: Topology) -> bool:
+    """Whether ``outputs`` equals the oracle S(g, m*n), which is dropped on return."""
+    return topology.outputs == _oracle(topology.params)
+
+
+def _named_check(name: str, topology: Topology, is_oracle: bool) -> CheckResult:
     """Decide and word the check ``name``, one of :data:`CHECK_NAMES`.
 
-    ``is_oracle`` says whether ``outputs`` equals the oracle S(g, m*n),
-    and ``expected`` is that oracle, which only a failing oracle check
-    reads, to name its first disagreeing channel. The oracle exchanges
-    two digits, so it is a permutation of range(N) and a fabric equal to
-    it is bijective without a test of its own.
+    ``is_oracle``, whether ``outputs`` equals the oracle S(g, m*n), is
+    the one verdict all three checks read. The oracle exchanges two
+    digits, so it is a permutation of range(N) and a fabric equal to it
+    is bijective without a test of its own. Only a failing oracle check
+    builds the oracle again, to name its first disagreeing channel.
     """
     counterexample = None
     if name == CHECK_ORACLE and not is_oracle:
-        index = next(i for i, want in enumerate(expected) if topology.outputs[i] != want)
-        tr = topology.channel(index)
+        differing = compress(count(), map(ne, topology.outputs, _oracle(topology.params)))
+        tr = topology.channel(next(differing))  # the first channel the oracle disagrees with
         counterexample = (f"input {tr.input_addr} reaches {tr.output_addr}, "
                           f"oracle expects {left_cyclic_shift(tr.input_addr)}")
     elif name == CHECK_BIJECTIVITY and not is_oracle:
@@ -294,24 +287,19 @@ def check_wavelength_conflicts(topology: Topology) -> list[WavelengthConflict]:
     router output fibers (router, output). Conflicts appear in channel
     address order.
     """
-    return list(_conflicts(topology, topology.outputs == _oracle(topology.params)))
+    return list(_conflicts(topology, _is_oracle(topology)))
 
 
 def run_named_check(name: str, topology: Topology) -> CheckResult:
     """Run one check by its report name, through the function verify uses.
 
     Bijectivity decides by its own pass and builds no oracle; the other
-    two build it to learn whether ``outputs`` equals it, and the
-    conflict check drops it before its scan.
+    two build it for the verdict and drop it before they decide, so a
+    failing oracle check, which builds it again, holds one at a time.
     """
     if name not in CHECK_NAMES:
         raise DomainError(f"unknown check {name!r}")
-    # N >= 1 outputs never equal (), so bijectivity gets is_oracle False
-    expected = () if name == CHECK_BIJECTIVITY else _oracle(topology.params)
-    is_oracle = topology.outputs == expected
-    if name == CHECK_WAVELENGTH_CONFLICTS:
-        expected = ()
-    return _named_check(name, topology, is_oracle, expected)
+    return _named_check(name, topology, name != CHECK_BIJECTIVITY and _is_oracle(topology))
 
 
 def verify_shuffle_equivalence(g: int, m: int, n: int) -> VerificationReport:
@@ -319,19 +307,17 @@ def verify_shuffle_equivalence(g: int, m: int, n: int) -> VerificationReport:
 
     Runs the oracle-equivalence, bijectivity, and wavelength-conflict
     checks over all channels. The oracle array is built and compared
-    once; its verdict settles bijectivity and the output fibers of the
-    conflict check, and on a failing fabric it counts the matches before
-    it is dropped. CapacityError propagates before any report is
-    produced for a fabric over the default channel cap.
+    once; on a failing fabric it counts the matches, and it is dropped
+    before the checks read its verdict. CapacityError propagates before
+    any report is produced for a fabric over the default channel cap.
     """
     topology = build_network(g, m, n)
     size = topology.params.channel_count
     expected = _oracle(topology.params)
     is_oracle = topology.outputs == expected
-    oracle = _named_check(CHECK_ORACLE, topology, is_oracle, expected)
     matched = size if is_oracle else sum(map(eq, topology.outputs, expected))
     del expected
-    checks = (oracle, *(_named_check(name, topology, is_oracle) for name in CHECK_NAMES[1:]))
+    checks = tuple(_named_check(name, topology, is_oracle) for name in CHECK_NAMES)
     return VerificationReport(
         params=topology.params,
         passed=all(check.passed for check in checks),

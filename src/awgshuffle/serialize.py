@@ -450,9 +450,6 @@ def _document_budget(max_channels: int) -> int:
 
 _SPACE = re.compile(r"[ \t\n\r]*").match  # what the decoder skips between tokens
 _DECODE = json.JSONDecoder().raw_decode  # one value at an offset, as json.loads decodes it
-# what str.isspace() counts as space among ASCII characters: \t to \r, \x1c to \x1f and " "
-_BLANKS = bytes(c for c in range(128) if chr(c).isspace())
-_BLANK = re.compile(b"[%s]*" % re.escape(_BLANKS)).fullmatch
 _WINDOW = 1 << 16  # ASCII input decoded at a time, in characters: all of a W(3,2,3) document
 # the whitespace matcher and the punctuation marks of a walk, for each type of input
 _SYNTAX = {str: (_SPACE, {c: c for c in '{}[]:,"'}),
@@ -713,28 +710,27 @@ def parse_topology(
     canonical read holds about one chunk of the writer's beside its
     input. Other ``bytes`` are decoded as UTF-8 first, and a ``str`` is
     walked as it is. Input that ``str.strip()`` would leave empty, in
-    any of the three, is a ParseError("empty input").
+    any of the three, is a ParseError("empty input"), told apart on the
+    error path: a blank ASCII input costs one decode of itself there, as
+    every malformed input does, within the input budget.
     """
     check_cap("input of {count} bytes is over the budget of {cap} bytes for the cap of {} "
               "channels", len(data), _document_budget(max_channels), max_channels)
     source = data
-    if isinstance(data, bytes) and data.isascii():  # walked in place
-        if _BLANK(data):  # what str.strip() leaves empty, without a copy
-            raise ParseError("empty input")
-    else:  # walked as text
-        if isinstance(data, bytes):
-            try:
-                source = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"invalid UTF-8: {exc}") from None
-        if not source or source.isspace():  # what str.strip() leaves empty, without a copy
-            raise ParseError("empty input")
+    if isinstance(data, bytes) and not data.isascii():  # ASCII bytes are walked in place
+        try:
+            source = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc}") from None
     text = _Text(source)
     try:
         doc, topology = _walk(text, max_channels)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError or an over-long integer too
+        whole = source if isinstance(source, str) else source.decode("ascii")
+        if not whole or whole.isspace():  # what str.strip() would leave empty
+            raise ParseError("empty input") from None
         try:  # the walk stopped where json.loads stops, which words the error in its context
-            json.loads(source if isinstance(source, str) else source.decode("ascii"))
+            json.loads(whole)
         except (ValueError, RecursionError) as error:
             exc = error
         raise ParseError(f"invalid JSON: {exc}") from None

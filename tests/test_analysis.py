@@ -113,6 +113,13 @@ class TestBijectivity:
         assert not result.passed
         assert "00 and 01 both map to 00" in result.counterexample
 
+    def test_duplicate_among_fewer_entries_than_outputs_reported(self):
+        # two entries against four outputs: the repeat is named before any gap
+        zero = addr((0, 0), (2, 2))
+        perm = {addr((0, 0), (2, 2)): zero, addr((0, 1), (2, 2)): zero}
+        result = check_bijectivity(perm)
+        assert result.counterexample == "inputs 00 and 01 both map to 00"
+
     def test_gap_reported(self):
         # injective into a larger space: output 11 is never produced
         perm = {
@@ -130,6 +137,18 @@ class TestBijectivity:
             addr((0, 1), (2, 2)): addr((0, 0), (1, 2)),
         }
         with pytest.raises(DomainError):
+            check_bijectivity(perm)
+
+    @pytest.mark.parametrize("second_output", [(0, 1), (0, 0)])
+    def test_mixed_input_radices_rejected(self, second_output):
+        # both inputs have decimal 0 in address spaces of their own: no ascending order
+        # of one space holds them, whether their outputs differ or coincide
+        perm = {
+            addr((0, 0), (2, 2)): addr((0, 0), (1, 2)),
+            addr((0, 0), (3, 3)): addr(second_output, (1, 2)),
+        }
+        with pytest.raises(DomainError, match=r"^mixed input radices in permutation: "
+                           r"\(2, 2\) vs \(3, 3\)$"):
             check_bijectivity(perm)
 
     def test_empty_trivially_passes(self):
@@ -599,3 +618,12 @@ class TestMemoryAtTheCap:
         check = peak_kb(self.MUTANT + "assert awgshuffle.run_named_check("
                         "awgshuffle.CHECK_BIJECTIVITY, t).passed")
         assert check <= 1.1 * build, check / build
+
+    def test_failing_oracle_check_at_the_cap_holds_one_oracle(self, peak_kb):
+        # the verdict's oracle is dropped before the counterexample's is built: the
+        # two held at once would take the peak to about twice the build
+        build = peak_kb(self.MUTANT)
+        check = peak_kb(self.MUTANT + "r = awgshuffle.run_named_check("
+                        "awgshuffle.CHECK_ORACLE, t)\n"
+                        "assert r.counterexample.startswith('input 0.0.0 reaches 0.99.1,')")
+        assert check <= 1.6 * build, check / build
