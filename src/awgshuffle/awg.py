@@ -16,13 +16,14 @@ channel labeled (p, q) on the input side leaves on the channel labeled
 permutation, which is what the analysis module verifies at scale.
 
 This module is the one statement of the routing law. Each of its two
-laws is written once, over a row: the wavelength law ``(p + q) mod
-lambda_count`` over the outputs q of an input p, and the routing law
-``(i - p) mod lambda_count`` over the wavelengths i entering p. The
-scalar operations are the one-element case of a row, after validating
-each index; :func:`awg_route_row` validates p once and then applies both
-laws to the whole row, which is how the two-stage fabric's build routes
-each router input and, at the routed outputs, reads back their origins.
+laws is written once, with one port per entry: the wavelength law
+``(p + q) mod lambda_count`` over (input p, output q) and the routing
+law ``(i - p) mod lambda_count`` over (input p, wavelength i). The
+scalar operations are the one-entry case, after validating each index;
+:func:`awg_route_rows` validates a range of inputs by its ends and then
+applies both laws to all of their rows, which is how the two-stage
+fabric's build routes a block of router inputs and, at the routed
+outputs, reads back their origins.
 The fabric's trace and its build guard label through this module: a
 trace takes the routed output from the input label and the originating
 input from the output label, and the guard raises through both.
@@ -33,7 +34,7 @@ concurrent use.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue, _setattr
@@ -67,18 +68,18 @@ _OUTPUT_PORT = "output port {value} out of range for {bound}-output device"
 _WAVELENGTH = "wavelength index {value} out of range for {bound} wavelengths"
 
 
-def _wavelength_row(lambda_count: int, p: int, outputs) -> list[int]:
+def _wavelength_row(lambda_count: int, ports, outputs) -> list[int]:
     """The wavelength law: input ``p`` reaches output ``q`` on ``(p + q) mod lambda_count``."""
-    return [(p + q) % lambda_count for q in outputs]
+    return [(p + q) % lambda_count for p, q in zip(ports, outputs)]
 
 
 def _route_row(lambda_count: int, ports, wavelengths) -> list[int]:
     """The routing law: wavelength ``i`` entering input ``p`` exits ``(i - p) mod lambda_count``.
 
-    ``ports`` holds each wavelength's port: ``repeat(p)`` for a row, a
-    1-tuple for one wavelength. The law is symmetric in its ports, since
-    ``i = p + q`` modulo ``lambda_count``, so read at outputs it gives
-    the input each wavelength originates from.
+    ``ports`` holds each wavelength's port: a list for a block of rows,
+    ``repeat(p)`` for one row, a 1-tuple for one wavelength. The law is
+    symmetric in its ports, since ``i = p + q`` modulo ``lambda_count``,
+    so read at outputs it gives the input each wavelength originates from.
     """
     return [(i - p) % lambda_count for p, i in zip(ports, wavelengths)]
 
@@ -100,26 +101,30 @@ def awg_wavelength(spec: AwgSpec, p: int, q: int) -> int:
     """The unique wavelength that connects input ``p`` to output ``q``."""
     check_index(_INPUT_PORT, p, spec.inputs)
     check_index(_OUTPUT_PORT, q, spec.outputs)
-    return _wavelength_row(spec.lambda_count, p, (q,))[0]
+    return _wavelength_row(spec.lambda_count, (p,), (q,))[0]
 
 
-def awg_route_row(spec: AwgSpec, p: int) -> tuple[list[int], list[int]]:
-    """Wavelength and routed output of every output q of input ``p``, in q order.
+def awg_route_rows(spec: AwgSpec, inputs: range) -> tuple[list[int], list[int], list[int]]:
+    """The rows of the inputs in a range, flattened input-major, each output q in q order.
 
-    Validates ``p`` once, then returns ``(carried, routed)``: ``carried[q]``
-    is :func:`awg_wavelength` of (p, q) and ``routed[q]`` is
-    :func:`awg_route` of that wavelength at ``p``, which the law brings
-    back to ``q``. Both lists are new and belong to the caller.
+    Validates the range by its ends, then returns ``(ports, carried,
+    routed)``: input p, :func:`awg_wavelength` of (p, q) and
+    :func:`awg_route` of that wavelength at p, which the law brings back
+    to q. The lists are new and belong to the caller.
     """
-    check_index(_INPUT_PORT, p, spec.inputs)
-    carried = _wavelength_row(spec.lambda_count, p, range(spec.outputs))
-    return carried, _route_row(spec.lambda_count, repeat(p), carried)
+    if inputs:  # a range's ends bound all of it
+        check_index(_INPUT_PORT, inputs[0], spec.inputs)
+        check_index(_INPUT_PORT, inputs[-1], spec.inputs)
+    ports = list(chain.from_iterable(map(repeat, inputs, repeat(spec.outputs))))
+    outputs = chain.from_iterable(repeat(range(spec.outputs), len(inputs)))
+    carried = _wavelength_row(spec.lambda_count, ports, outputs)
+    return ports, carried, _route_row(spec.lambda_count, ports, carried)
 
 
 def valid_input_wavelengths(spec: AwgSpec, p: int) -> tuple[int, ...]:
     """The ``outputs`` wavelengths that are live at input ``p``, ascending."""
     check_index(_INPUT_PORT, p, spec.inputs)
-    return tuple(sorted(_wavelength_row(spec.lambda_count, p, range(spec.outputs))))
+    return tuple(sorted(_wavelength_row(spec.lambda_count, repeat(p), range(spec.outputs))))
 
 
 def label_input_channel(spec: AwgSpec, p: int, i: int) -> ChannelAddress:

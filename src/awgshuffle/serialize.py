@@ -683,7 +683,7 @@ def _settle(
 
 
 def parse_topology(
-    data: bytes | str, *, max_channels: int = DEFAULT_CHANNEL_CAP
+    data: bytes | str | bytearray | memoryview, *, max_channels: int = DEFAULT_CHANNEL_CAP
 ) -> Topology:
     """Reconstruct a topology from schema-version-1 JSON.
 
@@ -708,18 +708,21 @@ def parse_topology(
     top-level keys, the values other than the lists, an entry that
     differs, and the text that json.loads words an error from are. So a
     canonical read holds about one chunk of the writer's beside its
-    input. Other ``bytes`` are decoded as UTF-8 first, and a ``str`` is
-    walked as it is. Input that ``str.strip()`` would leave empty, in
-    any of the three, is a ParseError("empty input"), told apart on the
+    input. Other ``bytes`` are decoded as UTF-8 first, a ``str`` is
+    walked as it is, and another buffer (``bytearray``, ``memoryview``)
+    is read as a copy of its bytes. Input that ``str.strip()`` would
+    leave empty is a ParseError("empty input"), told apart on the
     error path: a blank ASCII input costs one decode of itself there, as
     every malformed input does, within the input budget.
     """
+    view = None if isinstance(data, (bytes, str)) else memoryview(data)  # another buffer
     check_cap("input of {count} bytes is over the budget of {cap} bytes for the cap of {} "
-              "channels", len(data), _document_budget(max_channels), max_channels)
-    source = data
-    if isinstance(data, bytes) and not data.isascii():  # ASCII bytes are walked in place
+              "channels", len(data) if view is None else view.nbytes,
+              _document_budget(max_channels), max_channels)
+    source = data if view is None else view.tobytes()  # read as the bytes it holds
+    if isinstance(source, bytes) and not source.isascii():  # ASCII bytes are walked in place
         try:
-            source = data.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid UTF-8: {exc}") from None
     text = _Text(source)

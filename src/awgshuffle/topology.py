@@ -6,10 +6,10 @@ routers. The wiring law is fixed: port b of group a plugs into input a
 of router b. Routing every (fiber, wavelength) through its cable and
 router yields the fabric's permutation over the N = g*m*n wavelength
 channels. The routers are identical, so the build routes the carried
-wavelengths of each router input once, with one row-level route
-(:func:`~awgshuffle.awg.awg_route_row`) per input, checks that row's
-range, and places it at every router by the wiring law. A fabric built
-that way is in range by construction, so the build skips the
+wavelengths of each router input once, a block of inputs per call of
+:func:`~awgshuffle.awg.awg_route_rows`, checks that block's range, and
+places each row at every router by the wiring law. A fabric built that
+way is in range by construction, so the build skips the
 constructor's O(N) length, type and range checks, which every other
 construction still runs. A built fabric is its shape plus two flat
 integer tuples indexed by decimal input channel: the decimal output
@@ -55,7 +55,7 @@ from .addressing import ChannelAddress, _FrozenValue, _setattr, mixed_radix_deco
 from .awg import (
     AwgSpec,
     _route_row,
-    awg_route_row,
+    awg_route_rows,
     awg_wavelength,
     label_input_channel,
     label_output_channel,
@@ -76,6 +76,9 @@ if TYPE_CHECKING:  # annotations only: no command loads typing
     from typing import Iterator
 
 __all__ = _all_of(__spec__.name)
+
+_BLOCK = 4096  # router-row entries the build routes at a time: whole inputs, one if n is larger
+
 
 class NetworkParams(_FrozenValue):
     """Shape of a two-stage fabric: g groups, m fibers each, n wavelengths per fiber."""
@@ -279,8 +282,8 @@ def _built(
     constructor's length, type and range checks.
 
     The tuples are in range by construction: the build checks each row
-    before placing it, so every row entry q*g + origin is below n*g,
-    every wiring-law offset is at most N - n*g, and every wavelength is
+    (a block of them at a time) before placing it, so every row entry
+    q*g + origin is below n*g, every wiring-law offset is at most N - n*g, and every wavelength is
     below lambda_count; and it places g*m rows of n ints each. Every
     other construction runs the checks.
     """
@@ -349,20 +352,22 @@ def build_network(
     Channel (a, b, c) is the wavelength that router input a connects to
     output c on port b of group a; the wiring law takes that fiber to
     input a of router b. The m routers are copies of one device, so one
-    :func:`~awgshuffle.awg.awg_route_row` call per router input gives
-    the n carried wavelengths and the outputs they route to, g calls in
-    all, and one ``map`` adds that row of router outputs, repeated m
-    times, to the m*n router offsets of the wiring law, placing the row
-    at every router. Before a row is placed, its routed outputs are
-    checked to lie in [0, n), the inputs they lead back to in [0, g) and
-    its wavelengths in [0, lambda_count); that check, O(g*n) in all,
-    puts every entry of the two tuples in range, so the fabric is made
-    without the constructor's O(N) range checks. Raises DomainError for
-    non-positive dimensions, InvalidChannelError or DomainError (through
-    the router's labeling laws, at the first offending wavelength) when
-    the router law leaves a carried wavelength dark, without an
-    originating input or out of range, and CapacityError when g*m*n
-    exceeds ``max_channels`` (default one million channels).
+    :func:`~awgshuffle.awg.awg_route_rows` call per block of whole router
+    inputs (at least _BLOCK entries, a bound on the working lists, or one
+    input when n is larger) gives the n carried wavelengths of each input
+    and the outputs they route to, and one ``map`` adds an input's row of
+    router outputs, repeated m times, to the m*n router offsets of the
+    wiring law, placing the row at every router. Before a block is
+    placed, its routed outputs are checked to lie in [0, n), the inputs
+    they lead back to in [0, g) and its wavelengths in [0, lambda_count);
+    that check, O(g*n) in all, puts every entry of the two tuples in
+    range, so the fabric is made without the constructor's O(N) range
+    checks. Raises DomainError for non-positive dimensions,
+    InvalidChannelError or DomainError (through the router's labeling
+    laws, at the first offending input and wavelength) when the router
+    law leaves a carried wavelength dark, without an originating input
+    or out of range, and CapacityError when g*m*n exceeds
+    ``max_channels`` (default one million channels).
     """
     params = NetworkParams(g, m, n)
     check_cap("W({},{},{}) has {count} channels, over the cap of {cap}",
@@ -374,20 +379,22 @@ def build_network(
     offsets = [b * n * g for b in range(m) for _ in range(n)]
     outputs: list[int] = []
     wavelengths: list[int] = []
-    for a in range(g):
-        carried, routed = awg_route_row(awg_spec, a)
+    inputs, per_block = range(g), -(-_BLOCK // n)  # whole inputs, at least _BLOCK entries
+    for start in range(0, g, per_block):
+        ports, carried, routed = awg_route_rows(awg_spec, inputs[start:start + per_block])
         origins = _route_row(lambdas, routed, carried)
         if (min(routed) < 0 or max(routed) >= n or max(origins) >= g
                 or min(carried) < 0 or max(carried) >= lambdas):
-            for w, q, origin in zip(carried, routed, origins):
+            for a, w, q, origin in zip(ports, carried, routed, origins):
                 if not (0 <= q < n and origin < g and 0 <= w < lambdas):
                     # the router's labels raise for a wavelength out of
                     # range, dark, or routed past the outputs or inputs
                     label_input_channel(awg_spec, a, w)
                     label_output_channel(awg_spec, q, w)
-        row = [q * g + origin for q, origin in zip(routed, origins)]
-        outputs.extend(map(add, offsets, row * m))
-        wavelengths.extend(carried * m)
+        rows = [q * g + origin for q, origin in zip(routed, origins)]
+        for k in range(0, len(rows), n):  # each input's row, placed at the m routers
+            outputs.extend(map(add, offsets, rows[k:k + n] * m))
+            wavelengths.extend(carried[k:k + n] * m)
     return _built(params, tuple(outputs), tuple(wavelengths))
 
 

@@ -19,7 +19,7 @@ from awgshuffle import (
     shuffle_perm_decimal,
     valid_input_wavelengths,
 )
-from awgshuffle.awg import awg_route_row
+from awgshuffle.awg import awg_route_rows
 
 specs = st.builds(
     AwgSpec, st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8)
@@ -97,17 +97,27 @@ class TestWavelengthLookup:
 class TestRouteRow:
     @given(specs)
     @example(AwgSpec(5, 3))  # inputs > outputs: some wavelengths are dark at each input
+    @example(AwgSpec(4, 4))
     @example(AwgSpec(3, 5))  # inputs < outputs
     @example(AwgSpec(1, 1))
     def test_row_is_the_scalar_calls(self, spec):
+        # each input alone, and all of them as one block, flattened input-major
+        whole = ([], [], [])
         for p in range(spec.inputs):
             carried = [awg_wavelength(spec, p, q) for q in range(spec.outputs)]
-            assert awg_route_row(spec, p) == (carried, [awg_route(spec, p, w) for w in carried])
+            row = ([p] * spec.outputs, carried, [awg_route(spec, p, w) for w in carried])
+            assert awg_route_rows(spec, range(p, p + 1)) == row
+            for block, part in zip(whole, row):
+                block.extend(part)
+        assert awg_route_rows(spec, range(spec.inputs)) == whole
+        assert awg_route_rows(spec, range(0)) == ([], [], [])
 
     def test_rejects_out_of_range_input_with_the_scalar_message(self, awg36):
-        for p in (3, -1):
+        # a range is validated by its ends
+        for inputs, p in ((range(3, 4), 3), (range(-1, 0), -1), (range(1, 4), 3),
+                          (range(-1, 3), -1)):
             with pytest.raises(DomainError) as row_err:
-                awg_route_row(awg36, p)
+                awg_route_rows(awg36, inputs)
             with pytest.raises(DomainError) as scalar_err:
                 awg_route(awg36, p, 0)
             assert str(row_err.value) == str(scalar_err.value) == (

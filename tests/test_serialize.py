@@ -189,6 +189,16 @@ class TestParseErrors:
         for data in (blank, blank.encode()):
             _fails(data, ParseError, "^empty input$")
 
+    @pytest.mark.parametrize("buffer", [bytearray, memoryview])
+    def test_a_buffer_reads_as_the_bytes_it_holds(self, w323, buffer):
+        # a canonical document, an empty one and one with no header, each ending as its bytes do
+        for data in (serialize_topology(w323, "json"), b"", b"{}"):
+            assert _ending(parse_topology, buffer(data)) == _outcome(data)
+        assert parse_topology(buffer(serialize_topology(w323, "json"))) == w323
+        # the budget counts a buffer's bytes, not its items
+        with pytest.raises(CapacityError, match="input of 36 bytes is over the budget"):
+            parse_topology(memoryview(buffer(bytes(36))).cast("I"), max_channels=-1)
+
     def test_invalid_json(self):
         _fails(b"{nope", ParseError, "invalid JSON")
 

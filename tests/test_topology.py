@@ -34,7 +34,7 @@ from awgshuffle import (
     tradeoff_table,
     verify_shuffle_equivalence,
 )
-from awgshuffle.awg import awg_route_row
+from awgshuffle.awg import awg_route_rows
 
 P323 = NetworkParams(3, 2, 3)
 
@@ -70,12 +70,18 @@ def reference_arrays(g, m, n):
 
 
 def row_with_route(route):
-    """:func:`awg_route_row` with its routing law replaced by ``route(spec, p, i)``."""
-    def row(spec, p):
-        carried, _ = awg_route_row(spec, p)
-        return carried, [route(spec, p, i) for i in carried]
+    """:func:`awg_route_rows` with its routing law replaced by ``route(spec, p, i)``."""
+    def row(spec, inputs):
+        ports, carried, _ = awg_route_rows(spec, inputs)
+        return ports, carried, [route(spec, p, i) for p, i in zip(ports, carried)]
 
     return row
+
+
+def shifted(rows, by):
+    """``rows`` of :func:`awg_route_rows` with every carried wavelength moved by ``by``."""
+    ports, carried, routed = rows
+    return ports, [w + by for w in carried], routed
 
 
 # Each of the four dimension checks, and the two entry points that reach one.
@@ -132,7 +138,7 @@ class TestBuild:
 
     def test_rejects_a_router_that_routes_past_its_outputs(self, monkeypatch):
         monkeypatch.setattr(
-            topology, "awg_route_row", row_with_route(lambda spec, p, i: spec.outputs)
+            topology, "awg_route_rows", row_with_route(lambda spec, p, i: spec.outputs)
         )
         with pytest.raises(DomainError, match="output port 3 out of range for 3-output device"):
             build_network(3, 2, 3)
@@ -142,7 +148,7 @@ class TestBuild:
         # 1 on output 2, which only virtual input 2 of a 2-input router could feed
         monkeypatch.setattr(
             topology,
-            "awg_route_row",
+            "awg_route_rows",
             row_with_route(lambda spec, p, i: (i - p - 1) % spec.lambda_count),
         )
         with pytest.raises(InvalidChannelError, match="has no originating input") as err:
@@ -154,18 +160,42 @@ class TestBuild:
 
     @pytest.mark.parametrize("row, message", [
         (row_with_route(lambda spec, p, i: -1), "output port -1 out of range for 3-output device"),
-        (lambda spec, p: ([w + 3 for w in awg_route_row(spec, p)[0]], list(range(3))),
+        (lambda spec, inputs: shifted(awg_route_rows(spec, inputs), 3),
          "wavelength index 3 out of range for 3 wavelengths"),
-        (lambda spec, p: ([w - 3 for w in awg_route_row(spec, p)[0]], list(range(3))),
+        (lambda spec, inputs: shifted(awg_route_rows(spec, inputs), -3),
          "wavelength index -3 out of range for 3 wavelengths"),
     ])
     def test_rejects_a_router_row_out_of_range(self, monkeypatch, row, message):
         # the build makes the fabric without the constructor's range
         # checks, so its own row check must catch both ends
-        monkeypatch.setattr(topology, "awg_route_row", row)
+        monkeypatch.setattr(topology, "awg_route_rows", row)
         with pytest.raises(DomainError) as err:
             build_network(3, 2, 3)
         assert str(err.value) == message
+
+    def test_rejects_a_fault_past_the_first_block_at_its_first_input(self, monkeypatch):
+        # W(5000,1,1) routes inputs 0-4095 and 4096-4999 as two blocks; the
+        # wavelengths of inputs 4500 and up are moved out of range, and the
+        # first of them is the one named, as an input-by-input check names it
+        blocks = []
+
+        def row(spec, inputs):
+            blocks.append(inputs)
+            ports, carried, routed = awg_route_rows(spec, inputs)
+            return ports, [w + 1000 * (p >= 4500) for p, w in zip(ports, carried)], routed
+
+        monkeypatch.setattr(topology, "awg_route_rows", row)
+        with pytest.raises(DomainError) as err:
+            build_network(5000, 1, 1)
+        assert str(err.value) == "wavelength index 5500 out of range for 5000 wavelengths"
+        assert blocks == [range(0, 4096), range(4096, 5000)]
+
+    def test_a_bank_of_long_rows_peaks_near_a_cube_of_its_size(self, peak_kb):
+        # the bank is routed a block at a time: W(1000,1,1000) holds no
+        # million-entry row lists beside its two tuples
+        cube = peak_kb("awgshuffle.build_network(100, 100, 100)")
+        bank = peak_kb("awgshuffle.build_network(1000, 1, 1000)")
+        assert bank <= 1.4 * cube, (bank, cube)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
@@ -191,8 +221,8 @@ class TestBuild:
         assert again == t
         assert hash(again) == hash(t)
 
-    def test_routes_one_row_per_router_input(self, monkeypatch):
-        calls = {"awg_route_row": 0, "awg_route": 0, "awg_wavelength": 0}
+    def test_routes_each_block_once(self, monkeypatch):
+        calls = {"awg_route_rows": 0, "awg_route": 0, "awg_wavelength": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -203,11 +233,11 @@ class TestBuild:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(topology, "awg_route_row")
+        counted(topology, "awg_route_rows")
         counted(awg_module, "awg_route")
         counted(awg_module, "awg_wavelength")
-        build_network(5, 3, 4)
-        assert calls == {"awg_route_row": 5, "awg_route": 0, "awg_wavelength": 0}
+        build_network(5, 3, 4)  # 20 entries: one block
+        assert calls == {"awg_route_rows": 1, "awg_route": 0, "awg_wavelength": 0}
 
 
 class TestChannelLabels:
