@@ -61,7 +61,6 @@ from operator import add, floordiv, mod, mul
 from . import _all_of
 from ._version import __version__
 from .addressing import digit_separator
-from .awg import AwgSpec
 from .errors import (
     DEFAULT_CHANNEL_CAP,
     EXPORT_FORMATS,
@@ -222,9 +221,13 @@ def _params_json(p: NetworkParams) -> dict[str, int]:
             "lambda_count": p.lambda_count}
 
 
-def _awg_bank_json(count: int, spec: AwgSpec) -> dict[str, int]:
-    return {"count": count, "inputs": spec.inputs, "outputs": spec.outputs,
-            "lambda_count": spec.lambda_count}
+def _header(p: NetworkParams) -> dict[str, dict[str, int]]:
+    """The ``params`` and ``awg_bank`` sections of ``p``'s document, in the order validation
+    checks them."""
+    spec = p.awg_spec
+    return {"params": _params_json(p), "awg_bank": {
+        "count": p.m, "inputs": spec.inputs, "outputs": spec.outputs,
+        "lambda_count": spec.lambda_count}}
 
 
 @lru_cache
@@ -232,8 +235,7 @@ def _frame(params: NetworkParams) -> tuple[str, str, str]:
     """Canonical text before, between and after the cable and channel lists."""
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "params": _params_json(params),
-        "awg_bank": _awg_bank_json(params.m, params.awg_spec),
+        **_header(params),
         "cables": "<cables>",
         "channels": "<channels>",
         "metadata": {
@@ -412,7 +414,7 @@ def _validate(obj: Any, skeleton: dict[str, Any], path: str) -> None:
 
 # Validation reads only the kinds in a skeleton, which every fabric shares.
 _UNIT = NetworkParams(1, 1, 1)
-_HEADER_SKELETON = {"params": _params_json(_UNIT), "awg_bank": _awg_bank_json(1, _UNIT.awg_spec)}
+_HEADER_SKELETON = _header(_UNIT)
 _ENTRY_SKELETONS = {"cables": _CABLE_SKELETON, "channels": _channel_skeleton(_UNIT)}
 
 
@@ -426,25 +428,20 @@ def _validate_header(doc: Any) -> None:
 
 
 @lru_cache
-def _document_budget(max_channels: int) -> int:
-    """Bytes that no canonical document of a fabric within the cap exceeds.
+def _document_budget(cap: int = DEFAULT_CHANNEL_CAP) -> int:
+    """Bytes that no canonical document of a fabric of at most ``cap`` channels exceeds.
 
-    No integer in such a document exceeds max_channels and a fabric has
-    at most one cable per channel, so a header, cable and channel entry
-    with every integer (radices included) at that many digits bound it.
-    A cap past 10**18 is budgeted as 10**18, which admits any input a
-    process can hold, and a negative cap too wide to size as itself.
+    No integer in such a document exceeds the cap and a fabric has at
+    most one cable per channel, so a header, cable and channel entry with
+    every integer (radices included) at that many digits bound it. The
+    reader budgets at the channel cap; a smaller ``cap`` sizes the formula.
     """
-    cap = min(max_channels, 10**18)
-    try:
-        widest = int("9" * len(str(cap)))
-        params = NetworkParams(widest, widest, widest)
-        cable = len(_template(_CABLE_SKELETON) % ((widest,) * 4))
-        channel = len(_template(_channel_skeleton(params)) % ((widest,) * 31))
-        # each list adds "[\n" and "\n  ]", and at most one ",\n" per entry
-        frame = sum(map(len, _frame(params))) + 2 * (len("[\n") + len("\n  ]"))
-    except ValueError:  # the int-to-str digit limit, which only a negative cap reaches
-        return cap
+    widest = int("9" * len(str(cap)))
+    params = NetworkParams(widest, widest, widest)
+    cable = len(_template(_CABLE_SKELETON) % ((widest,) * 4))
+    channel = len(_template(_channel_skeleton(params)) % ((widest,) * 31))
+    # each list adds "[\n" and "\n  ]", and at most one ",\n" per entry
+    frame = sum(map(len, _frame(params))) + 2 * (len("[\n") + len("\n  ]"))
     return frame + cap * (cable + channel + 2 * len(",\n"))
 
 
@@ -590,14 +587,14 @@ def _survey(
     return _Survey(start, count, problem, mismatch), pos + 1
 
 
-def _walk(text: _Text, max_channels: int) -> tuple[Any, Topology | None]:
+def _walk(text: _Text) -> tuple[Any, Topology | None]:
     """The value the input holds, its lists surveyed in place, and the fabric they were against.
 
     The members of a top-level object are walked in order, and every
     other value is decoded whole; a repeated key keeps its last value,
     as json.loads does. Every list is surveyed against the fabric fixed
     at the first: W(inputs, count, outputs) of the ``awg_bank`` decoded by
-    then, if it builds within ``max_channels``. Any other top-level value
+    then, if it builds within the channel cap. Any other top-level value
     is decoded whole. The walk raises at the first text the decoder rejects.
     """
     pos = text.skip(0)
@@ -620,7 +617,7 @@ def _walk(text: _Text, max_channels: int) -> tuple[Any, Topology | None]:
                     bank, fixed = doc.get("awg_bank"), True
                     names = bank if type(bank) is dict else {}  # no dimensions: a DomainError
                     shape = tuple(map(names.get, ("inputs", "count", "outputs")))
-                    topology = _build(shape, max_channels)[0]
+                    topology = _build(shape)[0]
                 doc[key], pos = _survey(text, pos, key, topology)
             else:
                 doc[key], pos = text.scan(_DECODE, pos)
@@ -636,12 +633,11 @@ def _walk(text: _Text, max_channels: int) -> tuple[Any, Topology | None]:
     return doc, topology
 
 
-def _build(
-    shape: tuple[int, ...], max_channels: int
-) -> tuple[Topology | None, ShuffleNetError | None]:
-    """The fabric of ``shape``, or the error a document with that shape ends in."""
+def _build(shape: tuple[int, ...]) -> tuple[Topology | None, ShuffleNetError | None]:
+    """The fabric of ``shape``, or the error a document with that shape ends in: a
+    ParseError for a shape with no fabric, a CapacityError for one over the channel cap."""
     try:
-        return build_network(*shape, max_channels=max_channels), None
+        return build_network(*shape), None
     except DomainError as exc:
         return None, ParseError(f"$.params invalid: {exc}")
     except CapacityError as exc:
@@ -666,8 +662,7 @@ def _settle(
     if failure is not None:
         raise failure
     p = topology.params
-    header = {"params": _params_json(p), "awg_bank": _awg_bank_json(p.m, topology.awg_spec)}
-    for section, want in header.items():  # validated, so equal means the same JSON
+    for section, want in _header(p).items():  # validated, so equal means the same JSON
         if doc[section] != want:
             raise IntegrityError(f"$.{section} is inconsistent with (g,m,n)=({p.g},{p.m},{p.n})")
     for section, expected in zip(_ENTRY_SKELETONS, (p.g * p.m, p.channel_count)):
@@ -682,20 +677,18 @@ def _settle(
     return topology
 
 
-def parse_topology(
-    data: bytes | str | bytearray | memoryview, *, max_channels: int = DEFAULT_CHANNEL_CAP
-) -> Topology:
+def parse_topology(data: bytes | str | bytearray | memoryview) -> Topology:
     """Reconstruct a topology from schema-version-1 JSON.
 
     Input longer than the largest canonical document of a fabric within
-    ``max_channels`` raises CapacityError before it is decoded. The
-    returned value is rebuilt from the document's (g, m, n), and every
-    other section must equal the rebuilt fabric's exactly, integers as
-    integers, so it passes every analysis check like a freshly built
-    fabric. Structural problems raise ParseError with a JSON path, and
-    outrank any disagreement; a well-formed document whose sections
-    disagree with its own parameters raises IntegrityError naming the
-    first differing section or entry.
+    the channel cap, one million channels (1,321,000,758 bytes), raises
+    CapacityError before it is decoded. The returned value is rebuilt
+    from the document's (g, m, n), and every other section must equal
+    the rebuilt fabric's exactly, integers as integers, so it passes
+    every analysis check like a freshly built fabric. Structural problems
+    raise ParseError with a JSON path, and outrank any disagreement; a
+    well-formed document whose sections disagree with its own parameters
+    raises IntegrityError naming the first differing section or entry.
 
     The input is walked once, against the fabric that the ``awg_bank``
     before its first list names, a rendered chunk of its lists at a
@@ -709,17 +702,20 @@ def parse_topology(
     differs, and the text that json.loads words an error from are. So a
     canonical read holds about one chunk of the writer's beside its
     input. Other ``bytes`` are decoded as UTF-8 first, a ``str`` is
-    walked as it is, and another buffer (``bytearray``, ``memoryview``)
-    is read as a copy of its bytes. Input that ``str.strip()`` would
-    leave empty is a ParseError("empty input"), told apart on the
-    error path: a blank ASCII input costs one decode of itself there, as
-    every malformed input does, within the input budget.
+    walked as it is, a subclass of either is read as its base type, and
+    another buffer (``bytearray``, ``memoryview``) is read as a copy of
+    its bytes. Input that ``str.strip()`` would leave empty is a
+    ParseError("empty input"), told apart on the error path: a blank
+    ASCII input costs one decode of itself there, as every malformed
+    input does, within the input budget.
     """
     view = None if isinstance(data, (bytes, str)) else memoryview(data)  # another buffer
     check_cap("input of {count} bytes is over the budget of {cap} bytes for the cap of {} "
               "channels", len(data) if view is None else view.nbytes,
-              _document_budget(max_channels), max_channels)
-    source = data if view is None else view.tobytes()  # read as the bytes it holds
+              _document_budget(), DEFAULT_CHANNEL_CAP)
+    # a subclass as its base type (exact bytes and str slice to themselves, uncopied),
+    # another buffer as the bytes it holds
+    source = data[:] if view is None else view.tobytes()
     if isinstance(source, bytes) and not source.isascii():  # ASCII bytes are walked in place
         try:
             source = source.decode("utf-8")
@@ -727,7 +723,7 @@ def parse_topology(
             raise ParseError(f"invalid UTF-8: {exc}") from None
     text = _Text(source)
     try:
-        doc, topology = _walk(text, max_channels)
+        doc, topology = _walk(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError or an over-long integer too
         whole = source if isinstance(source, str) else source.decode("ascii")
         if not whole or whole.isspace():  # what str.strip() would leave empty
@@ -741,7 +737,7 @@ def parse_topology(
     shape, failure = topology and topology.params.input_radices, None  # (g, m, n)
     if (params := tuple(doc["params"][key] for key in "gmn")) != shape:
         topology = None  # dropped before the fabric the params name is built
-        topology, failure = _build(params, max_channels)
+        topology, failure = _build(params)
         surveys = {key: value for key, value in doc.items() if isinstance(value, _Survey)}
         # walk the lists against it, unless a structural problem in them settles the outcome
         if topology is not None and all(s.problem is None for s in surveys.values()):

@@ -344,9 +344,7 @@ def trace_channel(
     return _route_trace(params, group, port, q, (port, q, origin), wavelength)
 
 
-def build_network(
-    g: int, m: int, n: int, *, max_channels: int = DEFAULT_CHANNEL_CAP
-) -> Topology:
+def build_network(g: int, m: int, n: int) -> Topology:
     """Construct the fabric W(g, m, n) with its full channel permutation.
 
     Channel (a, b, c) is the wavelength that router input a connects to
@@ -366,12 +364,12 @@ def build_network(
     InvalidChannelError or DomainError (through the router's labeling
     laws, at the first offending input and wavelength) when the router
     law leaves a carried wavelength dark, without an originating input
-    or out of range, and CapacityError when g*m*n exceeds
-    ``max_channels`` (default one million channels).
+    or out of range, and CapacityError when g*m*n exceeds the channel
+    cap, one million (``DEFAULT_CHANNEL_CAP``).
     """
     params = NetworkParams(g, m, n)
     check_cap("W({},{},{}) has {count} channels, over the cap of {cap}",
-              params.channel_count, max_channels, g, m, n)
+              params.channel_count, DEFAULT_CHANNEL_CAP, g, m, n)
     awg_spec = params.awg_spec
     lambdas = params.lambda_count
     # the wiring law: port b of group a feeds input a of router b, whose

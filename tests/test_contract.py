@@ -8,7 +8,7 @@ exception may escape. Returning is allowed: ``resource_metrics`` and
 ``trace_channel`` accept dimensions of any size.
 
 No case builds more than 10**4 channels or starts a process: the cap is
-passed only where the call refuses it, or with ``max_channels`` lowered.
+passed only where the call refuses it.
 The file also runs under ``python -X int_max_str_digits=640``, where
 10**4000 does not print either.
 """
@@ -38,9 +38,7 @@ from awgshuffle import (
     left_cyclic_shift,
     mixed_radix_decode,
     mixed_radix_encode,
-    parse_topology,
     resource_metrics,
-    serialize_topology,
     shuffle_map,
     shuffle_perm_decimal,
     trace,
@@ -55,11 +53,9 @@ from awgshuffle import (
 VALUES = [0, -1, True, 2.0, DEFAULT_CHANNEL_CAP, DEFAULT_CHANNEL_CAP + 1, 10**4000, 10**5000]
 VALUE_IDS = ["0", "-1", "True", "2.0", "cap", "cap+1", "10**4000", "10**5000"]
 
-LOW_CAP = 10**4  # the most channels a case may build
 SPEC33 = AwgSpec(3, 3)
 W323 = NetworkParams(3, 2, 3)
 W323_FABRIC = build_network(3, 2, 3)
-W323_JSON = serialize_topology(W323_FABRIC)
 ADDR33 = ChannelAddress((0, 0), (3, 3))
 ADDR22 = (ChannelAddress((0, 0), (2, 2)), ChannelAddress((0, 1), (2, 2)))
 
@@ -105,8 +101,6 @@ CASES = {
     # inputs*outputs is twice the cap or more
     "awg_permutation-spec-inputs": lambda v: awg_permutation(AwgSpec(v, 2)),
     "awg_permutation-spec-outputs": lambda v: awg_permutation(AwgSpec(2, v)),
-    "parse_topology-max_channels-empty": lambda v: parse_topology(b"{}", max_channels=v),
-    "parse_topology-max_channels-w323": lambda v: parse_topology(W323_JSON, max_channels=v),
     "ShuffleSpec-g": lambda v: ShuffleSpec(v, 3),
     "ShuffleSpec-l": lambda v: ShuffleSpec(3, v),
     "shuffle_perm_decimal-spec": lambda v: shuffle_perm_decimal(ShuffleSpec(v, 2)),
@@ -122,10 +116,10 @@ CASES = {
     "Topology.fiber_wavelengths-group": lambda v: W323_FABRIC.fiber_wavelengths(v, 0),
     "Topology.fiber_wavelengths-port": lambda v: W323_FABRIC.fiber_wavelengths(0, v),
     "Topology.channel-index": lambda v: W323_FABRIC.channel(v),
-    "build_network-g": lambda v: build_network(v, 1, 1, max_channels=LOW_CAP),
-    "build_network-m": lambda v: build_network(1, v, 1, max_channels=LOW_CAP),
-    "build_network-n": lambda v: build_network(1, 1, v, max_channels=LOW_CAP),
-    "build_network-max_channels": lambda v: build_network(3, 2, 3, max_channels=v),
+    # as for verify: g*m*n is twice the cap or more, or a dimension is refused, before a build
+    "build_network-g": lambda v: build_network(v, 2, 1),
+    "build_network-m": lambda v: build_network(2, v, 1),
+    "build_network-n": lambda v: build_network(2, 1, v),
     "fiber_wavelengths-group": lambda v: fiber_wavelengths(W323, v),
     "fiber_wavelengths-params": lambda v: fiber_wavelengths(NetworkParams(v, 2, 3), 0),
     "trace-group": lambda v: trace(W323_FABRIC, v, 0, 0),

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import subprocess
 import sys
 import weakref
@@ -130,11 +131,11 @@ class TestBuild:
             build_network(1, -2, 1)
 
     def test_capacity_cap(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"^W\(100,101,100\) has 1010000 channels, "
+                           r"over the cap of 1000000$"):
             build_network(100, 101, 100)
-        # explicit caps are honored
-        with pytest.raises(CapacityError):
-            build_network(3, 2, 3, max_channels=17)
+        # one cap for every caller: a build takes no cap of its own
+        assert list(inspect.signature(build_network).parameters) == ["g", "m", "n"]
 
     def test_rejects_a_router_that_routes_past_its_outputs(self, monkeypatch):
         monkeypatch.setattr(
