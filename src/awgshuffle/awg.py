@@ -23,7 +23,8 @@ scalar operations are the one-entry case, after validating each index;
 :func:`awg_route_rows` validates a range of inputs by its ends and then
 applies both laws to all of their rows, which is how the two-stage
 fabric's build routes a block of router inputs and, at the routed
-outputs, reads back their origins.
+outputs, reads back their origins, and how :func:`awg_permutation`
+routes every input of one router.
 The fabric's trace and its build guard label through this module: a
 trace takes the routed output from the input label and the originating
 input from the output label, and the guard raises through both.
@@ -34,7 +35,7 @@ concurrent use.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 
 from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue, _setattr
@@ -153,22 +154,19 @@ def awg_permutation(spec: AwgSpec) -> dict[ChannelAddress, ChannelAddress]:
     """Total input-channel to output-channel mapping of one router.
 
     Built by actually routing every valid channel, not by assuming the
-    digit-exchange law: for each input ``p`` and output ``low`` in
-    ascending order, the wavelength :func:`awg_wavelength` assigns to
-    that pair is routed by :func:`awg_route` and labeled at its exit.
+    digit-exchange law: one :func:`awg_route_rows` call over all inputs,
+    as the fabric's build makes for a block of them, gives the wavelength
+    that connects each input ``p`` to each output ``low`` and the output
+    it routes to, where :func:`label_output_channel` labels its exit.
     The exchange is asserted over this result by the test suite and the
     analysis module. The mapping covers all inputs * outputs valid
     channels, keyed in ascending address order, and is a bijection.
-    Raises CapacityError when they exceed the default channel cap.
+    Raises CapacityError, before routing, when they exceed the default
+    channel cap.
     """
-    channels = spec.inputs * spec.outputs
     check_cap("AwgSpec({},{}) has {count} channels, over the cap of {cap}",
-              channels, DEFAULT_CHANNEL_CAP, spec.inputs, spec.outputs)
-    radices = (spec.inputs, spec.outputs)
-    mapping: dict[ChannelAddress, ChannelAddress] = {}
-    for p in range(spec.inputs):
-        for low in range(spec.outputs):
-            i = awg_wavelength(spec, p, low)
-            q = awg_route(spec, p, i)
-            mapping[ChannelAddress((p, low), radices)] = label_output_channel(spec, q, i)
-    return mapping
+              spec.inputs * spec.outputs, DEFAULT_CHANNEL_CAP, spec.inputs, spec.outputs)
+    _, carried, routed = awg_route_rows(spec, range(spec.inputs))
+    keys = map(ChannelAddress, product(range(spec.inputs), range(spec.outputs)),
+               repeat((spec.inputs, spec.outputs)))
+    return dict(zip(keys, map(label_output_channel, repeat(spec), routed, carried)))

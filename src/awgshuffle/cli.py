@@ -123,19 +123,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     params = NetworkParams(args.g, args.m, args.n)
     tr = trace_channel(params, args.group, args.port, args.wavelength)
-    w = tr.wavelength
-    print(
-        f"input : group {tr.input_locus.device}, port {tr.input_locus.port}, "
-        f"l{w}  addr {tr.input_addr}"
-    )
-    print(
-        f"middle: awg {tr.middle_locus.device}, input {tr.middle_locus.port}, "
-        f"l{w}  addr {tr.middle_addr}"
-    )
-    print(
-        f"output: awg {tr.output_locus.device}, output {tr.output_locus.port}, "
-        f"l{w}  addr {tr.output_addr}"
-    )
+    stages = (("input ", "group", "port", tr.input_locus, tr.input_addr),
+              ("middle", "awg", "input", tr.middle_locus, tr.middle_addr),
+              ("output", "awg", "output", tr.output_locus, tr.output_addr))
+    for stage, device, port, locus, addr in stages:
+        print(f"{stage}: {device} {locus.device}, {port} {locus.port}, l{locus.wavelength}  "
+              f"addr {addr}")
     print(f"path: {tr.input_addr} -> {tr.middle_addr} -> {tr.output_addr}")
     return 0
 

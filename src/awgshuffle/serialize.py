@@ -459,6 +459,8 @@ class _Text:
     ASCII bytes have their text's offsets, so the walk skips whitespace,
     tests punctuation and compares chunks on the bytes themselves, and
     decodes only what ``scanstring`` and ``raw_decode`` read (:meth:`scan`).
+    The punctuation between values is read by :meth:`token`, the one step
+    that finds it out of place.
     """
 
     __slots__ = ("source", "space", "marks", "start", "window")
@@ -475,6 +477,15 @@ class _Text:
     def at(self, pos: int, mark: str) -> bool:
         """Whether the punctuation ``mark`` stands at ``pos``."""
         return self.source.startswith(self.marks[mark], pos)
+
+    def token(self, pos: int, *marks: str) -> tuple[str, int]:
+        """Which of ``marks`` stands at the first token at or after ``pos``, and the offset
+        past it. Any other text there is out of place: ValueError, which json.loads words."""
+        pos = self.skip(pos)
+        for mark in marks:
+            if self.at(pos, mark):
+                return mark, pos + 1
+        raise ValueError
 
     def scan(self, scanner: Callable[[str, int], tuple[Any, int]], pos: int) -> tuple[Any, int]:
         """``scanner(text, offset)`` of the value at ``pos``, its end an offset of the input.
@@ -527,11 +538,12 @@ def _survey(
     """Walk the list at ``start`` in document order; return what it holds and where it ends.
 
     The fabric's entries are the writer's chunks (``_lists``), decoded
-    for ``str`` input. A chunk is passed whole, or the run of whole
-    entries before the first character it differs in; the entry after
-    such a run is passed if the input holds its text, else decoded,
-    validated, compared with the fabric's and dropped. Without a fabric
-    each entry is only validated.
+    for ``str`` input. A chunk is passed whole, or the run of entries
+    before the first character it differs in, an entry counting as held
+    once its own text, to its "}", is held; the entry after such a run
+    is decoded, validated, compared with the fabric's and dropped.
+    Without a fabric each entry is only validated. The "," or "]" after
+    an entry, or a run, is read by :meth:`_Text.token`.
     """
     source = text.source
     chunks = iter(()) if topology is None else _lists(topology)[section]
@@ -551,20 +563,18 @@ def _survey(
                     else _held(source, pos, chunk, at))
             if at + held == len(chunk):  # every entry left
                 end, size = at + held, left
-            elif (end := chunk.rfind(seam, at, at + held + len(seam) - _CLOSE - 1)) >= 0:
-                end += _CLOSE  # whole entries, each with the "," after it
+            elif (end := chunk.rfind(seam, at, at + held + len(seam) - _CLOSE)) >= 0:
+                end += _CLOSE  # whole entries, each held to its "}"
                 size = chunk.count(seam, at, end) + 1
             else:  # the next entry alone
                 end = len(chunk) if left == 1 else chunk.find(seam, at) + _CLOSE
                 piece, at, left = chunk[at:end], end + 1, left - 1
         if size:  # passed as one entry
             pos, at, left, count = pos + end - at, end + 1, left - size, count + size - 1
-        elif piece is not None and source.startswith(piece, pos):
-            pos += len(piece)
         else:
             pos = text.skip(pos)
             if not count and text.at(pos, "]"):
-                break  # an empty list
+                return _Survey(start, 0, None, None), pos + 1  # an empty list
             value, pos = text.scan(_DECODE, pos)
             if problem is None:
                 try:
@@ -577,14 +587,9 @@ def _survey(
                 if value != json.loads(piece):
                     mismatch = count
         count += 1
-        if not text.at(pos, ","):  # a canonical "," follows at once
-            pos = text.skip(pos)
-            if text.at(pos, "]"):
-                break
-            if not text.at(pos, ","):
-                raise ValueError  # out of place: json.loads words it
-        pos += 1
-    return _Survey(start, count, problem, mismatch), pos + 1
+        mark, pos = text.token(pos, ",", "]")
+        if mark == "]":
+            return _Survey(start, count, problem, mismatch), pos
 
 
 def _walk(text: _Text) -> tuple[Any, Topology | None]:
@@ -595,7 +600,9 @@ def _walk(text: _Text) -> tuple[Any, Topology | None]:
     as json.loads does. Every list is surveyed against the fabric fixed
     at the first: W(inputs, count, outputs) of the ``awg_bank`` decoded by
     then, if it builds within the channel cap. Any other top-level value
-    is decoded whole. The walk raises at the first text the decoder rejects.
+    is decoded whole. The walk raises at the first text the decoder
+    rejects: a value it scans, punctuation out of place (``_Text.token``),
+    or data after the document.
     """
     pos = text.skip(0)
     topology = None
@@ -603,15 +610,10 @@ def _walk(text: _Text) -> tuple[Any, Topology | None]:
         doc, pos = text.scan(_DECODE, pos)
     else:
         doc, fixed = {}, False
-        pos = text.skip(pos + 1)
-        while doc or not text.at(pos, "}"):  # an empty object closes at once
-            if not text.at(pos, '"'):
-                raise ValueError  # out of place: json.loads words it
-            key, pos = text.scan(scanstring, pos + 1)
-            pos = text.skip(pos)
-            if not text.at(pos, ":"):
-                raise ValueError  # out of place: json.loads words it
-            pos = text.skip(pos + 1)
+        mark, pos = text.token(pos + 1, '"', "}")  # an empty object closes at once
+        while mark == '"':
+            key, pos = text.scan(scanstring, pos)
+            pos = text.skip(text.token(pos, ":")[1])
             if key in _ENTRY_SKELETONS and text.at(pos, "["):
                 if not fixed:  # a bank that does not build leaves the error to the params
                     bank, fixed = doc.get("awg_bank"), True
@@ -621,13 +623,9 @@ def _walk(text: _Text) -> tuple[Any, Topology | None]:
                 doc[key], pos = _survey(text, pos, key, topology)
             else:
                 doc[key], pos = text.scan(_DECODE, pos)
-            pos = text.skip(pos)
-            if text.at(pos, "}"):
-                break
-            if not text.at(pos, ","):
-                raise ValueError  # out of place: json.loads words it
-            pos = text.skip(pos + 1)
-        pos += 1
+            mark, pos = text.token(pos, ",", "}")
+            if mark == ",":
+                mark, pos = text.token(pos, '"')
     if text.skip(pos) != len(text.source):
         raise ValueError  # data after the document: json.loads words it
     return doc, topology

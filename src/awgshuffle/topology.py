@@ -199,8 +199,7 @@ class _ChannelPerm(_View, Mapping):
         p = self.fabric.params
         if type(addr) is not ChannelAddress or addr.radices != p.input_radices:
             raise KeyError(addr)
-        output = mixed_radix_decode(self.fabric.outputs[addr.decimal], p.output_radices)
-        return ChannelAddress(output, p.output_radices)
+        return self.fabric.channel(addr.decimal).output_addr
 
 
 class Topology(_FrozenValue):
@@ -236,8 +235,6 @@ class Topology(_FrozenValue):
             if set(map(type, values)) != {int}:  # 0.5, True and '1' are no channel index
                 odd = next(v for v in values if type(v) is not int)
                 raise DomainError(f"{name} entries must be integers, got {odd!r}")
-            if name == "wavelengths":
-                values = set(values)  # few distinct values: the same range, read faster
             if min(values) < 0 or max(values) >= bound:
                 raise DomainError(_format("{} entries must lie in [0, {})", name, bound))
 
@@ -252,14 +249,13 @@ class Topology(_FrozenValue):
         return tuple(_cable_rows(self.params))
 
     def channel(self, index: int) -> RouteTrace:
-        """Trace of decimal input channel ``index``, built from the tuples."""
+        """Trace of decimal input channel ``index``: its input digits (a, b, c) and its
+        decimal output's digits (router, q, origin), each decoded from the tuples once."""
         p = self.params
         check_index("channel {value} out of range for {bound} channels", index, p.channel_count)
-        group_port, c = divmod(index, p.n)
-        a, b = divmod(group_port, p.m)
-        router_output, origin = divmod(self.outputs[index], p.g)
-        router, q = divmod(router_output, p.n)
-        return _route_trace(p, a, b, c, (router, q, origin), self.wavelengths[index])
+        output = mixed_radix_decode(self.outputs[index], p.output_radices)
+        return _route_trace(p, *mixed_radix_decode(index, p.input_radices), output,
+                            self.wavelengths[index])
 
     @cached_property
     def channels(self) -> Sequence[RouteTrace]:

@@ -223,22 +223,40 @@ class TestPermutation:
         assert len(set(perm.values())) == 18
 
     def test_enumeration_and_labels_route_through_the_router_law(self, awg36, monkeypatch):
-        # a router that reads its input port off by one (wrapping at its 3
-        # inputs) still permutes the 18 channels, but not as S(3, 6)
+        # the permutation routes through the row law the fabric's build uses, once for
+        # all inputs, and makes no scalar awg_route or awg_wavelength call
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+
+            monkeypatch.setattr(awg_module, name, wrapper)
+
         def outputs(perm):
             return [perm[src].decimal for src in perm]
 
+        route_rows = awg_module.awg_route_rows
+        for name in ("awg_route_rows", "awg_route", "awg_wavelength"):
+            counted(name, getattr(awg_module, name))
         shuffle = shuffle_perm_decimal(ShuffleSpec(3, 6))
         assert outputs(awg_permutation(awg36)) == shuffle
-        monkeypatch.setattr(
-            awg_module,
-            "awg_route",
-            lambda spec, p, i: (i - (p + 1) % spec.inputs) % spec.lambda_count,
-        )
+        assert calls == ["awg_route_rows"]
+
+        # a row law that reads each input port off by one (wrapping at the 3 inputs)
+        # still permutes the 18 channels, but not as S(3, 6)
+        def misread(spec, inputs):
+            ports, carried, _ = route_rows(spec, inputs)
+            shifted = [(p + 1) % spec.inputs for p in ports]
+            return ports, carried, awg_module._route_row(spec.lambda_count, shifted, carried)
+
+        counted("awg_route_rows", misread)
+        del calls[:]
         mutant = outputs(awg_permutation(awg36))
+        assert calls == ["awg_route_rows"]
         assert sorted(mutant) == list(range(18))
         assert mutant != shuffle
-        assert label_input_channel(awg36, 0, 0) == ChannelAddress((0, 5), (3, 6))
 
     def test_per_wavelength_injectivity(self):
         for inputs in range(1, 9):

@@ -213,8 +213,18 @@ class TestParseErrors:
             assert _ending(parse_topology, Sub(data)) == _outcome(data)
         assert parse_topology(Sub(inputs[0])) == w323
 
-    def test_invalid_json(self):
+    def test_invalid_json(self, w323):
         _fails(b"{nope", ParseError, "invalid JSON")
+        # punctuation out of place, at the top level and in a list, ends as json.loads words it
+        doc = serialize_topology(w323, "json")
+        for old, new in [(b'"awg_bank": ', b'"awg_bank":: '),  # "::" after a key
+                         (b'"1"\n}', b'"1",\n}'),  # a "," before "}"
+                         (b"}\n  ],", b"},\n  ],"),  # a "," before "]"
+                         (b"},\n    {", b"}\n    {")]:  # two entries with no "," between them
+            edited = doc.replace(old, new, 1)
+            assert edited != doc
+            for data in (edited, edited.decode()):
+                _fails(data, ParseError, "^invalid JSON: ")
 
     def test_invalid_utf8(self):
         _fails(b'{"schema_version": "\xff"}', ParseError, "invalid UTF-8")
@@ -835,6 +845,10 @@ class TestLocalizedEdits:
         real = serialize._DECODE
         monkeypatch.setattr(serialize, "_DECODE", decode)
         assert _outcome(doc) == t and decoded == []
+        # a space before every entry's ",": each entry's own text is still the fabric's
+        spaced = doc.replace(b"},\n    {", b"} ,\n    {")
+        for data in (spaced, spaced.decode()):
+            assert _outcome(data) == t and decoded == []
         for k in (0, 700, _BLOCK, len(channels) - 1):
             del decoded[:]
             _fails(_off_by_one(doc, channels[k], b"wavelength"), IntegrityError,
