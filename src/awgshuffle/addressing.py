@@ -175,3 +175,8 @@ class ChannelAddress(_FrozenValue):
 
     def __str__(self) -> str:
         return render_digits(self.digits, self.radices)
+
+
+def _address(index: int, radices: tuple[int, ...]) -> ChannelAddress:
+    """The address of decimal ``index`` under ``radices``: one decode, one address."""
+    return ChannelAddress(mixed_radix_decode(index, radices), radices)

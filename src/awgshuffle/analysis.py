@@ -39,7 +39,7 @@ from math import prod
 from operator import add, eq, floordiv, mul, ne
 
 from . import _all_of
-from .addressing import ChannelAddress, _FrozenValue, mixed_radix_decode
+from .addressing import ChannelAddress, _FrozenValue, _address
 from .errors import DEFAULT_CHANNEL_CAP, DomainError, _format, check_cap, check_positive
 from .shuffle import ShuffleSpec, left_cyclic_shift, shuffle_perm_decimal
 from .topology import NetworkParams, Topology, _ChannelPerm, build_network
@@ -145,10 +145,6 @@ def _check_images(
     first = input_at(images.index(image))
     return CheckResult(CHECK_BIJECTIVITY, False, f"inputs {first} and "
                        f"{input_at(second)} both map to {_address(image, radices)}")
-
-
-def _address(index: int, radices: tuple[int, ...]) -> ChannelAddress:
-    return ChannelAddress(mixed_radix_decode(index, radices), radices)
 
 
 def _fabric_bijectivity(topology: Topology) -> CheckResult:

@@ -123,11 +123,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     params = NetworkParams(args.g, args.m, args.n)
     tr = trace_channel(params, args.group, args.port, args.wavelength)
-    stages = (("input ", "group", "port", tr.input_locus, tr.input_addr),
-              ("middle", "awg", "input", tr.middle_locus, tr.middle_addr),
-              ("output", "awg", "output", tr.output_locus, tr.output_addr))
-    for stage, device, port, locus, addr in stages:
-        print(f"{stage}: {device} {locus.device}, {port} {locus.port}, l{locus.wavelength}  "
+    stages = (("input ", "group", "port", tr.input_addr),
+              ("middle", "awg", "input", tr.middle_addr),
+              ("output", "awg", "output", tr.output_addr))
+    for stage, device, port, addr in stages:  # a stage's locus: its first two digits
+        print(f"{stage}: {device} {addr.digits[0]}, {port} {addr.digits[1]}, l{tr.wavelength}  "
               f"addr {addr}")
     print(f"path: {tr.input_addr} -> {tr.middle_addr} -> {tr.output_addr}")
     return 0

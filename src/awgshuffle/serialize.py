@@ -5,10 +5,11 @@ integers, trailing newline) so serialized artifacts are diff-stable and
 belong in version control. A topology document is rendered straight
 from the fabric's integer tuples, as ASCII bytes in chunks of at most
 _BLOCK whole list entries, from one json.dumps skeleton cable and
-channel with a ``%d`` slot for every integer. The m routers are copies,
-so 19 of a channel's 31 slots repeat in every router row of a group and
-9 hold its router b: a group's first row fills the 19 once into a row
-text of n entries, a placeholder byte for b. A window of whole rows (of
+channel with a ``%d`` slot for every integer; ``_slots`` states the
+order of a channel's 31, once, for both fills. The m routers are copies,
+so 19 of those slots repeat in every router row of a group and 9 hold
+its router b: a group's first row fills the 19 once into a row text of
+n entries, a placeholder byte for b. A window of whole rows (of
 whole groups when m*n <= _BLOCK) whose wavelengths are that row's and
 whose outputs are its outputs plus b*n*g, exactly, is then one chunk:
 one ``bytes.replace`` a row for b and one ``%`` for the input, middle
@@ -23,15 +24,15 @@ decoded whole, except the cable and channel lists: those are walked
 against the fabric that the ``awg_bank`` before them names, a chunk of
 the writer's at a time, and again only when no bank precedes them or the
 params name another. A chunk that is the input's text is passed with one
-comparison. In any other, the entries before the first differing
-character are passed as one run, and the entry that holds it is decoded
-alone, validated and compared with the fabric's, so the comparison is
-type-strict (``true`` or ``1.0`` never stand in for ``1``) while key
-order, whitespace and metadata may differ. The outcome is decided at the
-end: a structural problem anywhere is a ParseError; only then is the
-first disagreeing section or entry an IntegrityError. Text the decoder
-rejects stops the walk where json.loads stops, and json.loads words the
-error.
+comparison, and so is the rest of a chunk after a differing entry. In
+any other, the entries before the first differing character are passed
+as one run, and the entry that holds it is decoded alone, validated and
+compared with the fabric's, so the comparison is type-strict (``true``
+or ``1.0`` never stand in for ``1``) while key order, whitespace and
+metadata may differ. The outcome is decided at the end: a structural
+problem anywhere is a ParseError; only then is the first disagreeing
+section or entry an IntegrityError. Text the decoder rejects stops the
+walk where json.loads stops, and json.loads words the error.
 
 ASCII bytes, which is what the writer produces, are walked in place:
 whitespace, punctuation and chunks are tested on the bytes themselves,
@@ -120,17 +121,26 @@ def _address_skeleton(radices: tuple[int, ...]) -> dict[str, Any]:
 
 
 def _channel_skeleton(p: NetworkParams) -> dict[str, Any]:
-    # rendering sorts the keys, which fixes the slot order _channel_chunks
-    # fills; the order here is the one validation checks them in
-    return {
-        "input": _address_skeleton(p.input_radices),
-        "middle": _address_skeleton(p.middle_radices),
-        "output": _address_skeleton(p.output_radices),
-        "input_locus": _LOCUS_SKELETON,
-        "middle_locus": _LOCUS_SKELETON,
-        "output_locus": _LOCUS_SKELETON,
-        "wavelength": _SLOT,
-    }
+    """A channel entry of ``p``'s document: the input, middle and output addresses, their
+    loci in the same stage order, then the wavelength, the order validation checks them in.
+
+    Rendering sorts the keys, which gives the slot order :func:`_slots` states.
+    """
+    stages = {"input": p.input_radices, "middle": p.middle_radices, "output": p.output_radices}
+    return {**{stage: _address_skeleton(radices) for stage, radices in stages.items()},
+            **{f"{stage}_locus": _LOCUS_SKELETON for stage in stages}, "wavelength": _SLOT}
+
+
+def _slots(stages: Iterable[tuple[Any, Any, Any, Any]], w: Any) -> list[Any]:
+    """What fills a channel entry's 31 ``%d`` slots, in template order, from the (decimal,
+    three digits) of its input, middle and output ``stages`` and its wavelength ``w``.
+
+    Each stage fills its decimal, its digits, the same digits again for
+    its text, then its locus: the first two digits and ``w``. The
+    entry's own wavelength comes last. The values are columns, which the
+    full fill zips, or tokens, which the row template reads.
+    """
+    return [*chain.from_iterable((d, x, y, z, x, y, z, x, y, w) for d, x, y, z in stages), w]
 
 
 def _template(skeleton: dict[str, Any]) -> bytes:
@@ -156,7 +166,10 @@ def _lists(topology: Topology) -> dict[str, Iterator[tuple[bytes, int]]]:
 
 
 def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
-    """The channel entries, in chunks of at most _BLOCK (see the module docstring)."""
+    """The channel entries, in chunks of at most _BLOCK (see the module docstring).
+
+    Both fills, the full one and the row template's, read their slot order from :func:`_slots`.
+    """
     p = topology.params
     g, m, n, gn, mn = p.g, p.m, p.n, p.g * p.n, p.m * p.n
     outputs, wavelengths = topology.outputs, topology.wavelengths
@@ -169,9 +182,8 @@ def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
         middles = map(add, map(mul, map(add, map(mul, bs, repeat(g)), As), repeat(n)), cs)
         routers, origins = [*map(floordiv, outs, repeat(gn))], [*map(mod, outs, repeat(g))]
         qs = [*map(mod, map(floordiv, outs, repeat(g)), repeat(n))]
-        return b",".join(map(mod, repeat(entry), zip(
-            inputs, As, bs, cs, As, bs, cs, As, bs, ws, middles, bs, As, cs, bs, As, cs, bs, As, ws,
-            outs, routers, qs, origins, routers, qs, origins, routers, qs, ws, ws))), i1 - i0
+        stages = ((inputs, As, bs, cs), (middles, bs, As, cs), (outs, routers, qs, origins))
+        return b",".join(map(mod, repeat(entry), zip(*_slots(stages, ws)))), i1 - i0
 
     # the n first-row values of each group in ``first``, repeated for each of ``rows`` rows
     def spread(first: Iterable[Any], rows: int) -> tuple[Any, ...]:
@@ -182,12 +194,13 @@ def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
             yield full(i, min(i + _BLOCK, p.channel_count))
         return
     groups, rows = max(_BLOCK // mn, 1), min(_BLOCK // n, m)  # a window's whole groups or rows
-    # the row template: the router digit b a placeholder byte, the input, middle
-    # and output decimals escaped, so that filling the other 19 slots leaves them open
-    pieces, digits = entry.split(b"%d"), [b"%d" % b for b in range(m)]
-    slots = [b"\0" if k in (2, 5, 8, 11, 14, 17, 21, 24, 27) else b"%%d" if k in (0, 10, 20)
-             else b"%d" for k in range(len(pieces) - 1)]
+    # the row template, from _slots over tokens: router b's slots hold a placeholder byte and
+    # the decimals' ("%") stay escaped, so that filling the other 19 columns leaves them open
+    tokens = _slots((("%", "a", "b", "c"), ("%", "b", "a", "c"), ("%", "b", "q", "o")), "w")
+    unfilled, pieces = {"b": b"\0", "%": b"%%d"}, entry.split(b"%d")
+    slots = (unfilled.get(token, b"%d") for token in tokens)
     row_entry = b"".join(chain.from_iterable(zip(pieces, slots))) + pieces[-1]
+    columns, digits = [t for t in tokens if t not in unfilled], [b"%d" % b for b in range(m)]
     for a0 in range(0, g, groups):
         a1 = min(a0 + groups, g)
         As, cs = [*map(floordiv, range(a0 * n, a1 * n), repeat(n))], [*range(n)] * (a1 - a0)
@@ -195,8 +208,8 @@ def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
         ws = [*map(wavelengths.__getitem__, firsts)]
         relative = [*map(mod, map(outputs.__getitem__, firsts), repeat(gn))]  # q*g + origin
         qs, origins = [*map(floordiv, relative, repeat(g))], [*map(mod, relative, repeat(g))]
-        entries = map(mod, repeat(row_entry), zip(
-            As, cs, As, cs, As, ws, As, cs, As, cs, As, ws, qs, origins, qs, origins, qs, ws, ws))
+        named = {"a": As, "c": cs, "w": ws, "q": qs, "o": origins}
+        entries = map(mod, repeat(row_entry), zip(*map(named.__getitem__, columns)))
         texts = [*map(b",".join, zip(*[entries] * n))]  # each group's row text
         for b0 in range(0, m, rows):
             b1 = min(b0 + rows, m)
@@ -212,8 +225,9 @@ def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
             # middle decimal (b*g + a)*n + c, where a*n + c runs over range(a0*n, a1*n)
             middles = map(add, offsets, spread(range(a0 * n, a1 * n), b1 - b0))
             rendered = chain.from_iterable(map(repeat, texts, repeat(b1 - b0)))
-            yield b",".join(map(bytes.replace, rendered, repeat(b"\0"), digits[b0:b1] * (a1 - a0))) \
-                % tuple(chain.from_iterable(zip(range(i0, i1), middles, outs))), i1 - i0
+            placed = map(bytes.replace, rendered, repeat(b"\0"), digits[b0:b1] * (a1 - a0))
+            decimals = chain.from_iterable(zip(range(i0, i1), middles, outs))
+            yield b",".join(placed) % tuple(decimals), i1 - i0
 
 
 def _params_json(p: NetworkParams) -> dict[str, int]:
@@ -438,8 +452,8 @@ def _document_budget(cap: int = DEFAULT_CHANNEL_CAP) -> int:
     """
     widest = int("9" * len(str(cap)))
     params = NetworkParams(widest, widest, widest)
-    cable = len(_template(_CABLE_SKELETON) % ((widest,) * 4))
-    channel = len(_template(_channel_skeleton(params)) % ((widest,) * 31))
+    cable, channel = (len(entry % ((widest,) * entry.count(b"%d")))
+                      for entry in map(_template, (_CABLE_SKELETON, _channel_skeleton(params))))
     # each list adds "[\n" and "\n  ]", and at most one ",\n" per entry
     frame = sum(map(len, _frame(params))) + 2 * (len("[\n") + len("\n  ]"))
     return frame + cap * (cable + channel + 2 * len(",\n"))
@@ -521,8 +535,15 @@ _CLOSE = len(b"\n    }")  # the first entry's part of the seam
 
 
 def _held(source: str | bytes, pos: int, chunk: str | bytes, at: int) -> int:
-    """How much of ``chunk[at:]`` ``source`` holds at ``pos``: galloping, then bisecting."""
+    """How much of ``chunk[at:]`` ``source`` holds at ``pos``.
+
+    All of it is tested in one comparison, which passes a canonical
+    chunk, or the rest of one after a differing entry. Otherwise the
+    held length is found by galloping, then bisecting.
+    """
     view = memoryview(chunk) if isinstance(chunk, bytes) else chunk  # str slices are copies
+    if source.startswith(view[at:], pos):
+        return len(chunk) - at
     lo, step, grow = 0, 1, True
     while step:  # lo characters are held; the next ``step`` are compared
         held = lo + step <= len(chunk) - at and source.startswith(
@@ -538,7 +559,8 @@ def _survey(
     """Walk the list at ``start`` in document order; return what it holds and where it ends.
 
     The fabric's entries are the writer's chunks (``_lists``), decoded
-    for ``str`` input. A chunk is passed whole, or the run of entries
+    for ``str`` input. A chunk, or its rest after a decoded entry, is
+    measured by :func:`_held` and passed whole, or the run of entries
     before the first character it differs in, an entry counting as held
     once its own text, to its "}", is held; the entry after such a run
     is decoded, validated, compared with the fabric's and dropped.
@@ -559,8 +581,7 @@ def _survey(
             (chunk, left), at = next(chunks, (chunk, 0)), 0
         piece, size = None, 0
         if left:
-            held = (len(chunk) if at == 0 and source.startswith(chunk, pos)
-                    else _held(source, pos, chunk, at))
+            held = _held(source, pos, chunk, at)
             if at + held == len(chunk):  # every entry left
                 end, size = at + held, left
             elif (end := chunk.rfind(seam, at, at + held + len(seam) - _CLOSE)) >= 0:

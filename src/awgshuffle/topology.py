@@ -51,7 +51,7 @@ from itertools import chain, product, repeat, tee
 from operator import add
 
 from . import _all_of
-from .addressing import ChannelAddress, _FrozenValue, _setattr, mixed_radix_decode
+from .addressing import ChannelAddress, _FrozenValue, _address, _setattr, mixed_radix_decode
 from .awg import (
     AwgSpec,
     _route_row,
@@ -189,7 +189,11 @@ class _Channels(_View, Sequence):
 
 
 class _ChannelPerm(_View, Mapping):
-    """Input address to output address of every channel, keys in ascending order."""
+    """Input address to output address of every channel, keys in ascending order.
+
+    A lookup checks the key's type and radices and decodes its output
+    from ``outputs[addr.decimal]``: it builds one address, not a trace.
+    """
 
     def __iter__(self) -> Iterator[ChannelAddress]:
         radices = self.fabric.params.input_radices
@@ -199,7 +203,7 @@ class _ChannelPerm(_View, Mapping):
         p = self.fabric.params
         if type(addr) is not ChannelAddress or addr.radices != p.input_radices:
             raise KeyError(addr)
-        return self.fabric.channel(addr.decimal).output_addr
+        return _address(self.fabric.outputs[addr.decimal], p.output_radices)
 
 
 class Topology(_FrozenValue):
@@ -317,21 +321,22 @@ def trace_channel(
     output and its output label there
     (:func:`~awgshuffle.awg.label_output_channel`) the originating
     input; the wiring law lays out the three addresses. Raises
-    DomainError for an out-of-range locus and InvalidChannelError
-    (naming the fiber's carried set, by its ends past 16 wavelengths)
-    for a wavelength the fiber cannot accept.
+    DomainError for an out-of-range locus and InvalidChannelError for a
+    wavelength the fiber cannot accept. That error names the fiber's
+    carried set, the cyclic run of n wavelengths from output 0's to
+    output n-1's, worked out from those two ends: each wavelength of
+    the run when n <= 16, and the ends of its one or two ascending parts
+    past that.
     """
     _check_fiber(params, group, port)
     awg_spec = params.awg_spec
     try:
         q = label_input_channel(awg_spec, group, wavelength).digits[1]
     except InvalidChannelError:
+        first, last = (awg_wavelength(awg_spec, group, out) for out in (0, params.n - 1))
+        runs = [(first, last)] if first <= last else [(0, last), (first, params.lambda_count - 1)]
         if params.n <= 16:
-            runs = [(w, w) for w in fiber_wavelengths(params, group)]
-        else:  # the cyclic run from output 0's wavelength to output n-1's, by its ends
-            first, last = (awg_wavelength(awg_spec, group, out) for out in (0, params.n - 1))
-            runs = ([(first, last)] if first < last
-                    else [(0, last), (first, params.lambda_count - 1)])
+            runs = [(w, w) for lo, hi in runs for w in range(lo, hi + 1)]
         carried = ", ".join(_format("{}" if lo == hi else "{}, ..., {}", lo, hi) for lo, hi in runs)
         raise InvalidChannelError(_format(
             "wavelength {} is not carried on port {} of group {}; this fiber carries "

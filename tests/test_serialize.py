@@ -856,6 +856,25 @@ class TestLocalizedEdits:
             # the entry's own text, without the indent before its "{"
             assert decoded == [channels[k][1] - channels[k][0] - 4]
 
+    def test_the_rest_of_a_chunk_is_held_in_one_comparison(self):
+        # all of a chunk from its next entry on is compared at once, also after a
+        # differing entry; a part that differs is measured exactly
+        calls = []
+
+        class Source(bytes):  # counts the comparisons
+            def startswith(self, prefix, pos):
+                calls.append(len(prefix))
+                return bytes.startswith(self, prefix, pos)
+
+        chunk = next(serialize._lists(build_network(3, 2, 3))["channels"])[0]
+        for at in (0, 1, 500, len(chunk) - 1):
+            del calls[:]
+            assert serialize._held(Source(b"xx" + chunk[at:]), 2, chunk, at) == len(chunk) - at
+            assert calls == [len(chunk) - at]
+            for held in {0, 1, 2, 37, len(chunk) - at - 1} & set(range(len(chunk) - at)):
+                source = Source(b"xx" + chunk[at:at + held] + b"\0" + chunk[at + held + 1:])
+                assert serialize._held(source, 2, chunk, at) == held
+
     def test_tamper_at_a_block_boundary_decodes_that_entry_alone(self, monkeypatch):
         # W(16,16,12): 3,072 channels in chunks of whole groups; a tamper in a
         # chunk's first or last entry leaves the rest of that chunk a run

@@ -286,10 +286,14 @@ class TestChannelLabels:
             "this fiber carries wavelengths {0, 1}"
         )
 
-    def test_a_fiber_of_more_than_16_wavelengths_is_named_by_its_ends(self):
-        # the carried set is a cyclic run of n wavelengths from the group:
-        # one ascending run, or two when it wraps past lambda_count - 1
+    def test_a_fiber_s_carried_set_is_named_by_its_cyclic_run(self):
+        # the carried set is a cyclic run of n wavelengths from the group: one
+        # ascending run, or two when it wraps past lambda_count - 1; up to 16 are
+        # each listed, and past that each run is named by its ends
         cases = [
+            (NetworkParams(5, 1, 3), 4, 2, "{0, 1, 4}"),
+            (NetworkParams(20, 1, 16), 10, 6,
+             "{0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}"),
             (NetworkParams(4_000_000, 1, 2_000_000), 0, 3_000_000, "{0, ..., 1999999}"),
             (NetworkParams(20, 1, 17), 10, 7, "{0, ..., 6, 10, ..., 19}"),
             (NetworkParams(20, 1, 17), 4, 1, "{0, 4, ..., 19}"),
@@ -303,6 +307,16 @@ class TestChannelLabels:
                 f"{group}; this fiber carries wavelengths {carried}"
             )
             assert len(str(err.value)) < 200
+        for g in range(2, 18):  # up to 16 listed: the fiber's wavelengths, ascending
+            for n in range(1, g):  # g > n: wavelengths dark at every input
+                params = NetworkParams(g, 1, n)
+                for group in range(g):
+                    carried = fiber_wavelengths(params, group)
+                    dark = min(set(range(g)) - set(carried))
+                    with pytest.raises(InvalidChannelError) as err:
+                        trace_channel(params, group, 0, dark)
+                    assert str(err.value).endswith(
+                        f"carries wavelengths {{{', '.join(map(str, carried))}}}")
 
     def test_output_rejects_unreachable_wavelength(self, monkeypatch):
         # a router law one output early sends wavelength 1 at input 1 to
@@ -445,6 +459,16 @@ class TestChannelView:
                 w323.channels[index]
         with pytest.raises(TypeError):
             w323.channels["1"]
+
+    def test_a_lookup_builds_one_address(self, monkeypatch, w323):
+        built = []
+        check = ChannelAddress.__post_init__
+        monkeypatch.setattr(ChannelAddress, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        key, want = addr((1, 0, 2), (3, 2, 3)), addr((0, 2, 1), (2, 3, 3))
+        built.clear()
+        assert w323.channel_perm[key] == want
+        assert built == [want]  # the output address, and no trace of three
 
     def test_views_at_the_cap_cost_neither_time_nor_memory(self, child_env):
         # W(100,100,100): materialised, the two views took 23 s and 888 MB
