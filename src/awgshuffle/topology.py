@@ -8,8 +8,10 @@ router yields the fabric's permutation over the N = g*m*n wavelength
 channels. The routers are identical, so the build routes the carried
 wavelengths of each router input once, a block of inputs per call of
 :func:`~awgshuffle.awg.awg_route_rows`, checks that block's range, and
-places each row at every router by the wiring law. A fabric built that
-way is in range by construction, so the build skips the
+places each row at every router by the wiring law: the law's row of
+input a is the run a, a + g, ..., and the router offsets continue it,
+so the input's outputs at all m routers are one ``range``. A fabric
+built that way is in range by construction, so the build skips the
 constructor's O(N) length, type and range checks, which every other
 construction still runs. A built fabric is its shape plus two flat
 integer tuples indexed by decimal input channel: the decimal output
@@ -283,9 +285,11 @@ def _built(
 
     The tuples are in range by construction: the build checks each row
     (a block of them at a time) before placing it, so every row entry
-    q*g + origin is below n*g, every wiring-law offset is at most N - n*g, and every wavelength is
-    below lambda_count; and it places g*m rows of n ints each. Every
-    other construction runs the checks.
+    q*g + origin is below n*g and every wavelength is below lambda_count.
+    A run placed as one range starts at row[0] = origin < g, so its last
+    entry row[0] + (m*n - 1)*g is below N; any other row adds each entry
+    to a wiring-law offset of at most N - n*g. It places g*m rows of n
+    ints each. Every other construction runs the checks.
     """
     topology = object.__new__(Topology)
     _setattr(topology, "params", params)
@@ -354,33 +358,35 @@ def build_network(g: int, m: int, n: int) -> Topology:
     :func:`~awgshuffle.awg.awg_route_rows` call per block of whole router
     inputs (at least _BLOCK entries, a bound on the working lists, or one
     input when n is larger) gives the n carried wavelengths of each input
-    and the outputs they route to, and one ``map`` adds an input's row of
-    router outputs, repeated m times, to the m*n router offsets of the
-    wiring law, placing the row at every router. Before a block is
-    placed, its routed outputs are checked to lie in [0, n), the inputs
-    they lead back to in [0, g) and its wavelengths in [0, lambda_count);
-    that check, O(g*n) in all, puts every entry of the two tuples in
-    range, so the fabric is made without the constructor's O(N) range
-    checks. Raises DomainError for non-positive dimensions,
-    InvalidChannelError or DomainError (through the router's labeling
-    laws, at the first offending input and wavelength) when the router
-    law leaves a carried wavelength dark, without an originating input
-    or out of range, and CapacityError when g*m*n exceeds the channel
-    cap, one million (``DEFAULT_CHANNEL_CAP``).
+    and the outputs they route to. The wiring law places an input's row
+    at router b from offset b*n*g. When a block's rows are the router
+    law's own (each input's n wavelengths route to outputs 0, ..., n-1
+    and lead back to that input), the row of input a is a, a + g, ...,
+    (n-1)*g + a, which the offsets continue, so its outputs at all m
+    routers are one ``range(a, a + N, g)``; any other block is placed a
+    channel at a time, each row entry plus its router's offset. Before
+    a block is placed, its routed outputs are checked to lie in [0, n),
+    the inputs they lead back to in [0, g) and its wavelengths in
+    [0, lambda_count); that check, O(g*n) in all, puts every entry of
+    the two tuples in range, so the fabric is made without the
+    constructor's O(N) range checks. Raises DomainError for non-positive
+    dimensions, InvalidChannelError or DomainError (through the router's
+    labeling laws, at the first offending input and wavelength) when the
+    router law leaves a carried wavelength dark, without an originating
+    input or out of range, and CapacityError when g*m*n exceeds the
+    channel cap, one million (``DEFAULT_CHANNEL_CAP``).
     """
     params = NetworkParams(g, m, n)
     check_cap("W({},{},{}) has {count} channels, over the cap of {cap}",
               params.channel_count, DEFAULT_CHANNEL_CAP, g, m, n)
     awg_spec = params.awg_spec
     lambdas = params.lambda_count
-    # the wiring law: port b of group a feeds input a of router b, whose
-    # outputs start at b*n*g, so channel (a, b, c) lands at b*n*g + row[c]
-    offsets = [b * n * g for b in range(m) for _ in range(n)]
     outputs: list[int] = []
     wavelengths: list[int] = []
     inputs, per_block = range(g), -(-_BLOCK // n)  # whole inputs, at least _BLOCK entries
     for start in range(0, g, per_block):
-        ports, carried, routed = awg_route_rows(awg_spec, inputs[start:start + per_block])
+        block = inputs[start:start + per_block]
+        ports, carried, routed = awg_route_rows(awg_spec, block)
         origins = _route_row(lambdas, routed, carried)
         if (min(routed) < 0 or max(routed) >= n or max(origins) >= g
                 or min(carried) < 0 or max(carried) >= lambdas):
@@ -390,9 +396,18 @@ def build_network(g: int, m: int, n: int) -> Topology:
                     # range, dark, or routed past the outputs or inputs
                     label_input_channel(awg_spec, a, w)
                     label_output_channel(awg_spec, q, w)
-        rows = [q * g + origin for q, origin in zip(routed, origins)]
-        for k in range(0, len(rows), n):  # each input's row, placed at the m routers
-            outputs.extend(map(add, offsets, rows[k:k + n] * m))
+        # the wiring law: port b of group a feeds input a of router b, whose
+        # outputs start at b*n*g, so channel (a, b, c) lands at b*n*g + row[c]
+        if routed == list(range(n)) * len(block) and origins == ports:
+            # the law's own rows: input a's row a, g + a, ..., (n-1)*g + a is a run
+            # of stride g that the offsets continue, one range over its m*n outputs
+            placed = (range(a, a + g * m * n, g) for a in block)
+        else:  # a mis-wired row: each entry, at each router, plus that router's offset
+            offsets = [b * n * g for b in range(m) for _ in range(n)]
+            rows = [q * g + origin for q, origin in zip(routed, origins)]
+            placed = (map(add, offsets, rows[k:k + n] * m) for k in range(0, len(rows), n))
+        for k, row in zip(range(0, len(carried), n), placed):  # each input, at the m routers
+            outputs.extend(row)
             wavelengths.extend(carried[k:k + n] * m)
     return _built(params, tuple(outputs), tuple(wavelengths))
 

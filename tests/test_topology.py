@@ -191,6 +191,30 @@ class TestBuild:
         assert str(err.value) == "wavelength index 5500 out of range for 5000 wavelengths"
         assert blocks == [range(0, 4096), range(4096, 5000)]
 
+    def test_a_row_that_is_no_run_is_placed_channel_by_channel(self, monkeypatch):
+        # W(4,3,4) with routed outputs 1 and 2 of input 1 swapped: every origin
+        # stays below g = lambda_count, so the row passes the range check, but
+        # it is (1, 8, 6, 13), no run of stride g, and each of its channels
+        # lands at its router's offset plus its own row entry
+        g, m, n = 4, 3, 4
+
+        def row(spec, inputs):
+            ports, carried, routed = awg_route_rows(spec, inputs)
+            routed[n + 1], routed[n + 2] = routed[n + 2], routed[n + 1]
+            return ports, carried, routed
+
+        monkeypatch.setattr(topology, "awg_route_rows", row)
+        _, carried, routed = row(AwgSpec(g, n), range(g))
+        rows = [q * g + (w - q) % g for w, q in zip(carried, routed)]
+        assert rows[n:2 * n] == [1, 8, 6, 13]
+        t = build_network(g, m, n)
+        assert t.outputs == tuple(b * n * g + rows[a * n + c]
+                                  for a in range(g) for b in range(m) for c in range(n))
+        assert t.wavelengths == reference_arrays(g, m, n)[1]
+        oracle = verify_shuffle_equivalence(g, m, n).checks[0]
+        assert (oracle.name, oracle.passed) == ("oracle-equivalence", False)
+        assert oracle.counterexample == "input 101 reaches 020, oracle expects 011"
+
     def test_a_bank_of_long_rows_peaks_near_a_cube_of_its_size(self, peak_kb):
         # the bank is routed a block at a time: W(1000,1,1000) holds no
         # million-entry row lists beside its two tuples
@@ -198,12 +222,21 @@ class TestBuild:
         bank = peak_kb("awgshuffle.build_network(1000, 1, 1000)")
         assert bank <= 1.4 * cube, (bank, cube)
 
+    def test_a_single_group_peaks_like_a_cube_of_its_size(self, peak_kb):
+        # at g = 1 each input's m*n outputs are one range: W(1,1000,1000)
+        # holds no list of the wiring law's m*n = N router offsets
+        cube = peak_kb("awgshuffle.build_network(100, 100, 100)")
+        group = peak_kb("awgshuffle.build_network(1, 1000, 1000)")
+        assert group <= 1.1 * cube, (group, cube)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
     @example(9, 2, 4)  # g > n
     @example(5, 1, 7)  # m = 1
     @example(1, 6, 8)  # g = 1
     @example(7, 3, 1)  # n = 1
+    @example(300, 2, 20)  # two routing blocks of 205 and 95 inputs
+    @example(4100, 2, 1)  # two routing blocks of 4,096 and 4 inputs
     def test_arrays_equal_the_per_channel_reference(self, g, m, n):
         t = build_network(g, m, n)
         assert (t.outputs, t.wavelengths) == reference_arrays(g, m, n)
