@@ -6,11 +6,12 @@ shuffle S(g, m*n) from the independent shuffle module, alongside
 bijectivity and per-fiber wavelength-distinctness checks. The oracle's
 digit form, the left cyclic shift (a, b, c) -> (b, c, a), words an
 oracle counterexample.
-The checks are passes over the fabric's integer tuples: each first
-runs a whole-sequence test, and only when that fails does an ordered
-scan look for the first counterexample in ascending address order and
-stop there, which keeps reports deterministic and compact. One private
-function decides and words each check, for verify and for
+The checks are passes over the fabric's two arrays of machine words,
+read through its views: each first runs a whole-sequence test, one
+C-level comparison of words where it can, and only when that fails does
+an ordered scan look for the first counterexample in ascending address
+order and stop there, which keeps reports deterministic and compact.
+One private function decides and words each check, for verify and for
 :func:`run_named_check` alike, from one verdict: whether the outputs
 equal the oracle. Verify builds the oracle array once, for the verdict
 and the match count; :func:`run_named_check` builds and drops it for
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from itertools import compress, count, repeat
 from math import prod
-from operator import add, eq, floordiv, mul, ne
+from operator import add, eq, floordiv, indexOf, mul, ne
 
 from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue, _address
@@ -46,6 +47,7 @@ from .topology import NetworkParams, Topology, _ChannelPerm, build_network
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: no command loads typing
+    from array import array
     from typing import Callable, Iterator, Mapping, Sequence
 
 
@@ -95,9 +97,9 @@ class VerificationReport(_FrozenValue):
     matched: int  # channels whose output equals the oracle's
 
 
-def _oracle(params: NetworkParams) -> tuple[int, ...]:
-    """The oracle S(g, m*n) as a tuple of decimal outputs, in input order."""
-    return tuple(shuffle_perm_decimal(ShuffleSpec(params.g, params.m * params.n)))
+def _oracle(params: NetworkParams) -> array:
+    """The oracle S(g, m*n) as an array of decimal outputs, in input order."""
+    return shuffle_perm_decimal(ShuffleSpec(params.g, params.m * params.n))
 
 
 def check_oracle_equivalence(topology: Topology) -> CheckResult:
@@ -142,7 +144,7 @@ def _check_images(
             occupied[image] = 1
         else:
             return CheckResult(CHECK_BIJECTIVITY, True)
-    first = input_at(images.index(image))
+    first = input_at(indexOf(images, image))
     return CheckResult(CHECK_BIJECTIVITY, False, f"inputs {first} and "
                        f"{input_at(second)} both map to {_address(image, radices)}")
 
@@ -197,20 +199,22 @@ def _fibers_clean(topology: Topology, is_oracle: bool) -> bool:
 
     Group a's m input fibers are the slice ``wavelengths[a*l:(a+1)*l]``
     with l = m*n. When every slice is its first n-wide fiber repeated m
-    times, the g first fibers decide the input fibers, whatever the
-    outputs are. When moreover ``is_oracle`` (``outputs`` equals the
-    oracle S(g, l)), output fiber j holds inputs {a*l + j}, the column
-    ``wavelengths[j::l]``, which carries what column j % n does, so the n
-    columns of router 0 decide the output fibers. Any other fiber
-    population needs distinct :func:`_fiber_keys`.
+    times, which one comparison of the slice's bytes tells, the g first
+    fibers decide the input fibers, whatever the outputs are. When
+    moreover ``is_oracle`` (``outputs`` equals the oracle S(g, l)),
+    output fiber j holds inputs {a*l + j}, the column ``wavelengths[j::l]``,
+    which carries what column j % n does, so the n columns of router 0
+    decide the output fibers. Any other fiber population needs distinct
+    :func:`_fiber_keys`.
     """
     p = topology.params
     g, m, n, l = p.g, p.m, p.n, p.m * p.n
     wavelengths = topology.wavelengths
     on_group, on_output = _fiber_keys(topology)
-    firsts = [wavelengths[start : start + n] for start in range(0, p.channel_count, l)]
-    if all(wavelengths[a * l : (a + 1) * l] == first * m for a, first in enumerate(firsts)):
-        if not all(len(set(first)) == n for first in firsts):
+    starts, width = range(0, p.channel_count, l), n * wavelengths.itemsize  # a fiber's bytes
+    if all(group == group[:width] * m
+           for group in (wavelengths[start : start + l].tobytes() for start in starts)):
+        if not all(len(set(wavelengths[start : start + n])) == n for start in starts):
             return False
         if is_oracle:
             return all(len(set(wavelengths[c::l])) == g for c in range(n))

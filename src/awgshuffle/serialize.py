@@ -3,7 +3,7 @@
 JSON output is canonical (sorted keys, two-space indent, plain decimal
 integers, trailing newline) so serialized artifacts are diff-stable and
 belong in version control. A topology document is rendered straight
-from the fabric's integer tuples, as ASCII bytes in chunks of at most
+from the fabric's two arrays, as ASCII bytes in chunks of at most
 _BLOCK whole list entries, from one json.dumps skeleton cable and
 channel with a ``%d`` slot for every integer; ``_slots`` states the
 order of a channel's 31, once, for both fills. The m routers are copies,
@@ -53,6 +53,7 @@ import io
 import json
 import os
 import re
+from array import array
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -175,8 +176,8 @@ def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
     outputs, wavelengths = topology.outputs, topology.wavelengths
     entry = _templates(p)[1]
 
-    def full(i0: int, i1: int) -> tuple[bytes, int]:
-        inputs, outs, ws = range(i0, i1), outputs[i0:i1], wavelengths[i0:i1]
+    def full(i0: int, i1: int) -> tuple[bytes, int]:  # the window's words as ints, made once
+        inputs, outs, ws = range(i0, i1), outputs[i0:i1].tolist(), wavelengths[i0:i1].tolist()
         cs, rows = [*map(mod, inputs, repeat(n))], [*map(floordiv, inputs, repeat(n))]  # a*m + b
         As, bs = [*map(floordiv, rows, repeat(m))], [*map(mod, rows, repeat(m))]
         middles = map(add, map(mul, map(add, map(mul, bs, repeat(g)), As), repeat(n)), cs)
@@ -217,9 +218,11 @@ def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
             # b*g*n for each entry: router b's outputs are router 0's plus that, exactly
             offsets = [*chain.from_iterable(map(repeat, range(b0 * gn, b1 * gn, gn), repeat(n)))]
             offsets *= a1 - a0
-            outs = outputs[i0:i1]
-            if (wavelengths[i0:i1] != spread(ws, b1 - b0)
-                    or outs != tuple(map(add, offsets, spread(relative, b1 - b0)))):
+            outs = [*map(add, offsets, spread(relative, b1 - b0))]
+            # words against words (a view of the fabric's never equals a tuple or a list);
+            # once equal, ``outs`` holds the window's outputs as ints, made once
+            if (wavelengths[i0:i1] != array("I", spread(ws, b1 - b0))
+                    or outputs[i0:i1] != array("I", outs)):
                 yield full(i0, i1)
                 continue
             # middle decimal (b*g + a)*n + c, where a*n + c runs over range(a0*n, a1*n)

@@ -4,15 +4,18 @@ The classical N = g*l shuffle splits a port index into a group digit
 and a member digit and exchanges them. Read over three digits (a, b, c)
 under (g, m, n) with l = m*n, that exchange is the left cyclic shift
 (a, b, c) -> (b, c, a), so S(g, m*n) is the permutation the fabric
-W(g, m, n) must realize: the verifier compares the fabric with
-:func:`shuffle_perm_decimal`, and words a counterexample through
-:func:`left_cyclic_shift`. This module computes both from digit
-manipulation alone and deliberately imports nothing from the router or
-topology modules; the comparison is only convincing if the two sides
-share no code path.
+W(g, m, n) must realize: the verifier compares the fabric's outputs
+with :func:`shuffle_perm_decimal`, both arrays of unsigned machine
+integers, and words a counterexample through :func:`left_cyclic_shift`.
+This module computes both from digit manipulation alone and
+deliberately imports nothing from the router or topology modules; the
+comparison is only convincing if the two sides share no code path.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue
@@ -48,19 +51,28 @@ def shuffle_map(spec: ShuffleSpec, addr: ChannelAddress) -> ChannelAddress:
     return ChannelAddress((lo, hi), (spec.l, spec.g))
 
 
-def shuffle_perm_decimal(spec: ShuffleSpec) -> list[int]:
+def shuffle_perm_decimal(spec: ShuffleSpec) -> array:
     """The shuffle as a permutation array over decimal port indices.
 
     Ports are numbered group-major: input (a, b) sits at index a*l + b
     and is wired to output index b*g + a. Indices 0 and N-1 are always
-    fixed points. Raises CapacityError when N exceeds the default
-    channel cap.
+    fixed points. The result is a new ``array('I')`` of N unsigned
+    machine words, one run of stride g per group, so comparing it with
+    another array or a view of words is one C-level pass. Raises
+    CapacityError when N exceeds the default channel cap.
     """
     check_cap("S({},{}) has {count} ports, over the cap of {cap}",
               spec.port_count, DEFAULT_CHANNEL_CAP, spec.g, spec.l)
-    perm: list[int] = []
-    for hi in range(spec.g):
-        perm.extend(range(hi, spec.port_count, spec.g))
+    perm = array("I", range(0, spec.port_count, spec.g))  # group 0: 0, g, ..., (l-1)*g
+    if spec.g > 1:
+        # group hi is group 0 plus hi in every word: its words read as one integer with
+        # a 32-bit lane each, plus hi times a 1 in every lane. No lane carries, as each
+        # sum is an output index, below N and so below 2**32.
+        order, size = sys.byteorder, len(perm) * perm.itemsize
+        lanes = int.from_bytes(perm, order)
+        ones = int.from_bytes(array("I", [1]) * spec.l, order)
+        for hi in range(1, spec.g):
+            perm.frombytes((lanes + hi * ones).to_bytes(size, order))
     return perm
 
 

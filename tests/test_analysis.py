@@ -382,17 +382,21 @@ class TestFaultInjection:
         assert results["wavelength-conflicts"].passed
 
     def test_mutants_keep_shape_and_ranges(self, w323):
+        outputs, wavelengths = list(w323.outputs), list(w323.wavelengths)
         with pytest.raises(DomainError):
-            rewired(w323, outputs=w323.outputs[:-1])
+            rewired(w323, outputs=outputs[:-1])
         with pytest.raises(DomainError):
-            rewired(w323, outputs=(18,) + w323.outputs[1:])
+            rewired(w323, outputs=[18, *outputs[1:]])
         with pytest.raises(DomainError):
-            rewired(w323, wavelengths=(-1,) + w323.wavelengths[1:])
-        # both ends of both ranges, with the constructor's messages
-        with pytest.raises(DomainError, match=r"^outputs entries must lie in \[0, 18\)$"):
-            rewired(w323, outputs=w323.outputs[:9] + (-1,) + w323.outputs[10:])
-        with pytest.raises(DomainError, match=r"^wavelengths entries must lie in \[0, 3\)$"):
-            rewired(w323, wavelengths=w323.wavelengths[:9] + (3,) + w323.wavelengths[10:])
+            rewired(w323, wavelengths=[-1, *wavelengths[1:]])
+        # both ends of both ranges, with the constructor's messages; 2**32 and up
+        # would not pack as a word, and are refused in the same words before that
+        for odd in (-1, 18, 2**32, 2**64):
+            with pytest.raises(DomainError, match=r"^outputs entries must lie in \[0, 18\)$"):
+                rewired(w323, outputs=[*outputs[:9], odd, *outputs[10:]])
+        for odd in (-1, 3, 2**32):
+            with pytest.raises(DomainError, match=r"^wavelengths entries must lie in \[0, 3\)$"):
+                rewired(w323, wavelengths=[*wavelengths[:9], odd, *wavelengths[10:]])
 
     @pytest.mark.parametrize("odd", [0.5, True, "1"])
     @pytest.mark.parametrize("field", ["outputs", "wavelengths"])
@@ -434,12 +438,13 @@ def deciding_stage(topology):
     """
     g, m, n = topology.params.g, topology.params.m, topology.params.n
     l = m * n
-    groups = [topology.wavelengths[a * l:(a + 1) * l] for a in range(g)]
+    wavelengths = list(topology.wavelengths)  # lists compare by value, whatever the field type
+    groups = [wavelengths[a * l:(a + 1) * l] for a in range(g)]
     if not all(group == group[:n] * m for group in groups):
         return "keys reject" if scanned_conflicts(topology) else "keys pass"
     if any(len(set(group[:n])) < n for group in groups):
         return "structure rejects a first fiber"
-    if topology.outputs != tuple(shuffle_perm_decimal(ShuffleSpec(g, l))):
+    if list(topology.outputs) != list(shuffle_perm_decimal(ShuffleSpec(g, l))):
         return "output keys reject" if scanned_conflicts(topology) else "output keys pass"
     if any(len({group[c] for group in groups}) < g for c in range(n)):
         return "structure rejects a router-0 column"
@@ -588,10 +593,12 @@ class TestVerifyOnMutants:
 class TestMemoryAtTheCap:
     def test_verify_at_the_cap_peaks_near_the_build(self, peak_kb):
         # W(100,100,100), one million channels: the checks' transients stay
-        # within 50% of what the built fabric itself takes
+        # within 50% of what the built fabric itself takes, and the fabric and
+        # the oracle, 4-byte words each, bring the process to under 40 MB
         build = peak_kb("awgshuffle.build_network(100, 100, 100)")
         verify = peak_kb("assert awgshuffle.verify_shuffle_equivalence(100, 100, 100).passed")
         assert verify <= 1.5 * build, verify / build
+        assert verify < 40 * 1024, verify
 
     # channels 0 and 10099 of W(100,100,100) both carry wavelength 0:
     # trading their outputs breaks the oracle but keeps every fiber clean

@@ -240,7 +240,7 @@ class TestPermutation:
         route_rows = awg_module.awg_route_rows
         for name in ("awg_route_rows", "awg_route", "awg_wavelength"):
             counted(name, getattr(awg_module, name))
-        shuffle = shuffle_perm_decimal(ShuffleSpec(3, 6))
+        shuffle = list(shuffle_perm_decimal(ShuffleSpec(3, 6)))  # a list, as ``outputs`` makes
         assert outputs(awg_permutation(awg36)) == shuffle
         assert calls == ["awg_route_rows"]
 

@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import inspect
@@ -11,6 +12,7 @@ import resource
 import stat
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from conftest import rewired
@@ -168,6 +170,33 @@ class TestRendererOnMutants:
             outputs = list(t.outputs)
             outputs[row + n - 1] -= g * n
             yield "one output moved by n*g", rewired(t, outputs=outputs)
+
+    @staticmethod
+    def export_ladder():
+        """The benchmark's export ladder, read from its source without running it."""
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        for node in ast.parse(source.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.AnnAssign) and node.target.id == "EXPORT_LADDER":
+                return ast.literal_eval(node.value)
+        raise LookupError("EXPORT_LADDER")
+
+    def test_built_fabrics_render_no_window_in_full(self, monkeypatch):
+        # every window of a built fabric equals its row template's words; a gate
+        # comparing the fabric's views with tuples would fill every window in full
+        fills = []
+
+        def counted(stages, w):  # the row template passes tokens, a full fill a column
+            fills.append("row template" if isinstance(w, str) else "full")
+            return slots(stages, w)
+
+        slots = serialize._slots
+        monkeypatch.setattr(serialize, "_slots", counted)
+        ladder = self.export_ladder()
+        assert len(ladder) >= 10
+        for shape in ladder:
+            fills.clear()
+            serialize_topology(build_network(*shape), "json")
+            assert fills == ["row template"], shape
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_built_fabric_renders_as_the_reference(self, shape):

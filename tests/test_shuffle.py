@@ -1,4 +1,5 @@
 import ast
+from array import array
 from itertools import product
 from pathlib import Path
 
@@ -65,10 +66,18 @@ class TestDecimalView:
         assert shuffle_perm_decimal(s36)[5] == 15
 
     def test_degenerate(self):
-        assert shuffle_perm_decimal(ShuffleSpec(1, 1)) == [0]
+        assert list(shuffle_perm_decimal(ShuffleSpec(1, 1))) == [0]
 
     def test_two_by_two(self):
-        assert shuffle_perm_decimal(ShuffleSpec(2, 2)) == [0, 2, 1, 3]
+        assert list(shuffle_perm_decimal(ShuffleSpec(2, 2))) == [0, 2, 1, 3]
+
+    def test_is_a_new_array_of_words(self):
+        # an array('I') compares with the fabric's views word for word
+        perm = shuffle_perm_decimal(ShuffleSpec(3, 6))
+        assert type(perm) is array and perm.typecode == "I"
+        assert perm == array("I", [0, 3, 6, 9, 12, 15, 1, 4, 7, 10, 13, 16, 2, 5, 8, 11, 14, 17])
+        perm[0] = 5  # each call makes its own
+        assert shuffle_perm_decimal(ShuffleSpec(3, 6))[0] == 0
 
     def test_is_bijection_with_end_fixed_points(self):
         # verify passes bijectivity on the oracle's word, so the oracle must
