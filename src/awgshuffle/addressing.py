@@ -1,23 +1,15 @@
-"""Mixed-radix channel addressing.
+"""Mixed-radix channel addressing, and the package's frozen-value base.
 
-Every wavelength channel handled by this package is named by a short
-vector of digits, most significant first, where each position carries
-its own radix. Channels of a single wavelength router use two digits
-(port, wavelength); channels of the two-stage network use three
-(group or router, port, wavelength). Routing, stage wiring, and the
-reference shuffle all reduce to digit permutations on these vectors,
-and silently mixing the three radix orders the network uses is the main
-bug risk, so an address always travels together with its radices and
-every transform checks them.
-
-All functions here are pure and all values immutable. The package's
-value types share this module's frozen-value base, which gives them
-dataclass-style constructors, equality, hashing, ``repr`` and
-immutability without importing ``dataclasses`` or ``inspect``, whose
-import would dominate a command line's start-up. Each type states its
-fields once, as annotations; the base compiles its constructor from
-them: the parameters are ``__match_args__``, a class attribute gives a
-parameter its default, and ``__post_init__`` is looked up at call time.
+A wavelength channel is named by a short vector of digits, most
+significant first, each position with its own radix: two digits (port,
+wavelength) at a single router, three (group or router, port,
+wavelength) in the two-stage fabric. Silently mixing the fabric's three
+radix orders is the main bug risk, so an address always travels with its
+radices and every transform checks them. All functions here are pure and
+all values immutable; :class:`_FrozenValue` gives the package's value
+types their constructors, equality, hashing and immutability without
+importing ``dataclasses`` or ``inspect``, whose import would dominate a
+command line's start-up.
 """
 
 from __future__ import annotations

@@ -1,36 +1,16 @@
 """Fabric verification and resource accounting.
 
-Verification builds the fabric, then compares its routed permutation
-channel by channel against the oracle, the decimal array of the perfect
-shuffle S(g, m*n) from the independent shuffle module, alongside
-bijectivity and per-fiber wavelength-distinctness checks. The oracle's
-digit form, the left cyclic shift (a, b, c) -> (b, c, a), words an
-oracle counterexample.
-The checks are passes over the fabric's two arrays of machine words,
-read through its views: each first runs a whole-sequence test, one
-C-level comparison of words where it can, and only when that fails does
-an ordered scan look for the first counterexample in ascending address
-order and stop there, which keeps reports deterministic and compact.
-One private function decides and words each check, for verify and for
-:func:`run_named_check` alike, from one verdict: whether the outputs
-equal the oracle. Verify builds the oracle array once, for the verdict
-and the match count; :func:`run_named_check` builds and drops it for
-the oracle and conflict checks, and a failing oracle check builds it
-again to name its first disagreeing channel. The oracle exchanges two
-digits, so it is a permutation of range(N): a fabric equal to it is
-bijective without a test of its own, and any other fabric gets one
-occupancy pass, no set. The wavelength check decides input and output
-fibers apart. Groups that repeat their first fiber are proven by their
-g first fibers whatever the outputs are, and with the oracle's outputs
-router 0's n columns decide every output fiber; any other fiber
-population needs distinct keys, fiber * lambda_count + wavelength, and
-one ordered scan over both populations' keys words a conflict when one
-is found. Addresses are built only to word a counterexample.
+Verification compares a fabric's outputs with the oracle, the perfect
+shuffle S(g, m*n) of the independent shuffle module, and checks that
+they are a bijection and that no fiber carries one wavelength twice.
+:func:`_named_check` decides and words each check, for verify and
+:func:`run_named_check` alike. Every check is a pass over the fabric's
+arrays of words; a failing one names its first counterexample in
+ascending address order, so reports are deterministic and compact, and
+addresses are built only to word it.
 
 The resource side tabulates the wavelength-versus-cabling tradeoff
-across every factorization l = m*n of a fixed fanout: growing n grows
-the routers (and the wavelength pool) while shrinking the cable count,
-down to the single-router extreme where stage-1 cabling disappears.
+across every factorization l = m*n of a fixed fanout (:func:`tradeoff_table`).
 """
 
 from __future__ import annotations
@@ -105,9 +85,8 @@ def _oracle(params: NetworkParams) -> array:
 def check_oracle_equivalence(topology: Topology) -> CheckResult:
     """Compare the routed permutation against the oracle S(g, m*n).
 
-    The oracle is the decimal array of the perfect shuffle S(g, m*n);
-    the first channel that disagrees is worded through its digit form,
-    the left cyclic shift of the input address.
+    A failure names the first channel that disagrees and the output the
+    oracle expects for it, the left cyclic shift of its input address.
     """
     return run_named_check(CHECK_ORACLE, topology)
 
@@ -149,13 +128,6 @@ def _check_images(
                        f"{input_at(second)} both map to {_address(image, radices)}")
 
 
-def _fabric_bijectivity(topology: Topology) -> CheckResult:
-    """Bijectivity of a fabric's outputs, worded by its addresses."""
-    p = topology.params
-    return _check_images(topology.outputs, p.output_radices,
-                         lambda pos: _address(pos, p.input_radices))
-
-
 def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckResult:
     """Pass iff the image covers the full output address space exactly once.
 
@@ -163,11 +135,11 @@ def check_bijectivity(perm: Mapping[ChannelAddress, ChannelAddress]) -> CheckRes
     duplicate is always the second offender in that order; a gap names
     the smallest missing output address. All inputs must share one
     radix pattern, and all outputs another. A fabric's own mapping
-    (``Topology.channel_perm``) is decided from its outputs, in the same
-    words, without an address.
+    (``Topology.channel_perm``) is decided from its outputs by the check
+    verify runs, in the same words, without an address.
     """
     if isinstance(perm, _ChannelPerm):
-        return _fabric_bijectivity(perm.fabric)
+        return _named_check(CHECK_BIJECTIVITY, perm.fabric, False)
     if not perm:
         return CheckResult(CHECK_BIJECTIVITY, True)
     items = sorted(perm.items(), key=lambda kv: kv[0].decimal)
@@ -198,21 +170,22 @@ def _fibers_clean(topology: Topology, is_oracle: bool) -> bool:
     """No input fiber and no router output fiber carries one wavelength twice.
 
     Group a's m input fibers are the slice ``wavelengths[a*l:(a+1)*l]``
-    with l = m*n. When every slice is its first n-wide fiber repeated m
-    times, which one comparison of the slice's bytes tells, the g first
+    with l = m*n. A slice whose bytes begin with themselves shifted one
+    fiber on repeats its first fiber; that comparison holds one copy of
+    the slice, no repeated fiber. When every slice does, the g first
     fibers decide the input fibers, whatever the outputs are. When
     moreover ``is_oracle`` (``outputs`` equals the oracle S(g, l)),
     output fiber j holds inputs {a*l + j}, the column ``wavelengths[j::l]``,
     which carries what column j % n does, so the n columns of router 0
     decide the output fibers. Any other fiber population needs distinct
-    :func:`_fiber_keys`.
+    :func:`_fiber_keys`, one population's set at a time.
     """
     p = topology.params
-    g, m, n, l = p.g, p.m, p.n, p.m * p.n
+    g, n, l = p.g, p.n, p.m * p.n
     wavelengths = topology.wavelengths
     on_group, on_output = _fiber_keys(topology)
     starts, width = range(0, p.channel_count, l), n * wavelengths.itemsize  # a fiber's bytes
-    if all(group == group[:width] * m
+    if all(group.startswith(memoryview(group)[width:])  # the group shifted one fiber on
            for group in (wavelengths[start : start + l].tobytes() for start in starts)):
         if not all(len(set(wavelengths[start : start + n])) == n for start in starts):
             return False
@@ -259,10 +232,12 @@ def _named_check(name: str, topology: Topology, is_oracle: bool) -> CheckResult:
     """Decide and word the check ``name``, one of :data:`CHECK_NAMES`.
 
     ``is_oracle``, whether ``outputs`` equals the oracle S(g, m*n), is
-    the one verdict all three checks read. The oracle exchanges two
-    digits, so it is a permutation of range(N) and a fabric equal to it
-    is bijective without a test of its own. Only a failing oracle check
-    builds the oracle again, to name its first disagreeing channel.
+    the one verdict all three checks read, so a caller builds the oracle
+    once for all of them. The oracle exchanges two digits, so it is a
+    permutation of range(N): a fabric equal to it is bijective without a
+    test of its own, and any other gets one occupancy pass
+    (:func:`_check_images`). Only a failing oracle check builds the
+    oracle again, to name its first disagreeing channel.
     """
     counterexample = None
     if name == CHECK_ORACLE and not is_oracle:
@@ -271,7 +246,9 @@ def _named_check(name: str, topology: Topology, is_oracle: bool) -> CheckResult:
         counterexample = (f"input {tr.input_addr} reaches {tr.output_addr}, "
                           f"oracle expects {left_cyclic_shift(tr.input_addr)}")
     elif name == CHECK_BIJECTIVITY and not is_oracle:
-        return _fabric_bijectivity(topology)
+        p = topology.params
+        return _check_images(topology.outputs, p.output_radices,
+                             lambda pos: _address(pos, p.input_radices))
     elif name == CHECK_WAVELENGTH_CONFLICTS:
         first = next(_conflicts(topology, is_oracle), None)
         if first is not None:
@@ -293,9 +270,9 @@ def check_wavelength_conflicts(topology: Topology) -> list[WavelengthConflict]:
 def run_named_check(name: str, topology: Topology) -> CheckResult:
     """Run one check by its report name, through the function verify uses.
 
-    Bijectivity decides by its own pass and builds no oracle; the other
-    two build it for the verdict and drop it before they decide, so a
-    failing oracle check, which builds it again, holds one at a time.
+    Raises DomainError for an unknown name. Bijectivity builds no oracle;
+    the other two build it for the verdict and drop it before they
+    decide, so a failing oracle check holds at most one at a time.
     """
     if name not in CHECK_NAMES:
         raise DomainError(f"unknown check {name!r}")
@@ -306,10 +283,10 @@ def verify_shuffle_equivalence(g: int, m: int, n: int) -> VerificationReport:
     """Build W(g, m, n) and verify it behaves as the N = g*m*n shuffle.
 
     Runs the oracle-equivalence, bijectivity, and wavelength-conflict
-    checks over all channels. The oracle array is built and compared
-    once; on a failing fabric it counts the matches, and it is dropped
-    before the checks read its verdict. CapacityError propagates before
-    any report is produced for a fabric over the default channel cap.
+    checks over all channels. The oracle array is built once, for the
+    verdict and, on a failing fabric, the match count, and dropped
+    before the checks run. CapacityError propagates before any report
+    is produced for a fabric over the default channel cap.
     """
     topology = build_network(g, m, n)
     size = topology.params.channel_count

@@ -2,35 +2,18 @@
 
 A router with ``inputs`` input ports and ``outputs`` output ports
 carries ``lambda_count = max(inputs, outputs)`` wavelengths, indexed
-from zero. A signal entering input ``p`` on wavelength ``i`` always
-exits output ``(i - p) mod lambda_count``; the device has no state, no
-configuration, and never converts wavelengths. When the modular result
-lands at or past the last physical output, that wavelength is dark at
-that input: :func:`awg_route` still returns the raw value so callers
-can enumerate valid-wavelength sets, while the labeling operations
-raise :class:`~awgshuffle.errors.InvalidChannelError` instead.
+from zero; it has no state and never converts wavelengths. This module
+is the one statement of the routing law: :func:`_wavelength_row` and
+:func:`_route_row` each state one of its two laws, over entries with one
+port each, and every operation here, like the fabric's build and traces,
+reaches the law through them. A wavelength that routes at or past the
+last physical output is dark at that input, which the labels refuse.
 
-The two-digit channel labels turn routing into a digit exchange: the
-channel labeled (p, q) on the input side leaves on the channel labeled
-(q, p) on the output side. That exchange is exactly the perfect-shuffle
-permutation, which is what the analysis module verifies at scale.
-
-This module is the one statement of the routing law. Each of its two
-laws is written once, with one port per entry: the wavelength law
-``(p + q) mod lambda_count`` over (input p, output q) and the routing
-law ``(i - p) mod lambda_count`` over (input p, wavelength i). The
-scalar operations are the one-entry case, after validating each index;
-:func:`awg_route_rows` validates a range of inputs by its ends and then
-applies both laws to all of their rows, which is how the two-stage
-fabric's build routes a block of router inputs and, at the routed
-outputs, reads back their origins, and how :func:`awg_permutation`
-routes every input of one router.
-The fabric's trace and its build guard label through this module: a
-trace takes the routed output from the input label and the originating
-input from the output label, and the guard raises through both.
-
-Everything here is a pure function over immutable values and safe for
-concurrent use.
+The two-digit labels turn routing into a digit exchange: the channel
+labeled (p, q) on the input side leaves on the channel labeled (q, p)
+on the output side, the perfect shuffle that the analysis module
+verifies at scale. Everything here is a pure function over immutable
+values and safe for concurrent use.
 """
 
 from __future__ import annotations

@@ -1,50 +1,18 @@
 """Topology and report documents: canonical JSON, DOT graph text, CSV.
 
 JSON output is canonical (sorted keys, two-space indent, plain decimal
-integers, trailing newline) so serialized artifacts are diff-stable and
-belong in version control. A topology document is rendered straight
-from the fabric's two arrays, as ASCII bytes in chunks of at most
-_BLOCK whole list entries, from one json.dumps skeleton cable and
-channel with a ``%d`` slot for every integer; ``_slots`` states the
-order of a channel's 31, once, for both fills. The m routers are copies,
-so 19 of those slots repeat in every router row of a group and 9 hold
-its router b: a group's first row fills the 19 once into a row text of
-n entries, a placeholder byte for b. A window of whole rows (of
-whole groups when m*n <= _BLOCK) whose wavelengths are that row's and
-whose outputs are its outputs plus b*n*g, exactly, is then one chunk:
-one ``bytes.replace`` a row for b and one ``%`` for the input, middle
-and output decimals. Any other window, and all when n > _BLOCK, fills
-the whole template. DOT comes in chunks of _BLOCK lines.
-``serialize_topology`` joins a format's chunks and ``synth`` streams
-them. Cables are the rows of the wiring law (port b of group a lands on
-input a of router b) that ``topology._cable_rows`` yields.
+integers, trailing newline), so serialized artifacts are diff-stable and
+belong in version control. This module owns the schema: one json.dumps
+skeleton per kind of entry states both the template the writer fills and
+what the reader validates, in the skeleton's own key order, which fixes
+which of several structural problems is named first (:func:`_validate`).
 
-Parsing walks the input once, in document order. Top-level values are
-decoded whole, except the cable and channel lists: those are walked
-against the fabric that the ``awg_bank`` before them names, a chunk of
-the writer's at a time, and again only when no bank precedes them or the
-params name another. A chunk that is the input's text is passed with one
-comparison, and so is the rest of a chunk after a differing entry. In
-any other, the entries before the first differing character are passed
-as one run, and the entry that holds it is decoded alone, validated and
-compared with the fabric's, so the comparison is type-strict (``true``
-or ``1.0`` never stand in for ``1``) while key order, whitespace and
-metadata may differ. The outcome is decided at the end: a structural
-problem anywhere is a ParseError; only then is the first disagreeing
-section or entry an IntegrityError. Text the decoder rejects stops the
-walk where json.loads stops, and json.loads words the error.
-
-ASCII bytes, which is what the writer produces, are walked in place:
-whitespace, punctuation and chunks are tested on the bytes themselves,
-and only the spans that ``scanstring`` and ``raw_decode`` read are
-decoded, in windows of _WINDOW characters: the top-level keys and the
-values other than the two lists, an entry that differs, and, on the
-error path, the whole input for json.loads to word the error. Other
-bytes are decoded whole, and ``str`` input is its own text.
-
-The skeletons the renderer fills also state the schema that validation
-checks: it walks them in their own key order, which fixes which of
-several structural problems is named first.
+A topology document is rendered from the fabric's arrays as ASCII chunks
+of at most _BLOCK whole list entries (:func:`_lists`; DOT in chunks of
+_BLOCK lines), which :func:`serialize_topology` joins and ``synth``
+streams. :func:`parse_topology` reads a document back by comparing its
+lists with those same chunks (:func:`_walk`, :func:`_survey`) and
+decides the outcome only at the end (:func:`_settle`).
 """
 
 from __future__ import annotations
@@ -167,9 +135,19 @@ def _lists(topology: Topology) -> dict[str, Iterator[tuple[bytes, int]]]:
 
 
 def _channel_chunks(topology: Topology) -> Iterator[tuple[bytes, int]]:
-    """The channel entries, in chunks of at most _BLOCK (see the module docstring).
+    """The channel entries, in chunks of at most _BLOCK.
 
-    Both fills, the full one and the row template's, read their slot order from :func:`_slots`.
+    Both fills, the full one and the row template's, read their slot
+    order from :func:`_slots`. The m routers are copies, so 19 of an
+    entry's 31 slots repeat in every router row of a group and 9 hold
+    its router b: a group's first row fills the 19 once into a row text
+    of n entries, a placeholder byte for b. A window of whole rows (of
+    whole groups when m*n <= _BLOCK) whose wavelengths are that row's
+    and whose outputs are its outputs plus b*n*g, exactly, is then one
+    chunk: one ``bytes.replace`` a row for b and one ``%`` for the
+    input, middle and output decimals. Any other window, and all when
+    n > _BLOCK, fills the whole template, so a fabric built through the
+    checked constructor renders its own values.
     """
     p = topology.params
     g, m, n, gn, mn = p.g, p.m, p.n, p.g * p.n, p.m * p.n
@@ -623,10 +601,9 @@ def _walk(text: _Text) -> tuple[Any, Topology | None]:
     other value is decoded whole; a repeated key keeps its last value,
     as json.loads does. Every list is surveyed against the fabric fixed
     at the first: W(inputs, count, outputs) of the ``awg_bank`` decoded by
-    then, if it builds within the channel cap. Any other top-level value
-    is decoded whole. The walk raises at the first text the decoder
-    rejects: a value it scans, punctuation out of place (``_Text.token``),
-    or data after the document.
+    then, if it builds within the channel cap. The walk raises at the
+    first text the decoder rejects: a value it scans, punctuation out of
+    place (``_Text.token``), or data after the document.
     """
     pos = text.skip(0)
     topology = None
@@ -711,25 +688,21 @@ def parse_topology(data: bytes | str | bytearray | memoryview) -> Topology:
     raise ParseError with a JSON path, and outrank any disagreement; a
     well-formed document whose sections disagree with its own parameters
     raises IntegrityError naming the first differing section or entry.
+    Text that json.loads rejects is a ParseError in json.loads's words,
+    and input that ``str.strip()`` would leave empty is a
+    ParseError("empty input").
 
-    The input is walked once, against the fabric that the ``awg_bank``
-    before its first list names, a rendered chunk of its lists at a
-    time: a canonical chunk is passed with one comparison, and a tampered
-    field costs one entry decoded. Lists that precede the bank, or were
-    walked against another fabric than the params name, are walked again
-    against the params' fabric.
-
-    ASCII ``bytes`` are walked in place and never decoded whole: only the
-    top-level keys, the values other than the lists, an entry that
-    differs, and the text that json.loads words an error from are. So a
+    The input is walked once (:func:`_walk`), its lists again only when
+    they precede the ``awg_bank`` or were walked against another fabric
+    than the params name. A canonical chunk of a list is passed with one
+    comparison, and a tampered field costs one entry decoded. ASCII
+    ``bytes`` are walked in place and never decoded whole, so a
     canonical read holds about one chunk of the writer's beside its
     input. Other ``bytes`` are decoded as UTF-8 first, a ``str`` is
     walked as it is, a subclass of either is read as its base type, and
-    another buffer (``bytearray``, ``memoryview``) is read as a copy of
-    its bytes. Input that ``str.strip()`` would leave empty is a
-    ParseError("empty input"), told apart on the error path: a blank
-    ASCII input costs one decode of itself there, as every malformed
-    input does, within the input budget.
+    another buffer (``bytearray``, ``memoryview``) as a copy of its
+    bytes. Malformed input, a blank one included, costs one decode of
+    itself on the error path, within the input budget.
     """
     view = None if isinstance(data, (bytes, str)) else memoryview(data)  # another buffer
     check_cap("input of {count} bytes is over the budget of {cap} bytes for the cap of {} "

@@ -1,15 +1,12 @@
-"""Reference perfect-shuffle permutations.
+"""Reference perfect-shuffle permutations, the oracle a fabric is verified against.
 
-The classical N = g*l shuffle splits a port index into a group digit
-and a member digit and exchanges them. Read over three digits (a, b, c)
-under (g, m, n) with l = m*n, that exchange is the left cyclic shift
-(a, b, c) -> (b, c, a), so S(g, m*n) is the permutation the fabric
-W(g, m, n) must realize: the verifier compares the fabric's outputs
-with :func:`shuffle_perm_decimal`, both arrays of unsigned machine
-integers, and words a counterexample through :func:`left_cyclic_shift`.
-This module computes both from digit manipulation alone and
-deliberately imports nothing from the router or topology modules; the
-comparison is only convincing if the two sides share no code path.
+The N = g*l shuffle exchanges a port's group digit and member digit.
+Read over three digits (a, b, c) under (g, m, n) with l = m*n, that
+exchange is the left cyclic shift (a, b, c) -> (b, c, a), so S(g, m*n)
+is the permutation W(g, m, n) must realize. This module computes it from
+digit manipulation alone and deliberately imports nothing from the
+router or topology modules: the comparison is only convincing if the
+two sides share no code path.
 """
 
 from __future__ import annotations

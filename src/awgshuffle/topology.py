@@ -1,52 +1,21 @@
-"""Two-stage wavelength-routed shuffle fabric.
+"""Two-stage wavelength-routed shuffle fabric W(g, m, n).
 
-A fabric W(g, m, n) has g input groups of m fibers, each fiber carrying
-n wavelengths, cross-wired into a bank of m identical g x n wavelength
-routers. The wiring law is fixed: port b of group a plugs into input a
-of router b. Routing every (fiber, wavelength) through its cable and
-router yields the fabric's permutation over the N = g*m*n wavelength
-channels. The routers are identical, so the build routes the carried
-wavelengths of each router input once, a block of inputs per call of
-:func:`~awgshuffle.awg.awg_route_rows`, checks that block's range, and
-places each row at every router by the wiring law: the law's row of
-input a is the run a, a + g, ..., and the router offsets continue it,
-so the input's outputs at all m routers are one run, whose words are
-those of input 0's run plus a, added at once. A fabric
-built that way is in range by construction, so the build skips the
-constructor's O(N) length, type and range checks, which every other
-construction still runs. A built fabric is its shape plus two flat
-arrays of unsigned machine words (``array('I')``), indexed by decimal
-input channel: the decimal output channel and the wavelength. The
-fabric owns the arrays and shows them as read-only ``memoryview``
-fields, so an entry is 4 bytes, not an int object, and a whole-array
-comparison is one C-level pass.
-Everything else follows from those: the router spec from the shape,
-the cables from the wiring law (:func:`_cable_rows`, the rows the JSON
-writer renders too), and each channel's loci from its addresses. The
-per-channel objects (addresses, traces) are views that derive each
-object from the arrays when it is read, for callers that want objects
-and for counterexamples; the checks and the exporters read the arrays
-directly.
-A single channel can also be traced from the shape alone with
-:func:`trace_channel`, without building the fabric.
+g input groups of m fibers, each fiber carrying n wavelengths, are
+cross-wired into a bank of m identical g x n wavelength routers by one
+fixed wiring law: port b of group a plugs into input a of router b. This
+module owns that law and the fabric value, :class:`Topology`: its shape
+and two arrays, from which the router spec, the cables and each
+channel's addresses and loci are derived when read. :func:`build_network`
+states how the arrays are made, and :func:`trace_channel` how one
+channel is followed from the shape alone.
 
-Three-digit addresses use a different radix order at each stage:
-(g, m, n) on input fibers, (m, g, n) between the stages, (m, n, g) on
-router outputs, and addresses carry their radices. A trace takes the
-routed output from the router's own input label
-(:func:`~awgshuffle.awg.label_input_channel`) and the originating input
-from its output label (:func:`~awgshuffle.awg.label_output_channel`),
-so the routing law is stated once, in the router model.
-
-When g > n, not every wavelength may enter every fiber: each router
-input accepts exactly the n wavelengths whose cyclic route lands on a
-physical output, so fibers carry input-dependent wavelength sets.
-Traces and exports surface those sets instead of refusing the shape.
-
-Topology values are immutable after construction; traces and
-permutation lookups are pure reads and safe to share across threads
-(two threads that race on the first use of a view may both make it, to
-equal views).
+Three-digit addresses take a radix order per stage: (g, m, n) on input
+fibers, (m, g, n) between the stages, (m, n, g) on router outputs. When
+g > n a fiber carries an input-dependent set of n wavelengths, which
+traces and exports name instead of refusing the shape. Topology values
+are immutable; traces and views are pure reads and safe to share across
+threads (two threads that race on the first use of a view may both make
+it, to equal views).
 """
 
 from __future__ import annotations
@@ -85,7 +54,7 @@ if TYPE_CHECKING:  # annotations only: no command loads typing
 
 __all__ = _all_of(__spec__.name)
 
-_BLOCK = 4096  # router-row entries the build routes at a time: whole inputs, one if n is larger
+_BLOCK = 4096  # router-row entries the build handles at a time: whole rows, one if n is larger
 
 
 class NetworkParams(_FrozenValue):
@@ -223,13 +192,10 @@ class Topology(_FrozenValue):
     ``'I'`` over an ``array('I')`` the fabric owns: it indexes, slices
     and iterates as a sequence of ints, refuses item assignment with
     TypeError, and equals another view of equal entries. ``awg_spec``
-    and ``cables`` follow from the shape; ``cables`` holds the
-    ``_cable_rows`` the JSON writer renders, a view nothing else in the
-    package reads. ``channels`` is a read-only sequence of one trace per
-    wavelength channel, ordered by ascending input address, and
-    ``channel_perm`` a read-only mapping from input to output address
-    over all of them, its keys in that order. Both are views: each holds
-    the arrays and derives a trace or an address when it is read, so
+    and ``cables`` follow from the shape. ``channels`` is a read-only
+    sequence of one trace per channel, in ascending input address, and
+    ``channel_perm`` a read-only mapping from input to output address,
+    its keys in that order; both derive an entry when it is read, so
     ``len()`` or one lookup costs no more than that. The constructor
     takes any sequence of ints for each field (a tuple, a list, an
     array, a view), checks that it holds N entries of type ``int`` in
@@ -303,17 +269,8 @@ class Topology(_FrozenValue):
 
 
 def _built(params: NetworkParams, outputs: memoryview, wavelengths: memoryview) -> Topology:
-    """The Topology of the views :func:`build_network` produced, without the
-    constructor's length, type and range checks.
-
-    The arrays are in range by construction: the build checks each row
-    (a block of them at a time) before placing it, so every row entry
-    q*g + origin is below n*g and every wavelength is below lambda_count.
-    A run placed as one range starts at row[0] = origin < g, so its last
-    entry row[0] + (m*n - 1)*g is below N; any other row adds each entry
-    to a wiring-law offset of at most N - n*g. It places g*m rows of n
-    entries each. Every other construction runs the checks.
-    """
+    """The Topology of the views :func:`build_network` made in range, without the
+    constructor's length, type and range checks, which every other construction runs."""
     topology = object.__new__(Topology)
     _setattr(topology, "params", params)
     _setattr(topology, "outputs", outputs)
@@ -396,33 +353,31 @@ def build_network(g: int, m: int, n: int) -> Topology:
     """Construct the fabric W(g, m, n) with its full channel permutation.
 
     Channel (a, b, c) is the wavelength that router input a connects to
-    output c on port b of group a; the wiring law takes that fiber to
-    input a of router b. The m routers are copies of one device, so one
-    :func:`~awgshuffle.awg.awg_route_rows` call per block of whole router
-    inputs (at least _BLOCK entries, a bound on the working lists, or one
-    input when n is larger) gives the n carried wavelengths of each input
-    and the outputs they route to. The wiring law places an input's row
-    at router b from offset b*n*g. When a block's rows are the router
-    law's own (each input's n wavelengths route to outputs 0, ..., n-1
-    and lead back to that input), the row of input a is a, a + g, ...,
-    (n-1)*g + a, which the offsets continue, so its outputs at all m
-    routers are one run, a, a + g, ..., a + N - g; any other block is placed a
-    channel at a time, each row entry plus its router's offset. Before
-    a block is placed, its routed outputs are checked to lie in [0, n),
-    the inputs they lead back to in [0, g) and its wavelengths in
-    [0, lambda_count); that check, O(g*n) in all, puts every entry of
-    the two arrays in range, so the fabric is made without the
-    constructor's O(N) range checks. The arrays are filled in place: an
-    input's outputs are its run's words (:func:`_run_words`), a block's
-    wavelengths are packed once, and each input's row goes to its m
-    routers as array repeats of at most _BLOCK entries each (one repeat
-    when m*n <= _BLOCK), so no transient holds all m copies of a long
-    row. Raises DomainError for non-positive dimensions,
-    InvalidChannelError or DomainError (through the router's labeling
-    laws, at the first offending input and wavelength) when the router
-    law leaves a carried wavelength dark, without an originating input
-    or out of range, and CapacityError when g*m*n exceeds the channel
-    cap, one million (``DEFAULT_CHANNEL_CAP``).
+    output c on port b of group a. The m routers are copies of one
+    device, so each router input is routed once: one
+    :func:`~awgshuffle.awg.awg_route_rows` call per block of
+    max(_BLOCK // n, 1) inputs (at most _BLOCK entries, a bound on the
+    working lists, or one input when n is larger) gives their carried
+    wavelengths and routed outputs, and the routing law read at
+    those outputs gives the inputs they lead back to. A block is checked
+    to route into [0, n), back into [0, g) and on wavelengths in
+    [0, lambda_count) before it is placed; that check, O(g*n) in all,
+    puts every entry of the arrays in range, so the fabric is made
+    without the constructor's O(N) checks (:func:`_built`). The wiring
+    law places an input's row at router b from offset b*n*g. The router
+    law's own row of input a is a, a + g, ..., (n-1)*g + a, which the
+    offsets continue, so its outputs at all m routers are one run
+    (:func:`_run_words`); any other row is placed a channel at a time.
+    The arrays are filled in place, and an input's wavelength row goes
+    to its m routers in repeats of the same row count, so a transient
+    holds no more of it than a routing call does.
+
+    Raises DomainError for non-positive dimensions, InvalidChannelError
+    or DomainError (through the router's labeling laws, at the first
+    offending input and wavelength) when the router law leaves a carried
+    wavelength dark, without an originating input or out of range, and
+    CapacityError when g*m*n exceeds the channel cap, one million
+    (``DEFAULT_CHANNEL_CAP``).
     """
     params = NetworkParams(g, m, n)
     check_cap("W({},{},{}) has {count} channels, over the cap of {cap}",
@@ -431,10 +386,9 @@ def build_network(g: int, m: int, n: int) -> Topology:
     lambdas = params.lambda_count
     outputs, wavelengths = array("I"), array("I")
     run = _run_words(g, m * n)  # input a's outputs at all m routers: run(a), stride g
-    inputs, per_block = range(g), -(-_BLOCK // n)  # whole inputs, at least _BLOCK entries
-    per_piece = max(_BLOCK // n, 1)  # router copies of a row placed at once: <= _BLOCK entries
-    for start in range(0, g, per_block):
-        block = inputs[start:start + per_block]
+    inputs, rows = range(g), max(_BLOCK // n, 1)  # rows of n entries handled at a time
+    for start in range(0, g, rows):
+        block = inputs[start:start + rows]
         ports, carried, routed = awg_route_rows(awg_spec, block)
         origins = _route_row(lambdas, routed, carried)
         if (min(routed) < 0 or max(routed) >= n or max(origins) >= g
@@ -445,21 +399,21 @@ def build_network(g: int, m: int, n: int) -> Topology:
                     # range, dark, or routed past the outputs or inputs
                     label_input_channel(awg_spec, a, w)
                     label_output_channel(awg_spec, q, w)
-        # the wiring law: port b of group a feeds input a of router b, whose
-        # outputs start at b*n*g, so channel (a, b, c) lands at b*n*g + row[c]
+        # the wiring law: port b of group a feeds input a of router b, whose outputs
+        # start at b*n*g <= N - n*g, so channel (a, b, c) lands at b*n*g + row[c] < N
         if routed == list(range(n)) * len(block) and origins == ports:
             # the law's own rows: input a's row a, g + a, ..., (n-1)*g + a is a run
             # of stride g that the offsets continue, one run over its m*n outputs
             placed = map(run, block)
         else:  # a mis-wired row: each entry, at each router, plus that router's offset
             offsets = [b * n * g for b in range(m) for _ in range(n)]
-            rows = [q * g + origin for q, origin in zip(routed, origins)]
-            placed = (map(add, offsets, rows[k:k + n] * m) for k in range(0, len(rows), n))
+            relative = [q * g + origin for q, origin in zip(routed, origins)]
+            placed = (map(add, offsets, relative[k:k + n] * m) for k in range(0, len(routed), n))
         carried = array("I", carried)  # in range, so each wavelength packs as a word
         for k, row in zip(range(0, len(carried), n), placed):  # each input, at the m routers
             outputs.extend(row)
-            for b in range(0, m, per_piece):  # the row at routers b, b + 1, ...
-                wavelengths += carried[k:k + n] * min(per_piece, m - b)
+            for b in range(0, m, rows):  # the row at routers b, b + 1, ...
+                wavelengths += carried[k:k + n] * min(rows, m - b)
     return _built(params, memoryview(outputs).toreadonly(), memoryview(wavelengths).toreadonly())
 
 

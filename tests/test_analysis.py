@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from itertools import product
 from operator import eq
 
@@ -9,6 +11,7 @@ import awgshuffle.analysis as analysis
 from awgshuffle import (
     CHECK_BIJECTIVITY,
     CHECK_NAMES,
+    CHECK_ORACLE,
     CHECK_WAVELENGTH_CONFLICTS,
     DEFAULT_CHANNEL_CAP,
     CapacityError,
@@ -594,43 +597,53 @@ class TestMemoryAtTheCap:
     def test_verify_at_the_cap_peaks_near_the_build(self, peak_kb):
         # W(100,100,100), one million channels: the checks' transients stay
         # within 50% of what the built fabric itself takes, and the fabric and
-        # the oracle, 4-byte words each, bring the process to under 40 MB
+        # the oracle, 4-byte words each, bring the process to under 40 MB. At
+        # g = 1 one group is the whole fabric, and the test that it repeats its
+        # first fiber holds no copy of it beyond its bytes
         build = peak_kb("awgshuffle.build_network(100, 100, 100)")
         verify = peak_kb("assert awgshuffle.verify_shuffle_equivalence(100, 100, 100).passed")
+        group = peak_kb("assert awgshuffle.verify_shuffle_equivalence(1, 1000, 1000).passed")
         assert verify <= 1.5 * build, verify / build
         assert verify < 40 * 1024, verify
+        assert group <= 1.05 * verify, group / verify
 
     # channels 0 and 10099 of W(100,100,100) both carry wavelength 0:
     # trading their outputs breaks the oracle but keeps every fiber clean
-    # and the outputs a permutation
-    MUTANT = ("t = awgshuffle.build_network(100, 100, 100)\n"
+    # and the outputs a permutation. The mutant is made from words, as the
+    # fabric holds them, so the check's own transients are what a bound sees
+    MUTANT = ("from array import array\n"
+              "t = awgshuffle.build_network(100, 100, 100)\n"
               "assert t.wavelengths[0] == t.wavelengths[10099] == 0\n"
-              "o = list(t.outputs)\n"
+              "o = array('I', t.outputs)\n"
               "o[0], o[10099] = o[10099], o[0]\n"
               "t = awgshuffle.Topology(t.params, o, t.wavelengths)\n"
               "del o\n")
 
-    def test_keyed_conflict_check_at_the_cap_peaks_near_the_build(self, peak_kb):
-        # the conflict check decides the mutant by its keyed sets
-        build = peak_kb(self.MUTANT)
-        check = peak_kb(self.MUTANT + "assert awgshuffle.run_named_check("
-                        "awgshuffle.CHECK_WAVELENGTH_CONFLICTS, t).passed")
-        peak_kb(self.MUTANT + "assert [awgshuffle.run_named_check(name, t).passed"
-                " for name in awgshuffle.CHECK_NAMES] == [False, True, True]")
-        assert check <= 2.3 * build, check / build
+    @classmethod
+    def check_peak_mib(cls, child_env, name, counterexample):
+        """The tracemalloc peak, in MiB, of one ``run_named_check(name)`` of the mutant in a
+        child interpreter, which asserts the counterexample (None: the check passes)."""
+        script = ("import tracemalloc, awgshuffle\n" + cls.MUTANT + "tracemalloc.start()\n"
+                  f"r = awgshuffle.run_named_check({name!r}, t)\n"
+                  "print(tracemalloc.get_traced_memory()[1])\n"
+                  f"assert r.counterexample == {counterexample!r}, r\n")
+        done = subprocess.run([sys.executable, "-c", script], env=child_env,
+                              capture_output=True, text=True, check=True)
+        return int(done.stdout) / 2**20
 
-    def test_bijectivity_at_the_cap_peaks_at_the_build(self, peak_kb):
-        # one occupancy pass, a byte an output, decides the mutant: no set of the outputs
-        build = peak_kb(self.MUTANT)
-        check = peak_kb(self.MUTANT + "assert awgshuffle.run_named_check("
-                        "awgshuffle.CHECK_BIJECTIVITY, t).passed")
-        assert check <= 1.1 * build, check / build
+    def test_bijectivity_at_the_cap_holds_a_byte_an_output(self, child_env):
+        # one occupancy pass decides the mutant (1 MiB): a set of its outputs
+        # would take some 30 MiB more
+        assert self.check_peak_mib(child_env, CHECK_BIJECTIVITY, None) <= 1.5
 
-    def test_failing_oracle_check_at_the_cap_holds_one_oracle(self, peak_kb):
-        # the verdict's oracle is dropped before the counterexample's is built: the
-        # two held at once would take the peak to about twice the build
-        build = peak_kb(self.MUTANT)
-        check = peak_kb(self.MUTANT + "r = awgshuffle.run_named_check("
-                        "awgshuffle.CHECK_ORACLE, t)\n"
-                        "assert r.counterexample.startswith('input 0.0.0 reaches 0.99.1,')")
-        assert check <= 1.6 * build, check / build
+    def test_failing_oracle_check_at_the_cap_holds_one_oracle(self, child_env):
+        # the verdict's oracle (4 MiB) is dropped before the counterexample's is built
+        peak = self.check_peak_mib(child_env, CHECK_ORACLE,
+                                   "input 0.0.0 reaches 0.99.1, oracle expects 0.0.0")
+        assert peak <= 6, peak
+
+    def test_keyed_conflict_check_at_the_cap_holds_one_key_set(self, child_env):
+        # the mutant's output fibers are decided by distinct keys: one set of
+        # N keys (67 MiB) at a time, not both fiber populations' at once
+        peak = self.check_peak_mib(child_env, CHECK_WAVELENGTH_CONFLICTS, None)
+        assert peak <= 80, peak

@@ -240,7 +240,7 @@ class TestBuild:
     @example(5, 1, 7)  # m = 1
     @example(1, 6, 8)  # g = 1
     @example(7, 3, 1)  # n = 1
-    @example(300, 2, 20)  # two routing blocks of 205 and 95 inputs
+    @example(300, 2, 20)  # two routing blocks of 204 and 96 inputs
     @example(4100, 2, 1)  # two routing blocks of 4,096 and 4 inputs
     def test_arrays_equal_the_per_channel_reference(self, g, m, n):
         t = build_network(g, m, n)
@@ -277,6 +277,25 @@ class TestBuild:
         counted(awg_module, "awg_wavelength")
         build_network(5, 3, 4)  # 20 entries: one block
         assert calls == {"awg_route_rows": 1, "awg_route": 0, "awg_wavelength": 0}
+
+    def test_a_routing_call_holds_at_most_a_block_of_entries(self, monkeypatch):
+        # one row count, _BLOCK // n rows of n entries, bounds each routing call,
+        # or one input when n is larger than _BLOCK
+        blocks = []
+
+        def recorded(spec, inputs):
+            blocks.append(inputs)
+            return awg_route_rows(spec, inputs)
+
+        monkeypatch.setattr(topology, "awg_route_rows", recorded)
+        build_network(300, 2, 20)  # 4,096 // 20 = 204 inputs a call
+        assert blocks == [range(0, 204), range(204, 300)]
+        blocks.clear()
+        build_network(3, 1, 3000)
+        assert blocks == [range(0, 1), range(1, 2), range(2, 3)]
+        blocks.clear()
+        build_network(100, 100, 100)
+        assert blocks == [range(0, 40), range(40, 80), range(80, 100)]
 
 
 class TestChannelLabels:
