@@ -171,22 +171,27 @@ def _fibers_clean(topology: Topology, is_oracle: bool) -> bool:
 
     Group a's m input fibers are the slice ``wavelengths[a*l:(a+1)*l]``
     with l = m*n. A slice whose bytes begin with themselves shifted one
-    fiber on repeats its first fiber; that comparison holds one copy of
-    the slice, no repeated fiber. When every slice does, the g first
-    fibers decide the input fibers, whatever the outputs are. When
-    moreover ``is_oracle`` (``outputs`` equals the oracle S(g, l)),
-    output fiber j holds inputs {a*l + j}, the column ``wavelengths[j::l]``,
-    which carries what column j % n does, so the n columns of router 0
-    decide the output fibers. Any other fiber population needs distinct
-    :func:`_fiber_keys`, one population's set at a time.
+    fiber on repeats its first fiber; each slice is compared at its
+    offset in one copy of the wavelengths' bytes, with no repeated fiber,
+    and the copy is dropped before any set of keys is made. When every
+    slice does, the g first fibers decide the input fibers, whatever the
+    outputs are. When moreover ``is_oracle`` (``outputs`` equals the
+    oracle S(g, l)), output fiber j holds inputs {a*l + j}, the column
+    ``wavelengths[j::l]``, which carries what column j % n does, so the
+    n columns of router 0 decide the output fibers. Any other fiber
+    population needs distinct :func:`_fiber_keys`, one population's set
+    at a time.
     """
     p = topology.params
     g, n, l = p.g, p.n, p.m * p.n
     wavelengths = topology.wavelengths
     on_group, on_output = _fiber_keys(topology)
-    starts, width = range(0, p.channel_count, l), n * wavelengths.itemsize  # a fiber's bytes
-    if all(group.startswith(memoryview(group)[width:])  # the group shifted one fiber on
-           for group in (wavelengths[start : start + l].tobytes() for start in starts)):
+    starts, size = range(0, p.channel_count, l), wavelengths.itemsize
+    whole = wavelengths.tobytes()
+    view = memoryview(whole)  # each group shifted one fiber on, against the group at its offset
+    repeats = all(whole.startswith(view[(s + n) * size : (s + l) * size], s * size) for s in starts)
+    del whole, view  # before any set of N keys
+    if repeats:
         if not all(len(set(wavelengths[start : start + n])) == n for start in starts):
             return False
         if is_oracle:

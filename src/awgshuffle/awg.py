@@ -137,10 +137,10 @@ def awg_permutation(spec: AwgSpec) -> dict[ChannelAddress, ChannelAddress]:
     """Total input-channel to output-channel mapping of one router.
 
     Built by actually routing every valid channel, not by assuming the
-    digit-exchange law: one :func:`awg_route_rows` call over all inputs,
-    as the fabric's build makes for a block of them, gives the wavelength
-    that connects each input ``p`` to each output ``low`` and the output
-    it routes to, where :func:`label_output_channel` labels its exit.
+    digit-exchange law: one :func:`awg_route_rows` call over all inputs
+    gives the wavelength that connects each input ``p`` to each output
+    ``low`` and the output it routes to, where
+    :func:`label_output_channel` labels its exit.
     The exchange is asserted over this result by the test suite and the
     analysis module. The mapping covers all inputs * outputs valid
     channels, keyed in ascending address order, and is a bijection.

@@ -25,14 +25,13 @@ from array import array
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import chain, product, repeat, tee
-from operator import add
 
 from . import _all_of
 from .addressing import ChannelAddress, _FrozenValue, _address, _setattr, mixed_radix_decode
 from .awg import (
     AwgSpec,
     _route_row,
-    awg_route_rows,
+    _wavelength_row,
     awg_wavelength,
     label_input_channel,
     label_output_channel,
@@ -54,7 +53,7 @@ if TYPE_CHECKING:  # annotations only: no command loads typing
 
 __all__ = _all_of(__spec__.name)
 
-_BLOCK = 4096  # router-row entries the build handles at a time: whole rows, one if n is larger
+_BLOCK = 4096  # wavelength words the build repeats at a time: whole rows, one if n is larger
 
 
 class NetworkParams(_FrozenValue):
@@ -349,71 +348,75 @@ def _run_words(step: int, count: int) -> Callable[[int], Iterable[int]]:
     return lambda a: array("I", (lanes + a * ones).to_bytes(size, order))
 
 
+def _routed_row(spec: AwgSpec, a: int) -> tuple[array, int]:
+    """Router input a's row from its first channel, as :func:`build_network` derives it:
+    the carried run of ``spec.outputs`` wavelengths as words, and the origin, the input the
+    row reads back to. Raises, through the labels where they refuse, for any other row."""
+    lambdas, n = spec.lambda_count, spec.outputs
+    w = _wavelength_row(lambdas, (a,), (0,))[0]  # output 0's wavelength starts the runs
+    q, origin = _route_row(lambdas, (a, 0), (w, w))  # routed from a, read back from output 0
+    if not (0 <= w < lambdas and q == 0 and 0 <= origin < spec.inputs):
+        # the router's labels raise for a wavelength out of range, dark,
+        # or routed past the outputs or inputs
+        label_input_channel(spec, a, w)
+        label_output_channel(spec, q, w)
+        raise DomainError(_format("wavelength {} of input {} at output 0 routes to output {} "
+                                  "and reads back from output 0 to input {}", w, a, q, origin))
+    carried = array("I", range(w, min(w + n, lambdas)))  # the run up to its turn,
+    if w + n > lambdas:
+        carried.extend(range(w + n - lambdas))  # then on from wavelength 0
+    return carried, origin
+
+
 def build_network(g: int, m: int, n: int) -> Topology:
     """Construct the fabric W(g, m, n) with its full channel permutation.
 
     Channel (a, b, c) is the wavelength that router input a connects to
     output c on port b of group a. The m routers are copies of one
-    device, so each router input is routed once: one
-    :func:`~awgshuffle.awg.awg_route_rows` call per block of
-    max(_BLOCK // n, 1) inputs (at most _BLOCK entries, a bound on the
-    working lists, or one input when n is larger) gives their carried
-    wavelengths and routed outputs, and the routing law read at
-    those outputs gives the inputs they lead back to. A block is checked
-    to route into [0, n), back into [0, g) and on wavelengths in
-    [0, lambda_count) before it is placed; that check, O(g*n) in all,
-    puts every entry of the arrays in range, so the fabric is made
-    without the constructor's O(N) checks (:func:`_built`). The wiring
-    law places an input's row at router b from offset b*n*g. The router
-    law's own row of input a is a, a + g, ..., (n-1)*g + a, which the
+    device, so each router input is routed once, at its row's first
+    channel (:func:`_routed_row`). Both router laws are rotations modulo
+    lambda_count: the wavelength from input a to output c is output 0's
+    plus c, and a wavelength one higher routes one output on and reads
+    back to the same input. So input a's row, its n outputs in order, is
+    one cyclic run that its first channel fixes: the wavelength law at
+    output 0 gives where the carried run of n wavelengths starts, the
+    routing law at that wavelength where the routed run starts, and the
+    law read back from output 0 the origin, the input the whole row
+    leads back to. The routed run is outputs 0, ..., n-1 in order
+    exactly when it starts at 0; a carried start in [0, lambda_count)
+    and an origin in [0, g) then put the whole row in range. That check
+    of three values per input lets the fabric be made without the
+    constructor's O(N) checks (:func:`_built`); any other row is refused
+    at its first channel. The carried run is packed from one or two
+    ranges, the second past its turn at lambda_count. The wiring law
+    places input a's row at router b from offset b*n*g, and the row
+    a, g + a, ..., (n-1)*g + a of origin a is a run of stride g that the
     offsets continue, so its outputs at all m routers are one run
-    (:func:`_run_words`); any other row is placed a channel at a time.
-    The arrays are filled in place, and an input's wavelength row goes
-    to its m routers in repeats of the same row count, so a transient
-    holds no more of it than a routing call does.
+    (:func:`_run_words`). Its carried run goes to the m routers in
+    repeats of max(_BLOCK // n, 1) rows, so a transient holds at most
+    _BLOCK words or one row.
 
     Raises DomainError for non-positive dimensions, InvalidChannelError
     or DomainError (through the router's labeling laws, at the first
     offending input and wavelength) when the router law leaves a carried
-    wavelength dark, without an originating input or out of range, and
-    CapacityError when g*m*n exceeds the channel cap, one million
-    (``DEFAULT_CHANNEL_CAP``).
+    wavelength dark, without an originating input or out of range,
+    DomainError naming the first channel of any other row that is no
+    such run, and CapacityError when g*m*n exceeds the channel cap, one
+    million (``DEFAULT_CHANNEL_CAP``).
     """
     params = NetworkParams(g, m, n)
     check_cap("W({},{},{}) has {count} channels, over the cap of {cap}",
               params.channel_count, DEFAULT_CHANNEL_CAP, g, m, n)
     awg_spec = params.awg_spec
-    lambdas = params.lambda_count
     outputs, wavelengths = array("I"), array("I")
     run = _run_words(g, m * n)  # input a's outputs at all m routers: run(a), stride g
-    inputs, rows = range(g), max(_BLOCK // n, 1)  # rows of n entries handled at a time
-    for start in range(0, g, rows):
-        block = inputs[start:start + rows]
-        ports, carried, routed = awg_route_rows(awg_spec, block)
-        origins = _route_row(lambdas, routed, carried)
-        if (min(routed) < 0 or max(routed) >= n or max(origins) >= g
-                or min(carried) < 0 or max(carried) >= lambdas):
-            for a, w, q, origin in zip(ports, carried, routed, origins):
-                if not (0 <= q < n and origin < g and 0 <= w < lambdas):
-                    # the router's labels raise for a wavelength out of
-                    # range, dark, or routed past the outputs or inputs
-                    label_input_channel(awg_spec, a, w)
-                    label_output_channel(awg_spec, q, w)
-        # the wiring law: port b of group a feeds input a of router b, whose outputs
-        # start at b*n*g <= N - n*g, so channel (a, b, c) lands at b*n*g + row[c] < N
-        if routed == list(range(n)) * len(block) and origins == ports:
-            # the law's own rows: input a's row a, g + a, ..., (n-1)*g + a is a run
-            # of stride g that the offsets continue, one run over its m*n outputs
-            placed = map(run, block)
-        else:  # a mis-wired row: each entry, at each router, plus that router's offset
-            offsets = [b * n * g for b in range(m) for _ in range(n)]
-            relative = [q * g + origin for q, origin in zip(routed, origins)]
-            placed = (map(add, offsets, relative[k:k + n] * m) for k in range(0, len(routed), n))
-        carried = array("I", carried)  # in range, so each wavelength packs as a word
-        for k, row in zip(range(0, len(carried), n), placed):  # each input, at the m routers
-            outputs.extend(row)
-            for b in range(0, m, rows):  # the row at routers b, b + 1, ...
-                wavelengths += carried[k:k + n] * min(rows, m - b)
+    rows = max(_BLOCK // n, 1)  # router copies of a carried run repeated at a time
+    pieces = [min(rows, m - b) for b in range(0, m, rows)]  # the m routers, rows at a time
+    for a in range(g):
+        carried, origin = _routed_row(awg_spec, a)
+        outputs.extend(run(origin))
+        for copies in pieces:
+            wavelengths += carried * copies
     return _built(params, memoryview(outputs).toreadonly(), memoryview(wavelengths).toreadonly())
 
 

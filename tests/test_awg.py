@@ -19,7 +19,8 @@ from awgshuffle import (
     shuffle_perm_decimal,
     valid_input_wavelengths,
 )
-from awgshuffle.awg import awg_route_rows
+from awgshuffle.awg import _route_row, awg_route_rows
+from awgshuffle.topology import _routed_row
 
 specs = st.builds(
     AwgSpec, st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8)
@@ -111,6 +112,22 @@ class TestRouteRow:
                 block.extend(part)
         assert awg_route_rows(spec, range(spec.inputs)) == whole
         assert awg_route_rows(spec, range(0)) == ([], [], [])
+
+    @given(specs)
+    @example(AwgSpec(5, 3))  # inputs > outputs: some wavelengths are dark at each input
+    @example(AwgSpec(4, 4))
+    @example(AwgSpec(3, 5))  # inputs < outputs
+    @example(AwgSpec(1, 1))
+    def test_a_row_is_the_cyclic_run_of_its_first_channel(self, spec):
+        # the build reads each input's row from its first channel alone: the
+        # carried run it packs, the routed run from output 0 and the origin read
+        # back there hold for every entry of the row the law routes
+        for p in range(spec.inputs):
+            carried, origin = _routed_row(spec, p)
+            _, row_carried, routed = awg_route_rows(spec, range(p, p + 1))
+            assert row_carried == list(carried)
+            assert routed == list(range(spec.outputs))
+            assert _route_row(spec.lambda_count, routed, row_carried) == [origin] * spec.outputs
 
     def test_rejects_out_of_range_input_with_the_scalar_message(self, awg36):
         # a range is validated by its ends

@@ -39,7 +39,6 @@ from awgshuffle import (
     tradeoff_table,
     verify_shuffle_equivalence,
 )
-from awgshuffle.awg import awg_route_rows
 
 P323 = NetworkParams(3, 2, 3)
 
@@ -75,18 +74,21 @@ def reference_arrays(g, m, n):
 
 
 def row_with_route(route):
-    """:func:`awg_route_rows` with its routing law replaced by ``route(spec, p, i)``."""
-    def row(spec, inputs):
-        ports, carried, _ = awg_route_rows(spec, inputs)
-        return ports, carried, [route(spec, p, i) for p, i in zip(ports, carried)]
+    """The routing law as :mod:`topology` imports it, with ``route(lambdas, p, i)`` for
+    each entry; ``law`` names the law it replaces."""
+    def row(lambdas, ports, wavelengths):
+        return [route(lambdas, p, i) for p, i in zip(ports, wavelengths)]
 
+    row.law = "_route_row"
     return row
 
 
-def shifted(rows, by):
-    """``rows`` of :func:`awg_route_rows` with every carried wavelength moved by ``by``."""
-    ports, carried, routed = rows
-    return ports, [w + by for w in carried], routed
+def shifted(by):
+    """The wavelength law as :mod:`topology` imports it, every wavelength moved by ``by``."""
+    row = lambda lambdas, ports, outputs: [  # noqa: E731 -- a lambda, as its test id says
+        w + by for w in awg_module._wavelength_row(lambdas, ports, outputs)]
+    row.law = "_wavelength_row"
+    return row
 
 
 # Each of the four dimension checks, and the two entry points that reach one.
@@ -142,20 +144,16 @@ class TestBuild:
         assert list(inspect.signature(build_network).parameters) == ["g", "m", "n"]
 
     def test_rejects_a_router_that_routes_past_its_outputs(self, monkeypatch):
-        monkeypatch.setattr(
-            topology, "awg_route_rows", row_with_route(lambda spec, p, i: spec.outputs)
-        )
+        monkeypatch.setattr(topology, "_route_row", row_with_route(lambda lambdas, p, i: 3))
         with pytest.raises(DomainError, match="output port 3 out of range for 3-output device"):
             build_network(3, 2, 3)
 
     def test_rejects_a_router_output_with_no_originating_input(self, monkeypatch):
-        # n > g: a router law one output early leaves wavelength 1 at input
-        # 1 on output 2, which only virtual input 2 of a 2-input router could feed
-        monkeypatch.setattr(
-            topology,
-            "awg_route_rows",
-            row_with_route(lambda spec, p, i: (i - p - 1) % spec.lambda_count),
-        )
+        # n > g: a router law that moves each input by twice its port keeps
+        # input 0's row and leaves wavelength 1 at input 1 on output 2, which
+        # only virtual input 2 of a 2-input router could feed
+        monkeypatch.setattr(topology, "_route_row",
+                            row_with_route(lambda lambdas, p, i: (i - 2 * p) % lambdas))
         with pytest.raises(InvalidChannelError, match="has no originating input") as err:
             build_network(2, 2, 3)
         assert str(err.value) == (
@@ -164,68 +162,79 @@ class TestBuild:
         )
 
     @pytest.mark.parametrize("row, message", [
-        (row_with_route(lambda spec, p, i: -1), "output port -1 out of range for 3-output device"),
-        (lambda spec, inputs: shifted(awg_route_rows(spec, inputs), 3),
-         "wavelength index 3 out of range for 3 wavelengths"),
-        (lambda spec, inputs: shifted(awg_route_rows(spec, inputs), -3),
-         "wavelength index -3 out of range for 3 wavelengths"),
+        (row_with_route(lambda lambdas, p, i: -1),
+         "output port -1 out of range for 3-output device"),
+        (shifted(3), "wavelength index 3 out of range for 3 wavelengths"),
+        (shifted(-3), "wavelength index -3 out of range for 3 wavelengths"),
     ])
     def test_rejects_a_router_row_out_of_range(self, monkeypatch, row, message):
         # the build makes the fabric without the constructor's range
-        # checks, so its own row check must catch both ends
-        monkeypatch.setattr(topology, "awg_route_rows", row)
+        # checks, so its own check of a row's first channel must catch both
+        # ends; a wavelength 3 on would route from output 0 all the same
+        monkeypatch.setattr(topology, row.law, row)
         with pytest.raises(DomainError) as err:
             build_network(3, 2, 3)
         assert str(err.value) == message
 
-    def test_rejects_a_fault_past_the_first_block_at_its_first_input(self, monkeypatch):
-        # W(5000,1,1) routes inputs 0-4095 and 4096-4999 as two blocks; the
-        # wavelengths of inputs 4500 and up are moved out of range, and the
-        # first of them is the one named, as an input-by-input check names it
-        blocks = []
+    def test_rejects_a_fault_at_its_first_input(self, monkeypatch):
+        # the wavelengths of W(5000,1,1)'s inputs 4500 and up are moved out of
+        # range, and the first of them is the one named
+        def row(lambdas, ports, outputs):
+            carried = awg_module._wavelength_row(lambdas, ports, outputs)
+            return [w + 1000 * (p >= 4500) for p, w in zip(ports, carried)]
 
-        def row(spec, inputs):
-            blocks.append(inputs)
-            ports, carried, routed = awg_route_rows(spec, inputs)
-            return ports, [w + 1000 * (p >= 4500) for p, w in zip(ports, carried)], routed
-
-        monkeypatch.setattr(topology, "awg_route_rows", row)
+        monkeypatch.setattr(topology, "_wavelength_row", row)
         with pytest.raises(DomainError) as err:
             build_network(5000, 1, 1)
         assert str(err.value) == "wavelength index 5500 out of range for 5000 wavelengths"
-        assert blocks == [range(0, 4096), range(4096, 5000)]
 
-    def test_a_row_that_is_no_run_is_placed_channel_by_channel(self, monkeypatch):
-        # W(4,3,4) with routed outputs 1 and 2 of input 1 swapped: every origin
-        # stays below g = lambda_count, so the row passes the range check, but
-        # it is (1, 8, 6, 13), no run of stride g, and each of its channels
-        # lands at its router's offset plus its own row entry
+    def test_rejects_a_row_that_does_not_start_at_output_0(self, monkeypatch):
+        # a router law one output early routes input 0's wavelength 0 to
+        # output 2 of W(2,2,3): in range for the labels, which read the
+        # origin 1 there, but not the row of outputs 0, 1, 2 it was chosen for
+        monkeypatch.setattr(topology, "_route_row",
+                            row_with_route(lambda lambdas, p, i: (i - p - 1) % lambdas))
+        with pytest.raises(DomainError) as err:
+            build_network(2, 2, 3)
+        assert str(err.value) == ("wavelength 0 of input 0 at output 0 routes to output 2 "
+                                  "and reads back from output 0 to input 2")
+
+    def test_a_law_that_reads_each_origin_one_input_on_builds_a_permutation(self, monkeypatch):
+        # W(4,3,4) with the origin that the build reads back from output 0, the
+        # last entry of its routing call, one input on: each input's row lands
+        # where the next input's belongs, a permutation that only the oracle check
+        # refuses, at its first disagreeing channel
         g, m, n = 4, 3, 4
 
-        def row(spec, inputs):
-            ports, carried, routed = awg_route_rows(spec, inputs)
-            routed[n + 1], routed[n + 2] = routed[n + 2], routed[n + 1]
-            return ports, carried, routed
+        def row(lambdas, ports, wavelengths):
+            *routed, origin = awg_module._route_row(lambdas, ports, wavelengths)
+            return [*routed, (origin + 1) % g]
 
-        monkeypatch.setattr(topology, "awg_route_rows", row)
-        _, carried, routed = row(AwgSpec(g, n), range(g))
-        rows = [q * g + (w - q) % g for w, q in zip(carried, routed)]
-        assert rows[n:2 * n] == [1, 8, 6, 13]
+        monkeypatch.setattr(topology, "_route_row", row)
         t = build_network(g, m, n)
-        assert list(t.outputs) == [b * n * g + rows[a * n + c]
+        assert list(t.outputs) == [b * n * g + c * g + (a + 1) % g
                                    for a in range(g) for b in range(m) for c in range(n)]
         assert list(t.wavelengths) == reference_arrays(g, m, n)[1]
-        oracle = verify_shuffle_equivalence(g, m, n).checks[0]
-        assert (oracle.name, oracle.passed) == ("oracle-equivalence", False)
-        assert oracle.counterexample == "input 101 reaches 020, oracle expects 011"
+        checks = verify_shuffle_equivalence(g, m, n).checks
+        assert [(check.name, check.passed) for check in checks] == [
+            ("oracle-equivalence", False), ("bijectivity", True), ("wavelength-conflicts", True)]
+        assert checks[0].counterexample == "input 000 reaches 001, oracle expects 000"
 
     def test_a_bank_of_long_rows_peaks_near_a_cube_of_its_size(self, peak_kb):
-        # the bank is routed a block at a time: W(1000,1,1000) holds no
-        # million-entry row lists beside its two arrays, whose wavelengths are
-        # 4-byte words however many distinct values they take
+        # W(1000,1,1000) holds no million-entry row lists beside its two
+        # arrays, whose wavelengths are 4-byte words however many distinct
+        # values they take
         cube = peak_kb("awgshuffle.build_network(100, 100, 100)")
         bank = peak_kb("awgshuffle.build_network(1000, 1, 1000)")
         assert bank <= 1.1 * cube, (bank, cube)
+
+    def test_a_single_long_row_peaks_near_a_cube_of_its_size(self, peak_kb):
+        # W(1,1,1000000) is one router row of a million entries: its carried
+        # run is packed from ranges, with no list of the row's entries and no
+        # table of 2*lambda_count wavelengths to slice runs from
+        cube = peak_kb("awgshuffle.build_network(100, 100, 100)")
+        row = peak_kb("awgshuffle.build_network(1, 1, 1000000)")
+        assert row <= 1.5 * cube, (row, cube)
 
     def test_a_single_group_peaks_like_a_cube_of_its_size(self, peak_kb):
         # at g = 1 each input's m*n outputs are one range: W(1,1000,1000)
@@ -234,14 +243,28 @@ class TestBuild:
         group = peak_kb("awgshuffle.build_network(1, 1000, 1000)")
         assert group <= 1.1 * cube, (group, cube)
 
+    def test_a_bank_of_long_rows_builds_about_as_fast_as_a_cube(self, child_env):
+        # the build's Python work is constant per router input, and W(1000,1,1000)
+        # has ten times the inputs of W(100,100,100) at the same N; routed entry
+        # by entry, the bank took over 20 times as long
+        script = ("from timeit import repeat\nimport awgshuffle\n"
+                  "for shape in (100, 100, 100), (1000, 1, 1000):\n"
+                  "    print(min(repeat(lambda: awgshuffle.build_network(*shape), number=1,"
+                  " repeat=3)))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=child_env,
+                              capture_output=True, text=True, check=True)
+        cube, bank = map(float, done.stdout.split())
+        assert bank <= 4 * cube, (bank, cube)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
     @example(9, 2, 4)  # g > n
     @example(5, 1, 7)  # m = 1
     @example(1, 6, 8)  # g = 1
     @example(7, 3, 1)  # n = 1
-    @example(300, 2, 20)  # two routing blocks of 204 and 96 inputs
-    @example(4100, 2, 1)  # two routing blocks of 4,096 and 4 inputs
+    @example(300, 2, 20)  # the carried runs of inputs 281-299 turn at lambda_count
+    @example(4100, 2, 1)  # 4,100 inputs of one channel each
+    @example(2, 5, 2000)  # each carried run goes to routers 0-1, 2-3 and 4
     def test_arrays_equal_the_per_channel_reference(self, g, m, n):
         t = build_network(g, m, n)
         assert (list(t.outputs), list(t.wavelengths)) == reference_arrays(g, m, n)
@@ -260,8 +283,8 @@ class TestBuild:
         assert again == t
         assert hash(again) == hash(t)
 
-    def test_routes_each_block_once(self, monkeypatch):
-        calls = {"awg_route_rows": 0, "awg_route": 0, "awg_wavelength": 0}
+    def test_routes_each_input_once(self, monkeypatch):
+        calls = {"_wavelength_row": 0, "_route_row": 0, "awg_route": 0, "awg_wavelength": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -272,30 +295,13 @@ class TestBuild:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(topology, "awg_route_rows")
+        counted(topology, "_wavelength_row")
+        counted(topology, "_route_row")
         counted(awg_module, "awg_route")
         counted(awg_module, "awg_wavelength")
-        build_network(5, 3, 4)  # 20 entries: one block
-        assert calls == {"awg_route_rows": 1, "awg_route": 0, "awg_wavelength": 0}
-
-    def test_a_routing_call_holds_at_most_a_block_of_entries(self, monkeypatch):
-        # one row count, _BLOCK // n rows of n entries, bounds each routing call,
-        # or one input when n is larger than _BLOCK
-        blocks = []
-
-        def recorded(spec, inputs):
-            blocks.append(inputs)
-            return awg_route_rows(spec, inputs)
-
-        monkeypatch.setattr(topology, "awg_route_rows", recorded)
-        build_network(300, 2, 20)  # 4,096 // 20 = 204 inputs a call
-        assert blocks == [range(0, 204), range(204, 300)]
-        blocks.clear()
-        build_network(3, 1, 3000)
-        assert blocks == [range(0, 1), range(1, 2), range(2, 3)]
-        blocks.clear()
-        build_network(100, 100, 100)
-        assert blocks == [range(0, 40), range(40, 80), range(80, 100)]
+        build_network(5, 3, 4)  # each of 5 inputs at its first channel
+        assert calls == {"_wavelength_row": 5, "_route_row": 5, "awg_route": 0,
+                         "awg_wavelength": 0}
 
 
 class TestChannelLabels:
